@@ -154,7 +154,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         other = load_index(args.compare_index)
         other_rankings = batch_retrieve(other, queries, other.header.mode, max(args.k, 100))
         boot = paired_bootstrap(
-            eval_ndcg(rankings, qrels, 10).per_query,
+            reports["ndcg@10"].per_query,
             eval_ndcg(other_rankings, qrels, 10).per_query,
             resamples=args.resamples, seed=args.seed)
     if args.budgets:
@@ -327,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=0.75)
     p.add_argument("--k", type=int, default=100, help="retrieval depth")
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
 
     return parser
 

@@ -49,9 +49,6 @@ class Corpus:
     def __iter__(self) -> Iterator[Document]:
         return iter(self.docs)
 
-    def index_of(self, doc_id: str) -> int:
-        return self._by_id[doc_id]
-
     def text(self, doc_id: str) -> str:
         return self.docs[self._by_id[doc_id]].text
 

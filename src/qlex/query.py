@@ -4,6 +4,12 @@ One code path serves every index flavor (plain BM25, q-rescaled, gamma
 sharpened, DPH): tokens select columns, column slices are summed into a
 float64 accumulator, and ties are broken by ascending internal document
 index so rankings are fully deterministic.
+
+Ranking is an exact partial top-k over the dense accumulator.  A code
+query touches few documents (a near-unique identifier carries the score at
+q < 1), so only the documents with a positive score are partitioned and
+sorted; zero, negative and NaN scores are visited only when the positives
+cannot fill k.  The result equals a stable descending sort of all N scores.
 """
 
 from __future__ import annotations
@@ -55,15 +61,62 @@ def score_query(index: SparseScoreIndex, tokens: Sequence[str]) -> np.ndarray:
     return scores
 
 
+# Score classes in the order a stable sort of -scores visits them; ``tied``
+# classes hold one value, so their ascending doc order is already ranked.
+_SCORE_CLASSES = (
+    (lambda s: s > 0, False),
+    (lambda s: s == 0, True),
+    (lambda s: s < 0, False),
+    (np.isnan, True),
+)
+
+
+def _top_of(idx: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
+    """The first ``m`` of ``idx`` by descending ``vals``, ties by ascending index.
+
+    ``idx`` must be ascending and ``vals`` free of NaN.  Everything strictly
+    above the m-th largest value is kept, then that value's ties in
+    ascending index order, and only the kept entries are sorted.
+    """
+    if idx.size > m:
+        kth = np.partition(vals, idx.size - m)[idx.size - m]
+        keep = vals > kth
+        keep[np.flatnonzero(vals == kth)[:m - np.count_nonzero(keep)]] = True
+        idx, vals = idx[keep], vals[keep]
+    return idx[np.argsort(-vals, kind="stable")]
+
+
 def rank_from_scores(index: SparseScoreIndex, scores: np.ndarray, k: int,
                      query_id: str = "") -> RankedList:
-    """Top-k ranking from a dense score vector, ties by ascending doc index."""
+    """Top-k ranking from a dense score vector, ties by ascending doc index.
+
+    The ranking is the first ``k`` of a stable sort of ``-scores``, made
+    without sorting all N documents.  Selection goes class by class
+    (``_SCORE_CLASSES``) and stops once ``k`` documents are chosen:
+
+    1. positive scores (``+inf`` included), exact top-k as in ``_top_of``;
+    2. zero scores (``-0.0`` included), in ascending doc order;
+    3. negative scores (``-inf`` included; DPH, or BM25 at q > 1 for a
+       term with df > N/2), ranked like the positives;
+    4. NaN scores last, in ascending doc order.
+
+    ``np.argpartition`` over the dense vector is not used: a query leaves
+    most of the vector at exactly zero, and introselect over such mass ties
+    costs more than the full sort it would replace.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    # Stable sort of the negated scores keeps original (ascending) document
-    # order among equals, which is exactly the documented tie-break.
-    order = np.argsort(-scores, kind="stable")[:k]
-    return RankedList(query_id, [(index.doc_ids[i], float(scores[i])) for i in order])
+    parts = []
+    need = k
+    for member, tied in _SCORE_CLASSES:
+        idx = np.flatnonzero(member(scores))
+        parts.append(idx[:need] if tied else _top_of(idx, scores[idx], need))
+        need -= parts[-1].size
+        if need == 0:
+            break
+    order = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    hits = zip([index.doc_ids[i] for i in order.tolist()], scores[order].tolist())
+    return RankedList(query_id, list(hits))
 
 
 def rank_tokens(index: SparseScoreIndex, tokens: Sequence[str], k: int,

@@ -23,7 +23,7 @@ import enum
 import re
 from functools import lru_cache
 from importlib import resources
-from typing import Collection, Iterable
+from typing import Collection
 
 __all__ = ["TokenizerMode", "tokenize", "split_identifier", "default_stopwords"]
 
@@ -126,10 +126,3 @@ def tokenize(text: str, mode: TokenizerMode,
             parts = split_identifier(raw)
             out.extend(parts if len(parts) >= 2 else [whole])
     return out
-
-
-def iter_token_streams(texts: Iterable[str], mode: TokenizerMode,
-                       stopwords: Collection[str] | None = None):
-    """Yield the token list for each text in order."""
-    for text in texts:
-        yield tokenize(text, mode, stopwords)

@@ -90,6 +90,23 @@ def _require_pristine(index: SparseScoreIndex, what: str) -> None:
                                 f"gamma={header.applied_gamma}")
 
 
+def _scale_columns(index: SparseScoreIndex, factors: np.ndarray, what: str) -> None:
+    """Multiply every stored entry of column t by ``factors[t]``, all or nothing.
+
+    The products are formed in float64 and narrowed to float32; only if
+    every narrowed score is finite are they written back into
+    ``index.scores``.  Otherwise ValueError is raised and the index is left
+    as it was, so a refused transform consumes no header state.
+    """
+    rescaled = index.scores.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rescaled *= np.repeat(factors, np.diff(index.col_ptr))
+        narrowed = rescaled.astype(np.float32)
+    if not np.isfinite(narrowed).all():
+        raise ValueError(f"{what} gives non-finite float32 scores; index left unchanged")
+    index.scores[...] = narrowed
+
+
 def rescale_index(index: SparseScoreIndex, q: float) -> SparseScoreIndex:
     """Move a baked BM25 index to exponent ``q`` by rescaling each column.
 
@@ -98,7 +115,9 @@ def rescale_index(index: SparseScoreIndex, q: float) -> SparseScoreIndex:
     state).  Otherwise each stored entry of column t is multiplied by
     ``idf_qlog(n_t, N, q) / idf_lucene(n_t, N)``; ratios are computed once
     per column in float64 and the result is narrowed back to float32 in
-    place.  One pass, O(|V| + nnz).  A second rescale is a state error.
+    place.  One pass, O(|V| + nnz).  A second rescale is a state error; a
+    q whose scores overflow float32 is a ValueError that leaves the index
+    untouched.
     """
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q}")
@@ -108,11 +127,9 @@ def rescale_index(index: SparseScoreIndex, q: float) -> SparseScoreIndex:
     df = index.df.astype(np.float64)
     n = float(index.num_docs)
     odds = (n - df + 0.5) / (df + 0.5)
-    ratios = _ln_q_vec(odds, q) / np.log(1.0 + odds)
-    expanded = np.repeat(ratios, np.diff(index.col_ptr))
-    rescaled = index.scores.astype(np.float64)
-    rescaled *= expanded
-    index.scores[...] = rescaled
+    with np.errstate(over="ignore"):
+        ratios = _ln_q_vec(odds, q) / np.log(1.0 + odds)
+    _scale_columns(index, ratios, f"rescale to q={q}")
     index.header.applied_q = q
     return index
 
@@ -121,7 +138,7 @@ def rescale_index_gamma(index: SparseScoreIndex, gamma: float) -> SparseScoreInd
     """Sharpen the baked IDF to ``idf ** gamma`` (column factor idf^(gamma-1)).
 
     gamma = 1.0 exactly is the untouched identity; gamma <= 0 is a domain
-    error.  Same single-shot state rules as :func:`rescale_index`.
+    error.  Same single-shot state and overflow rules as :func:`rescale_index`.
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and > 0, got {gamma}")
@@ -131,11 +148,9 @@ def rescale_index_gamma(index: SparseScoreIndex, gamma: float) -> SparseScoreInd
     df = index.df.astype(np.float64)
     n = float(index.num_docs)
     idf = np.log(1.0 + (n - df + 0.5) / (df + 0.5))
-    factors = np.power(idf, gamma - 1.0)
-    expanded = np.repeat(factors, np.diff(index.col_ptr))
-    rescaled = index.scores.astype(np.float64)
-    rescaled *= expanded
-    index.scores[...] = rescaled
+    with np.errstate(over="ignore"):
+        factors = np.power(idf, gamma - 1.0)
+    _scale_columns(index, factors, f"gamma rescale to gamma={gamma}")
     index.header.applied_gamma = gamma
     return index
 

@@ -87,6 +87,15 @@ def dph_scores(doc_tokens: list[list[str]], query_tokens: list[str]) -> list[flo
     return out
 
 
+def rank_by_full_sort(scores: np.ndarray, k: int) -> np.ndarray:
+    """Top-k doc indices by a stable sort of all N negated scores.
+
+    Ties keep ascending doc order and NaN sorts last; the partial top-k
+    in ``qlex.query`` must reproduce this order exactly.
+    """
+    return np.argsort(-scores, kind="stable")[:k]
+
+
 def ndcg_by_hand(ranked_doc_ids: list[str], rels: dict[str, int], k: int) -> float:
     dcg = sum(rels.get(d, 0) / math.log2(i + 2)
               for i, d in enumerate(ranked_doc_ids[:k]))

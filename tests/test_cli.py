@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from qlex import load_index
+from qlex import load_index, load_qrels, load_queries
 from qlex.cli import _parse_bins, main
+from qlex.evaluation import (eval_mrr, eval_ndcg, eval_recall, paired_bootstrap,
+                             report_to_json)
+from qlex.query import batch_retrieve
 
 from conftest import (hapax_mechanism_corpus, random_corpus, write_jsonl_corpus,
                       write_jsonl_queries, write_qrels)
@@ -157,10 +160,22 @@ class TestAnalysisCommands:
                  "--compare-index", mech / "q01.qlx",
                  "--format", "json", "--resamples", "500", "--seed", "7")
         assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        payload = json.loads(out)
         boot = payload["bootstrap"]
         assert boot["mean_delta"] > 0.5  # q=0.1 rescues the hapax queries
         assert boot["resamples"] == 500 and boot["seed"] == 7
+
+        # The report is exactly the library's metrics over both indexes.
+        queries, qrels = load_queries(mech / "queries.jsonl"), load_qrels(mech / "qrels.tsv")
+        base, other = (load_index(mech / name) for name in ("base.qlx", "q01.qlx"))
+        ranked = batch_retrieve(base, queries, base.header.mode, 100)
+        reports = {"ndcg@10": eval_ndcg(ranked, qrels, 10), "mrr": eval_mrr(ranked, qrels),
+                   "recall@10": eval_recall(ranked, qrels, 10)}
+        other_ndcg = eval_ndcg(batch_retrieve(other, queries, other.header.mode, 100), qrels, 10)
+        expected = paired_bootstrap(eval_ndcg(ranked, qrels, 10).per_query,
+                                    other_ndcg.per_query, resamples=500, seed=7)
+        assert out == report_to_json(reports, expected)
 
     def test_eval_budgets_need_corpus(self, mech, capsys):
         rc = run("eval", "--index", mech / "base.qlx",

@@ -1,17 +1,22 @@
 """Query scoring, ranking determinism, and the run-file surface."""
 
 import io
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qlex import (ModeMismatchError, batch_retrieve, build_dph_index, build_index,
                   format_trec_run, rescale_index, rescale_index_gamma, score_query,
                   top_k, write_trec_run, QuerySet)
+from qlex.query import RankedList, rank_from_scores
 from qlex.tokenizers import TokenizerMode, tokenize
 
-from conftest import make_corpus, random_corpus
-from oracles import bm25_scores
+from conftest import hapax_mechanism_corpus, make_corpus, random_corpus
+from oracles import bm25_scores, rank_by_full_sort
 
 
 class TestScoreQuery:
@@ -88,6 +93,94 @@ class TestTopK:
         ranked = top_k(index, "w0 w1 w2", TokenizerMode.T1, 50)
         scores = [s for _, s in ranked.hits]
         assert scores == sorted(scores, reverse=True)
+
+
+def _docs(n: int) -> SimpleNamespace:
+    return SimpleNamespace(doc_ids=[f"d{i}" for i in range(n)])
+
+
+def _assert_matches_full_sort(index, scores: np.ndarray, k: int) -> None:
+    """Same doc order and the same float64 scores, bit for bit (NaN, -0.0)."""
+    ranked = rank_from_scores(index, scores, k)
+    want = rank_by_full_sort(scores, k)
+    assert ranked.doc_ids() == [index.doc_ids[i] for i in want]
+    got = np.array([s for _, s in ranked.hits], dtype=np.float64)
+    assert got.tobytes() == scores[want].tobytes()
+
+
+# A small pool of values makes ties, signed zeros and non-finite entries common.
+_TIE_POOL = [0.0, -0.0, 1.0, 2.5, 2.5000000000000004, -1.0, -3.0,
+             math.inf, -math.inf, math.nan]
+_SCORES = hnp.arrays(
+    np.float64, st.integers(1, 60),
+    elements=st.one_of(st.sampled_from(_TIE_POOL),
+                       st.floats(allow_nan=True, allow_infinity=True)))
+
+
+class TestRankFromScores:
+    @given(scores=_SCORES, k=st.integers(1, 70))
+    def test_matches_stable_full_sort(self, scores, k):
+        _assert_matches_full_sort(_docs(scores.size), scores, k)
+
+    @given(n=st.integers(1, 300), n_pos=st.integers(0, 300), n_neg=st.integers(0, 300),
+           levels=st.integers(1, 3), k=st.integers(1, 310), seed=st.integers(0, 2**32 - 1))
+    def test_mass_ties_at_the_kth_value(self, n, n_pos, n_neg, levels, k, seed):
+        # Mostly-zero vectors with a few tied levels either side of zero.
+        rng = np.random.default_rng(seed)
+        scores = np.zeros(n)
+        scores[rng.integers(0, n, n_pos)] = rng.integers(1, levels + 1, n_pos)
+        scores[rng.integers(0, n, n_neg)] = -rng.integers(1, levels + 1, n_neg)
+        _assert_matches_full_sort(_docs(n), scores, k)
+
+    @pytest.mark.parametrize("k", [1, 7, 10, 11, 100])
+    @pytest.mark.parametrize("scores", [
+        np.zeros(10),
+        np.array([-0.0, 0.0, -0.0, 1.0, 0.0, -0.0, -1.0, 0.0, -0.0, 0.0]),
+        np.array([math.nan, -math.inf, 0.0, math.inf, -0.0, 1.0, math.inf, math.nan, -2.0,
+                  -math.inf]),
+        np.array([3.0, 3.0, 1.0, 3.0, 0.0, 3.0, -1.0, 3.0, 3.0, 3.0]),
+    ], ids=["all-zero", "signed-zeros", "non-finite", "ties-at-kth"])
+    def test_edge_vectors(self, scores, k):
+        _assert_matches_full_sort(_docs(scores.size), scores, k)
+
+    def test_dph_index_with_negative_scores(self):
+        rng = np.random.default_rng(8)
+        index = build_dph_index(random_corpus(rng, 40, 12), TokenizerMode.T1)
+        assert (index.scores < 0).any()
+        words = [f"w{i}" for i in range(12)]
+        for _ in range(30):
+            scores = score_query(index, list(rng.choice(words, size=rng.integers(1, 5))))
+            for k in (1, 10, 40, 45):
+                _assert_matches_full_sort(index, scores, k)
+
+    def test_bm25_beyond_q1_with_a_majority_term(self):
+        # "common" sits in 30 of 40 docs (df > N/2): its IDF turns negative at q > 1.
+        rng = np.random.default_rng(12)
+        texts = [("common " if i < 30 else "") + " ".join(rng.choice(["a", "b", "c", "d"], 3))
+                 for i in range(40)]
+        index = build_index(make_corpus(texts), TokenizerMode.T1)
+        rescale_index(index, 2.0)
+        for query in (["common"], ["common", "a"], ["common", "b", "b"], ["zz"]):
+            scores = score_query(index, query)
+            for k in (1, 5, 40, 41):
+                _assert_matches_full_sort(index, scores, k)
+        assert (score_query(index, ["common"]) < 0).any()
+
+    def test_hapax_corpus_run_file_is_byte_identical(self):
+        corpus, queries, _ = hapax_mechanism_corpus(
+            n_docs=1000, group_size=100, mids_per_group=16, n_queries=100)
+        for q in (None, 0.3):
+            index = build_index(corpus, TokenizerMode.T0)
+            if q is not None:
+                rescale_index(index, q)
+            oracle = []
+            for qid, text in queries:
+                scores = score_query(index, tokenize(text, TokenizerMode.T0))
+                order = rank_by_full_sort(scores, 100)
+                oracle.append(RankedList(qid, [(index.doc_ids[i], float(scores[i]))
+                                               for i in order]))
+            got = batch_retrieve(index, queries, TokenizerMode.T0, 100)
+            assert format_trec_run(got) == format_trec_run(oracle)
 
 
 class TestBatchAndRunFile:

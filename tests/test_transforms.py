@@ -1,6 +1,7 @@
 """q-logarithm, RSJ odds, IDF transforms, and the in-place rescales."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,23 @@ class TestRescale:
         rescale_index(index, 0.5)
         _, col = index.column(index.vocab["common"])
         assert col.max() < 0
+
+
+@pytest.mark.parametrize("rescale, value", [(rescale_index, -12.0), (rescale_index, -300.0),
+                                            (rescale_index_gamma, 60.0)])
+def test_overflowing_rescale_raises_and_leaves_index_untouched(rescale, value):
+    # 2,000 hapax columns: odds ~1333, so q = -12 and gamma = 60 overflow float32
+    # (q = -300 already overflows the float64 factor).
+    index = build_index(make_corpus([f"uniq{i} shared{i % 7}" for i in range(2000)]),
+                        TokenizerMode.T1)
+    before = index.scores.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            rescale(index, value)
+    assert index.scores.tobytes() == before.tobytes()
+    assert index.header.applied_q is None and index.header.applied_gamma is None
+    rescale(index, 0.5)  # the refused rescale consumed no state
 
 
 class TestGammaRescale:
