@@ -100,9 +100,10 @@ def rank_from_scores(index: SparseScoreIndex, scores: np.ndarray, k: int,
        term with df > N/2), ranked like the positives;
     4. NaN scores last, in ascending doc order.
 
-    ``np.argpartition`` over the dense vector is not used: a query leaves
-    most of the vector at exactly zero, and introselect over such mass ties
-    costs more than the full sort it would replace.
+    ``np.argpartition`` over the dense vector is not used: it visits and
+    moves all N entries, most of them tied at exactly zero for a code
+    query, and would still need the ties repaired.  Selecting from the
+    positives alone is several times cheaper.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
