@@ -17,8 +17,7 @@ from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, DEFAULT_TOKEN_BUDGETS,
                          ndcg_at_k, paired_bootstrap, q_sweep, query_features,
                          recall_at_k, recall_at_token_budget, report_to_json,
                          report_to_tsv, sweep_to_csv, whitespace_token_counter)
-from .index import (BuildParams, IndexHeader, SparseScoreIndex, build_index,
-                    term_stats)
+from .index import BuildParams, IndexHeader, SparseScoreIndex, build_index
 from .query import (RankedList, batch_retrieve, format_trec_run, score_query,
                     top_k, write_trec_run)
 from .stats import (DEFAULT_PREDICTOR, CorpusStats, PredictorModel,

@@ -90,21 +90,16 @@ def _cmd_rescale(args: argparse.Namespace) -> int:
     index = load_index(args.index)
     out = args.out or args.index
     if args.q is not None:
-        if args.q == 1.0:
-            print("rescale skipped (bit-identity gate at q=1.0)")
-            if out != args.index:
-                save_index(index, out)
-            return 0
-        rescale_index(index, args.q)
-        print(f"rescaled to q={args.q} -> {out}")
+        name, value, transform = "q", args.q, rescale_index
     else:
-        if args.gamma == 1.0:
-            print("rescale skipped (bit-identity gate at gamma=1.0)")
-            if out != args.index:
-                save_index(index, out)
+        name, value, transform = "gamma", args.gamma, rescale_index_gamma
+    header = transform(index, value).header
+    if header.applied_q is None and header.applied_gamma is None:  # the identity gate
+        print(f"rescale skipped (bit-identity gate at {name}={value})")
+        if out == args.index:
             return 0
-        rescale_index_gamma(index, args.gamma)
-        print(f"rescaled to gamma={args.gamma} -> {out}")
+    else:
+        print(f"rescaled to {name}={value} -> {out}")
     save_index(index, out)
     return 0
 

@@ -12,13 +12,14 @@ value is at least as extreme as the observed mean in the opposing
 direction).  With zero reversals out of R resamples the harness reports
 ``p <= 1/R`` and never prints a p below the empirical resolution 1e-4.
 
-Diagnostics: exponent sweeps over a fresh reload of the baseline per grid
-point (the rescale is destructive), document-frequency-bin occlusion, query
-shape features, and recall under a retrieval token budget.
+Diagnostics: exponent sweeps over copies of one loaded baseline (the
+rescale is destructive), document-frequency-bin occlusion, query shape
+features, and recall under a retrieval token budget.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -217,17 +218,19 @@ def q_sweep(base_index_path: str | Path, queries: QuerySet, qrels: QrelSet,
             grid: Sequence[float] = DEFAULT_Q_GRID, k: int = 100) -> SweepTable:
     """Mean NDCG@10 across an exponent grid.
 
-    The baseline index is reloaded from disk for every grid point because
-    the rescale mutates scores in place.  Ties on the mean prefer the
-    larger exponent (the one closer to plain BM25).
+    The baseline is loaded and checked once; since the rescale is in place,
+    each grid point rescales a copy with its own scores and header.  Ties
+    on the mean prefer the larger exponent (the one closer to plain BM25).
     """
     if not grid:
         raise ValueError("sweep grid must be non-empty")
+    base = load_index(base_index_path)
+    if base.header.applied_q is not None or base.header.applied_gamma is not None:
+        raise RescaleStateError("sweep baseline must be an untransformed index")
     rows: list[tuple[float, float]] = []
     for q in grid:
-        index = load_index(base_index_path)
-        if index.header.applied_q is not None or index.header.applied_gamma is not None:
-            raise RescaleStateError("sweep baseline must be an untransformed index")
+        index = dataclasses.replace(base, scores=base.scores.copy(),
+                                    header=dataclasses.replace(base.header))
         rescale_index(index, q)
         rankings = batch_retrieve(index, queries, index.header.mode, k)
         rows.append((float(q), eval_ndcg(rankings, qrels, 10).mean))

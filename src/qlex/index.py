@@ -6,21 +6,26 @@ query scoring reduces to summing column slices.  The baked weight is the
 Lucene shifted IDF ``log(1 + (N - n_t + 0.5) / (n_t + 0.5))`` times the
 saturated, length-normalized term-frequency factor.  Scores are stored as
 float32; all scoring arithmetic upstream of storage is float64.
+
+:func:`count_tokens` is the one tokenize-and-count pass over a corpus.  A
+scorer is an entry-weight formula over it (BM25 here, DPH in
+:mod:`qlex.transforms`); :mod:`qlex.stats` reads the same pass.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus_io import Corpus
-from .errors import BuildError
+from .errors import BuildError, IndexFormatError
 from .tokenizers import TokenizerMode, tokenize
 
-__all__ = ["BuildParams", "IndexHeader", "SparseScoreIndex", "build_index", "term_stats"]
+__all__ = ["BuildParams", "IndexHeader", "SparseScoreIndex", "TokenCounts", "build_index",
+           "count_tokens"]
 
 SCORER_BM25 = "bm25"
 SCORER_DPH = "dph"
@@ -95,63 +100,102 @@ class SparseScoreIndex:
         start, end = self.col_ptr[term_id], self.col_ptr[term_id + 1]
         return self.row_idx[start:end], self.scores[start:end]
 
+    @classmethod
+    def from_counts(cls, counts: "TokenCounts", weights: np.ndarray, header: IndexHeader,
+                    k1: float = math.nan, b: float = math.nan) -> "SparseScoreIndex":
+        """Store float64 per-entry ``weights`` (aligned with ``counts.tfs``) as float32."""
+        return cls(
+            col_ptr=counts.col_ptr,
+            row_idx=counts.rows,
+            scores=weights.astype(np.float32),
+            vocab={t: i for i, t in enumerate(counts.terms)},
+            terms=counts.terms,
+            df=counts.df,
+            doc_ids=counts.doc_ids,
+            num_docs=counts.num_docs,
+            avg_len=counts.avg_len,
+            k1=k1,
+            b=b,
+            header=header,
+            doc_lens=counts.doc_lens,
+        )
+
     def check_invariants(self) -> None:
-        """Raise AssertionError if the CSC structure is malformed."""
-        assert self.col_ptr.shape == (self.vocab_size + 1,)
-        assert self.col_ptr[0] == 0 and self.col_ptr[-1] == self.nnz
-        assert np.all(np.diff(self.col_ptr) >= 1), "empty columns must not be stored"
-        assert np.array_equal(self.df, np.diff(self.col_ptr))
-        assert self.row_idx.shape[0] == self.nnz == self.scores.shape[0]
-        for t in range(self.vocab_size):
-            rows = self.row_idx[self.col_ptr[t]:self.col_ptr[t + 1]]
-            assert np.all(np.diff(rows) > 0), f"column {t} rows not strictly increasing"
-        assert np.all(np.isfinite(self.scores))
-        assert self.row_idx.min(initial=0) >= 0
-        assert self.row_idx.max(initial=-1) < self.num_docs
-        assert len(self.doc_ids) == self.num_docs
-        assert len(self.vocab) == self.vocab_size
+        """Raise IndexFormatError unless columns are non-empty extents that tile
+        the entry arrays, rows lie in [0, N) and strictly increase inside each
+        column, every score is finite and every term is unique."""
+        col_ptr, rows, nnz, n = self.col_ptr, self.row_idx, self.nnz, self.num_docs
+        if (col_ptr.shape != (self.vocab_size + 1,) or rows.shape != (nnz,)
+                or len(self.doc_ids) != n or col_ptr[0] != 0 or col_ptr[-1] != nnz
+                or col_ptr.min() < 0 or col_ptr.max() > nnz):
+            raise IndexFormatError("corrupt index: col_ptr does not span the entry arrays")
+        extents = np.diff(col_ptr)
+        if not ((extents >= 1).all() and np.array_equal(self.df, extents)):
+            raise IndexFormatError("corrupt index: col_ptr decreases or stores an empty column")
+        increasing = np.diff(rows) > 0
+        increasing[col_ptr[1:-1] - 1] = True  # a new column may restart at any row
+        if nnz and (rows.min() < 0 or rows.max() >= n or not increasing.all()):
+            raise IndexFormatError(f"corrupt index: row indices must lie in [0, {n}) "
+                                   "and increase strictly inside each column")
+        if not np.isfinite(self.scores).all() or len(self.vocab) != self.vocab_size:
+            raise IndexFormatError("corrupt index: a non-finite score or a duplicate term")
 
 
-def _tokenized_docs(corpus: Corpus, mode: TokenizerMode) -> tuple[list[Counter], np.ndarray]:
-    counters: list[Counter] = []
-    doc_lens = np.zeros(len(corpus), dtype=np.int64)
-    for i, doc in enumerate(corpus):
+@dataclass(frozen=True)
+class TokenCounts:
+    """Every (term, document) pair of a corpus with its tf, in CSC order.
+
+    Entry j is term ``tids[j]`` (an index into the sorted ``terms``) in
+    document ``rows[j]``; ``doc_lens`` are post-tokenization lengths.
+    """
+
+    terms: list[str]
+    doc_ids: list[str]
+    num_docs: int
+    n_tok: int
+    avg_len: float
+    tids: np.ndarray
+    rows: np.ndarray
+    tfs: np.ndarray
+    df: np.ndarray
+    col_ptr: np.ndarray
+    doc_lens: np.ndarray
+
+
+def count_tokens(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
+    """Tokenize every document once and count its (term, doc) pairs.
+
+    The only corpus tokenization pass: both index builders and the corpus
+    statistics read it.  Raises BuildError when the corpus has no tokens.
+    """
+    num_docs = len(corpus)
+    # Ids in first-seen order; a missing key is given the next id.
+    first_seen: defaultdict[str, int] = defaultdict()
+    first_seen.default_factory = first_seen.__len__
+    token_ids: list[int] = []
+    doc_lens: list[int] = []
+    for doc in corpus:
         toks = tokenize(doc.text, mode)
-        counters.append(Counter(toks))
-        doc_lens[i] = len(toks)
-    return counters, doc_lens
+        doc_lens.append(len(toks))
+        token_ids.extend(map(first_seen.__getitem__, toks))
+    if not token_ids:  # also an empty corpus
+        raise BuildError(f"corpus of {num_docs} documents has no tokens under mode {mode.value}")
 
-
-def _csc_structure(counters: list[Counter]) -> tuple[list[str], dict[str, int],
-                                                     np.ndarray, np.ndarray,
-                                                     np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble sorted-vocabulary CSC structure from per-document counts."""
-    terms = sorted(set().union(*map(set, counters)) if counters else set())
-    vocab = {t: i for i, t in enumerate(terms)}
-    nnz = sum(len(c) for c in counters)
-    tids = np.empty(nnz, dtype=np.int64)
-    rows = np.empty(nnz, dtype=np.int32)
-    tfs = np.empty(nnz, dtype=np.float64)
-    pos = 0
-    for d, counter in enumerate(counters):
-        for term, tf in counter.items():
-            tids[pos] = vocab[term]
-            rows[pos] = d
-            tfs[pos] = tf
-            pos += 1
-    # Entries were appended in ascending document order, so a stable sort by
-    # term id leaves rows strictly increasing inside each column.
-    order = np.argsort(tids, kind="stable")
-    tids, rows, tfs = tids[order], rows[order], tfs[order]
-    df = np.bincount(tids, minlength=len(terms)).astype(np.int64)
-    col_ptr = np.zeros(len(terms) + 1, dtype=np.int64)
-    np.cumsum(df, out=col_ptr[1:])
-    return terms, vocab, tids, rows, tfs, df, col_ptr
-
-
-def _tf_factor(tfs: np.ndarray, entry_doc_lens: np.ndarray, avg_len: float,
-               k1: float, b: float) -> np.ndarray:
-    return tfs * (k1 + 1.0) / (tfs + k1 * (1.0 - b + b * (entry_doc_lens / avg_len)))
+    terms = sorted(first_seen)
+    rank = np.empty(len(terms), dtype=np.int64)
+    rank[[first_seen[t] for t in terms]] = np.arange(len(terms))
+    keys = rank[np.array(token_ids, dtype=np.int64)]
+    keys *= num_docs
+    keys += np.repeat(np.arange(num_docs, dtype=np.int64), doc_lens)
+    # Sorted unique keys are term-major with ascending documents inside a term.
+    keys, tfs = np.unique(keys, return_counts=True)
+    tids = keys // num_docs
+    df = np.bincount(tids, minlength=len(terms))
+    col_ptr = np.concatenate(([0], np.cumsum(df)))
+    return TokenCounts(terms=terms, doc_ids=corpus.doc_ids(), num_docs=num_docs,
+                       n_tok=len(token_ids), avg_len=len(token_ids) / num_docs, tids=tids,
+                       rows=(keys % num_docs).astype(np.int32), tfs=tfs.astype(np.float64),
+                       df=df, col_ptr=col_ptr, doc_lens=np.array(doc_lens, dtype=np.int64))
 
 
 def build_index(corpus: Corpus, mode: TokenizerMode,
@@ -163,39 +207,9 @@ def build_index(corpus: Corpus, mode: TokenizerMode,
     corpus or a corpus that tokenizes to nothing.
     """
     params = params or BuildParams()
-    if len(corpus) == 0:
-        raise BuildError("cannot build an index over an empty corpus")
-    counters, doc_lens = _tokenized_docs(corpus, mode)
-    total_tokens = int(doc_lens.sum())
-    if total_tokens == 0:
-        raise BuildError("corpus tokenized to zero tokens under mode " + mode.value)
-
-    num_docs = len(corpus)
-    avg_len = total_tokens / num_docs
-    terms, vocab, tids, rows, tfs, df, col_ptr = _csc_structure(counters)
-
-    idf = np.log(1.0 + (num_docs - df + 0.5) / (df + 0.5))
-    entry_lens = doc_lens[rows].astype(np.float64)
-    scores64 = idf[tids] * _tf_factor(tfs, entry_lens, avg_len, params.k1, params.b)
-    return SparseScoreIndex(
-        col_ptr=col_ptr,
-        row_idx=rows,
-        scores=scores64.astype(np.float32),
-        vocab=vocab,
-        terms=terms,
-        df=df,
-        doc_ids=corpus.doc_ids(),
-        num_docs=num_docs,
-        avg_len=avg_len,
-        k1=params.k1,
-        b=params.b,
-        header=IndexHeader(mode=mode),
-        doc_lens=doc_lens,
-    )
-
-
-def term_stats(index: SparseScoreIndex) -> tuple[np.ndarray, int, float]:
-    """Read-only view of (df array, N, avg_len) for transforms and diagnostics."""
-    df = index.df.view()
-    df.flags.writeable = False
-    return df, index.num_docs, index.avg_len
+    counts = count_tokens(corpus, mode)
+    df, tfs, k1, b = counts.df, counts.tfs, params.k1, params.b
+    idf = np.log(1.0 + (counts.num_docs - df + 0.5) / (df + 0.5))
+    length_norm = 1.0 - b + b * (counts.doc_lens[counts.rows] / counts.avg_len)
+    weights = idf[counts.tids] * (tfs * (k1 + 1.0) / (tfs + k1 * length_norm))
+    return SparseScoreIndex.from_counts(counts, weights, IndexHeader(mode=mode), k1=k1, b=b)

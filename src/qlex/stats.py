@@ -6,21 +6,22 @@ corpus), to a retrieval exponent::
 
     q_pred = clip(1 - c * htok, 0.01, 1.0)        c = 7.28
 
-Statistics are computed on exactly the token stream the index sees for the
-given mode, stopword removal included, so ``htok`` and the index agree on
-what a token is.
+Statistics are read from :func:`qlex.index.count_tokens`, the same
+tokenize-and-count pass that builds the index, so ``htok`` and the index
+agree on what a token is by construction, stopword removal included.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .corpus_io import Corpus
-from .errors import BuildError
-from .tokenizers import TokenizerMode, tokenize
+from .index import count_tokens
+from .tokenizers import TokenizerMode
 
 __all__ = ["CorpusStats", "PredictorModel", "DEFAULT_PREDICTOR",
            "compute_corpus_stats", "predict_q", "recovery", "fit_coefficient"]
@@ -61,28 +62,21 @@ DEFAULT_PREDICTOR = PredictorModel()
 
 
 def compute_corpus_stats(corpus: Corpus, mode: TokenizerMode) -> CorpusStats:
-    """One pass over the tokenized corpus. Raises on a token-free corpus."""
-    type_totals: Counter = Counter()
-    df: Counter = Counter()
-    n_tok = 0
-    for doc in corpus:
-        toks = tokenize(doc.text, mode)
-        n_tok += len(toks)
-        counts = Counter(toks)
-        type_totals.update(counts)
-        df.update(counts.keys())
-    if n_tok == 0:
-        raise BuildError("corpus tokenized to zero tokens; statistics undefined")
-    vocab_size = len(type_totals)
-    hapax_types = sum(1 for c in type_totals.values() if c == 1)
-    df_sorted = sorted(df.values())
+    """Statistics of the index's own tokenize-and-count pass.
+
+    Raises BuildError on an empty or token-free corpus.
+    """
+    counts = count_tokens(corpus, mode)
+    n_tok, vocab_size = counts.n_tok, len(counts.terms)
+    hapax_types = int((np.bincount(counts.tids, weights=counts.tfs) == 1).sum())
+    df_sorted = np.sort(counts.df)
     return CorpusStats(
         n_tok=n_tok,
         vocab_size=vocab_size,
         htok=hapax_types / n_tok,
         ttr=vocab_size / n_tok,
         median_df=float(df_sorted[(vocab_size - 1) // 2]),
-        frac_df_le5=sum(1 for v in df_sorted if v <= 5) / vocab_size,
+        frac_df_le5=int((df_sorted <= 5).sum()) / vocab_size,
     )
 
 

@@ -18,6 +18,9 @@ scores                nnz float32
 Fixed-width header fields keep the file size independent of whether a
 transform was applied, so a rescaled index is byte-for-byte the same size
 as its baseline.  ``df`` is not stored; it is recomputed from ``col_ptr``.
+
+A file is untrusted input: any malformed file raises IndexFormatError at
+load, including a bad CSC structure (``SparseScoreIndex.check_invariants``).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -74,7 +78,16 @@ def dumps_index(index: SparseScoreIndex) -> bytes:
 
 
 def save_index(index: SparseScoreIndex, path: str | Path) -> None:
-    Path(path).write_bytes(dumps_index(index))
+    """Write ``index`` atomically: a temporary file beside ``path`` is renamed
+    over it, so a failed write leaves an existing file as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(dumps_index(index))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:
@@ -90,6 +103,16 @@ class _Reader:
         chunk = self.data[self.pos:self.pos + n]
         self.pos += n
         return chunk
+
+    def json_strings(self) -> list[str]:
+        (size,) = struct.unpack("<Q", self.take(8))
+        try:
+            value = json.loads(self.take(size).decode("utf-8"))
+        except ValueError:  # bad UTF-8 or bad JSON
+            value = None
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise IndexFormatError("corrupt index: a JSON block is not an array of strings")
+        return value
 
     def array(self, dtype, count: int) -> np.ndarray:
         raw = self.take(count * np.dtype(dtype).itemsize)
@@ -108,20 +131,13 @@ def loads_index(data: bytes) -> SparseScoreIndex:
     if not (0 <= mode_ord < len(_MODES) and 0 <= scorer_ord < len(_SCORERS)):
         raise IndexFormatError("corrupt header: unknown mode or scorer ordinal")
 
-    (vocab_len,) = struct.unpack("<Q", reader.take(8))
-    terms = json.loads(reader.take(vocab_len).decode("utf-8"))
-    (ids_len,) = struct.unpack("<Q", reader.take(8))
-    doc_ids = json.loads(reader.take(ids_len).decode("utf-8"))
-    if len(terms) != vocab_size or len(doc_ids) != num_docs:
-        raise IndexFormatError("corrupt index: block lengths disagree with header")
-
+    terms = reader.json_strings()
+    doc_ids = reader.json_strings()
     col_ptr = reader.array(np.int64, vocab_size + 1)
     row_idx = reader.array(np.int32, nnz)
     scores = reader.array(np.float32, nnz)
     if reader.pos != len(data):
         raise IndexFormatError(f"{len(data) - reader.pos} trailing bytes after index payload")
-    if col_ptr.shape[0] and (col_ptr[0] != 0 or col_ptr[-1] != nnz):
-        raise IndexFormatError("corrupt index: col_ptr does not span the entry arrays")
 
     header = IndexHeader(
         mode=_MODES[mode_ord],
@@ -129,13 +145,13 @@ def loads_index(data: bytes) -> SparseScoreIndex:
         applied_q=None if math.isnan(applied_q) else applied_q,
         applied_gamma=None if math.isnan(applied_gamma) else applied_gamma,
     )
-    return SparseScoreIndex(
+    index = SparseScoreIndex(
         col_ptr=col_ptr,
         row_idx=row_idx,
         scores=scores,
         vocab={t: i for i, t in enumerate(terms)},
         terms=terms,
-        df=np.diff(col_ptr) if vocab_size else np.zeros(0, dtype=np.int64),
+        df=np.diff(col_ptr),
         doc_ids=doc_ids,
         num_docs=num_docs,
         avg_len=avg_len,
@@ -143,6 +159,8 @@ def loads_index(data: bytes) -> SparseScoreIndex:
         b=b,
         header=header,
     )
+    index.check_invariants()
+    return index
 
 
 def load_index(path: str | Path) -> SparseScoreIndex:

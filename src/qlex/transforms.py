@@ -23,9 +23,8 @@ import math
 import numpy as np
 
 from .corpus_io import Corpus
-from .errors import BuildError, RescaleStateError
-from .index import (SCORER_BM25, SCORER_DPH, IndexHeader, SparseScoreIndex,
-                    _csc_structure, _tokenized_docs)
+from .errors import RescaleStateError
+from .index import SCORER_BM25, SCORER_DPH, IndexHeader, SparseScoreIndex, count_tokens
 from .tokenizers import TokenizerMode
 
 __all__ = [
@@ -167,35 +166,12 @@ def build_dph_index(corpus: Corpus, mode: TokenizerMode) -> SparseScoreIndex:
     Scores may be negative and are stored as computed.  The query path is
     identical to BM25 indexes; only the header's scorer tag differs.
     """
-    if len(corpus) == 0:
-        raise BuildError("cannot build an index over an empty corpus")
-    counters, doc_lens = _tokenized_docs(corpus, mode)
-    total_tokens = int(doc_lens.sum())
-    if total_tokens == 0:
-        raise BuildError("corpus tokenized to zero tokens under mode " + mode.value)
-
-    num_docs = len(corpus)
-    avg_len = total_tokens / num_docs
-    terms, vocab, tids, rows, tfs, df, col_ptr = _csc_structure(counters)
-
-    coll_freq = np.bincount(tids, weights=tfs, minlength=len(terms))
-    dl = doc_lens[rows].astype(np.float64)
+    counts = count_tokens(corpus, mode)
+    tfs, avg_len, num_docs = counts.tfs, counts.avg_len, counts.num_docs
+    dl = counts.doc_lens[counts.rows].astype(np.float64)
+    coll_freq = np.bincount(counts.tids, weights=tfs)[counts.tids]
     f = np.minimum(tfs / dl, 1.0 - 1e-9)
     norm = (1.0 - f) ** 2 / (tfs + 1.0)
-    info = tfs * np.log2((tfs * avg_len / dl) * (num_docs / coll_freq[tids]))
-    scores64 = norm * (info + 0.5 * np.log2(2.0 * math.pi * tfs * (1.0 - f)))
-    return SparseScoreIndex(
-        col_ptr=col_ptr,
-        row_idx=rows,
-        scores=scores64.astype(np.float32),
-        vocab=vocab,
-        terms=terms,
-        df=df,
-        doc_ids=corpus.doc_ids(),
-        num_docs=num_docs,
-        avg_len=avg_len,
-        k1=math.nan,
-        b=math.nan,
-        header=IndexHeader(mode=mode, scorer=SCORER_DPH),
-        doc_lens=doc_lens,
-    )
+    info = tfs * np.log2((tfs * avg_len / dl) * (num_docs / coll_freq))
+    weights = norm * (info + 0.5 * np.log2(2.0 * math.pi * tfs * (1.0 - f)))
+    return SparseScoreIndex.from_counts(counts, weights, IndexHeader(mode=mode, scorer=SCORER_DPH))

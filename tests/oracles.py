@@ -13,6 +13,8 @@ from collections import Counter
 
 import numpy as np
 
+from qlex.stats import CorpusStats
+
 
 def lucene_idf(df: int, n_docs: int) -> float:
     return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
@@ -85,6 +87,52 @@ def dph_scores(doc_tokens: list[list[str]], query_tokens: list[str]) -> list[flo
             score += float(np.float32(entry))
         out.append(score)
     return out
+
+
+def csc_by_counters(doc_tokens: list[list[str]]):
+    """Reference CSC assembly from one ``Counter`` per document.
+
+    Returns ``(terms, col_ptr, row_idx, tfs, doc_lens)`` with a sorted
+    vocabulary and, inside each column, ascending document rows.
+    """
+    counters = [Counter(toks) for toks in doc_tokens]
+    terms = sorted(set().union(*counters))
+    vocab = {t: i for i, t in enumerate(terms)}
+    columns: list[list[tuple[int, int]]] = [[] for _ in terms]
+    for d, counter in enumerate(counters):
+        for term, tf in counter.items():
+            columns[vocab[term]].append((d, tf))
+    col_ptr = [0]
+    row_idx: list[int] = []
+    tfs: list[int] = []
+    for entries in columns:
+        for d, tf in entries:
+            row_idx.append(d)
+            tfs.append(tf)
+        col_ptr.append(len(row_idx))
+    return terms, col_ptr, row_idx, tfs, [len(toks) for toks in doc_tokens]
+
+
+def corpus_stats_by_counters(doc_tokens: list[list[str]]):
+    """Reference ``CorpusStats`` from per-document ``Counter`` totals."""
+    type_totals: Counter = Counter()
+    df: Counter = Counter()
+    for toks in doc_tokens:
+        counts = Counter(toks)
+        type_totals.update(counts)
+        df.update(counts.keys())
+    n_tok = sum(len(toks) for toks in doc_tokens)
+    vocab_size = len(type_totals)
+    hapax_types = sum(1 for c in type_totals.values() if c == 1)
+    df_sorted = sorted(df.values())
+    return CorpusStats(
+        n_tok=n_tok,
+        vocab_size=vocab_size,
+        htok=hapax_types / n_tok,
+        ttr=vocab_size / n_tok,
+        median_df=float(df_sorted[(vocab_size - 1) // 2]),
+        frac_df_le5=sum(1 for v in df_sorted if v <= 5) / vocab_size,
+    )
 
 
 def rank_by_full_sort(scores: np.ndarray, k: int) -> np.ndarray:

@@ -227,6 +227,16 @@ class TestErrorsAndParsing:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("transform", [("--q", "1.0"), ("--gamma", "1.0")])
+    def test_dph_identity_rescale_refused(self, workdir, capsys, transform):
+        run("build", "--corpus", workdir / "corpus.jsonl",
+            "--index", workdir / "dph.qlx", "--dph")
+        before = (workdir / "dph.qlx").read_bytes()
+        rc = run("rescale", "--index", workdir / "dph.qlx", *transform)
+        assert rc == 1
+        assert "applies to bm25 indexes only" in capsys.readouterr().err
+        assert (workdir / "dph.qlx").read_bytes() == before
+
     def test_parse_bins(self):
         assert _parse_bins("1,5,20") == [(1, 1), (2, 5), (6, 20), (21, None)]
         with pytest.raises(ValueError):

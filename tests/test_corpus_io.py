@@ -1,13 +1,16 @@
 """File loading, validation, and index serialization surfaces."""
 
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qlex import (DuplicateIdError, IndexFormatError, ParseError, build_index,
                   load_corpus, load_qrels, load_queries, load_index, save_index,
-                  dumps_index, loads_index)
+                  dumps_index, loads_index, top_k)
+from qlex import storage
 from qlex.storage import INDEX_FORMAT_VERSION, _MAGIC
 from qlex.tokenizers import TokenizerMode
 
@@ -140,6 +143,72 @@ class TestIndexSerialization:
         for cut in [3, len(_MAGIC) + 10, len(blob) // 2, len(blob) - 1]:
             with pytest.raises(IndexFormatError):
                 loads_index(blob[:cut])
+
+    def test_negative_row_is_corrupt_error(self):
+        # A wrapped row index would credit aa0's score to the last document.
+        index = build_index(make_corpus([f"aa{i} common" for i in range(50)]),
+                            TokenizerMode.T0)
+        assert top_k(index, "aa0", TokenizerMode.T0, 1).hits[0][0] == "d0"
+        blob = bytearray(dumps_index(index))
+        row_offset = len(blob) - 8 * index.nnz + 4 * int(index.col_ptr[index.vocab["aa0"]])
+        blob[row_offset:row_offset + 4] = (-1).to_bytes(4, "little", signed=True)
+        with pytest.raises(IndexFormatError, match="row indices"):
+            loads_index(bytes(blob))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda ix: ix.row_idx.__setitem__(0, ix.num_docs),
+        lambda ix: ix.row_idx.__setitem__(slice(None), ix.row_idx[::-1].copy()),
+        lambda ix: ix.col_ptr.__setitem__(1, 0),
+        lambda ix: ix.col_ptr.__setitem__(1, ix.nnz + 1),
+        lambda ix: ix.col_ptr.__setitem__(slice(1, -1), ix.col_ptr[-2:0:-1].copy()),
+        lambda ix: ix.scores.__setitem__(0, np.nan),
+        lambda ix: ix.scores.__setitem__(-1, np.inf),
+        lambda ix: ix.terms.__setitem__(1, ix.terms[0]),
+    ], ids=["row_eq_n", "rows_descending", "empty_column", "col_ptr_past_end",
+            "col_ptr_descending", "nan_score", "inf_score", "duplicate_term"])
+    def test_malformed_structure_is_corrupt_error(self, index, corrupt):
+        corrupt(index)
+        with pytest.raises(IndexFormatError, match="corrupt index"):
+            loads_index(dumps_index(index))
+
+    @pytest.mark.parametrize("raw", [b'["alpha", ["beta"], "delta", "gamma"]',
+                                     b'{"alpha": 0}', b'["alpha", "beta"', b'["\xff"]'])
+    def test_unreadable_vocabulary_is_corrupt_error(self, index, raw):
+        blob = dumps_index(index)
+        start = len(_MAGIC) + storage._FIXED.size
+        (size,) = struct.unpack("<Q", blob[start:start + 8])
+        corrupted = blob[:start] + struct.pack("<Q", len(raw)) + raw + blob[start + 8 + size:]
+        with pytest.raises(IndexFormatError, match="JSON block"):
+            loads_index(corrupted)
+
+    def test_every_bit_flip_is_rejected_or_well_formed(self, index):
+        blob = dumps_index(index)
+        for pos in range(len(blob)):
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[pos] ^= 1 << bit
+                try:
+                    loaded = loads_index(bytes(flipped))
+                except IndexFormatError:
+                    continue
+                loaded.check_invariants()
+
+    def test_failed_save_leaves_existing_file_intact(self, tmp_path, index, monkeypatch):
+        path = tmp_path / "i.qlx"
+        save_index(index, path)
+        before = path.read_bytes()
+
+        def write_half_then_fail(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        index.scores[:] = 1.0
+        with pytest.raises(OSError, match="No space"):
+            save_index(index, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["i.qlx"]
 
     def test_bad_magic_rejected(self, index):
         blob = b"NOTANIDX" + dumps_index(index)[8:]

@@ -6,7 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from qlex import (QrelSet, QuerySet, RankedList, build_index, df_bin_occlusion,
+from qlex import (QrelSet, QuerySet, RankedList, batch_retrieve, build_index,
+                  df_bin_occlusion, evaluation, load_index,
                   eval_mrr, eval_ndcg, eval_recall, mrr, ndcg_at_k, paired_bootstrap,
                   q_sweep, query_features, recall_at_k, recall_at_token_budget,
                   rescale_index, save_index, sweep_to_csv, report_to_tsv,
@@ -187,6 +188,22 @@ class TestSweep:
         path, queries, qrels = self.build_base(tmp_path)
         with pytest.raises(ValueError):
             q_sweep(path, queries, qrels, grid=[])
+
+    def test_loads_once_and_matches_reload_per_point(self, tmp_path, monkeypatch):
+        path, queries, qrels = self.build_base(tmp_path)
+        grid = [0.05, 0.5, 0.7, 1.0, 1.5]
+        reference = []
+        for q in grid:
+            index = rescale_index(load_index(path), q)
+            rankings = batch_retrieve(index, queries, index.header.mode, 50)
+            reference.append((q, eval_ndcg(rankings, qrels, 10).mean))
+        assert len({mean for _, mean in reference}) > 1
+
+        loads = []
+        monkeypatch.setattr(evaluation, "load_index", lambda p: loads.append(p) or load_index(p))
+        table = q_sweep(path, queries, qrels, grid=grid, k=50)
+        assert loads == [path]
+        assert table.rows == reference
 
     def test_csv_output_shape(self, tmp_path):
         path, queries, qrels = self.build_base(tmp_path)

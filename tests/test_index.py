@@ -4,12 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qlex import BuildError, BuildParams, build_index, term_stats
+from qlex import BuildError, BuildParams, build_dph_index, build_index, compute_corpus_stats
+from qlex.index import count_tokens
 from qlex.tokenizers import TokenizerMode, tokenize
 
 from conftest import make_corpus, random_corpus
-from oracles import bm25_scores, lucene_idf
+from oracles import bm25_scores, corpus_stats_by_counters, csc_by_counters, lucene_idf
+
+# Stopwords, length-1 words, punctuation, camel/snake identifiers and
+# non-ASCII identifiers, so some documents tokenize to nothing in some modes.
+_WORDS = ["the", "of", "and", "a", "x", "ab", "aa0", "parseHTTPServer", "snake_case_id",
+          "get2Value", "naïveÜber", "日本語", "ÆgirSøk", "..", "--"]
+_TEXTS = st.lists(st.lists(st.sampled_from(_WORDS), max_size=8).map(" ".join),
+                  min_size=1, max_size=8)
 
 
 class TestHandValues:
@@ -27,7 +36,7 @@ class TestHandValues:
     def test_term_in_every_doc_gets_shifted_idf(self):
         corpus = make_corpus(["common alpha", "common beta"])
         index = build_index(corpus, TokenizerMode.T0)
-        df, n, _ = term_stats(index)
+        df, n = index.df, index.num_docs
         tid = index.vocab["common"]
         assert df[tid] == 2 and n == 2
         # Lucene shift keeps the weight strictly positive: log(1 + 0.5/2.5).
@@ -76,12 +85,6 @@ class TestStructure:
         with pytest.raises(ValueError):
             BuildParams(delta=0.4)
 
-    def test_term_stats_view_is_readonly(self):
-        index = build_index(make_corpus(["x y", "y z"]), TokenizerMode.T1)
-        df, _, _ = term_stats(index)
-        with pytest.raises(ValueError):
-            df[0] = 99
-
     def test_scores_float32_colptr_int64(self):
         index = build_index(make_corpus(["x y", "y z"]), TokenizerMode.T1)
         assert index.scores.dtype == np.float32
@@ -108,6 +111,33 @@ class TestDenseOracle:
         rng = np.random.default_rng(5)
         corpus = random_corpus(rng, 25, 30)
         index = build_index(corpus, TokenizerMode.T1)
-        df, n, _ = term_stats(index)
+        df, n = index.df, index.num_docs
         for tid in range(index.vocab_size):
             assert lucene_idf(int(df[tid]), n) > 0
+
+
+class TestSharedPass:
+    """The one tokenize-and-count pass against per-document Counters."""
+
+    @given(texts=_TEXTS, mode=st.sampled_from(list(TokenizerMode)))
+    @example(texts=["the of", "", "parseHTTPServer naïveÜber", "..", "ÆgirSøk the"],
+             mode=TokenizerMode.T2)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_counter_oracle(self, texts, mode):
+        corpus = make_corpus(texts)
+        doc_tokens = [tokenize(t, mode) for t in texts]
+        if not any(doc_tokens):
+            for build in (count_tokens, build_index, build_dph_index, compute_corpus_stats):
+                with pytest.raises(BuildError):
+                    build(corpus, mode)
+            return
+        terms, col_ptr, row_idx, tfs, doc_lens = csc_by_counters(doc_tokens)
+        counts = count_tokens(corpus, mode)
+        assert counts.tfs.tolist() == tfs
+        for index in (build_index(corpus, mode), build_dph_index(corpus, mode)):
+            assert index.terms == terms
+            assert index.col_ptr.tolist() == col_ptr
+            assert index.row_idx.tolist() == row_idx
+            assert index.doc_lens.tolist() == doc_lens
+            index.check_invariants()
+        assert compute_corpus_stats(corpus, mode) == corpus_stats_by_counters(doc_tokens)
