@@ -12,7 +12,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DuplicateIdError, ParseError
 
@@ -30,18 +30,36 @@ class Document:
     text: str
 
 
-class Corpus:
-    """An ordered collection of documents with unique, non-empty ids."""
+def _index_ids(kind: str, ids: Iterable[str], path: str | None,
+               lines: Sequence[int] | None) -> dict[str, int]:
+    """Map each id to its position; the one empty- and duplicate-id check.
 
-    def __init__(self, documents: Iterable[Document]):
+    Errors name the source ``path`` and the 1-based line of the offending
+    record when ``lines`` gives one per id, else its position.
+    """
+    by_id: dict[str, int] = {}
+    for i, ident in enumerate(ids):
+        line = None if lines is None else lines[i]
+        if not ident:
+            where = "" if line is not None else f" at position {i}"
+            raise ParseError(f"empty {kind}{where}", path=path, line=line)
+        if ident in by_id:
+            raise DuplicateIdError(kind, ident, path=path, line=line)
+        by_id[ident] = i
+    return by_id
+
+
+class Corpus:
+    """An ordered collection of documents with unique, non-empty ids.
+
+    ``path`` and ``lines`` (one 1-based source line per document) only
+    locate an invalid id in the error message.
+    """
+
+    def __init__(self, documents: Iterable[Document], *, path: str | None = None,
+                 lines: Sequence[int] | None = None):
         self.docs: tuple[Document, ...] = tuple(documents)
-        self._by_id: dict[str, int] = {}
-        for i, doc in enumerate(self.docs):
-            if not doc.doc_id:
-                raise ParseError(f"document at position {i} has an empty doc_id")
-            if doc.doc_id in self._by_id:
-                raise DuplicateIdError("doc_id", doc.doc_id)
-            self._by_id[doc.doc_id] = i
+        self._by_id = _index_ids("doc_id", (d.doc_id for d in self.docs), path, lines)
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -57,17 +75,15 @@ class Corpus:
 
 
 class QuerySet:
-    """An ordered list of (query_id, text) pairs with unique ids."""
+    """An ordered list of (query_id, text) pairs with unique, non-empty ids.
 
-    def __init__(self, entries: Iterable[tuple[str, str]]):
+    ``path`` and ``lines`` locate an invalid id as in :class:`Corpus`.
+    """
+
+    def __init__(self, entries: Iterable[tuple[str, str]], *, path: str | None = None,
+                 lines: Sequence[int] | None = None):
         self.entries: tuple[tuple[str, str], ...] = tuple(entries)
-        seen: set[str] = set()
-        for qid, _ in self.entries:
-            if not qid:
-                raise ParseError("empty query_id")
-            if qid in seen:
-                raise DuplicateIdError("query_id", qid)
-            seen.add(qid)
+        _index_ids("query_id", (qid for qid, _ in self.entries), path, lines)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -122,20 +138,12 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
     """Load a corpus from JSONL (doc_id/text fields) or two-column TSV."""
     path = Path(path)
     docs: list[Document] = []
-    seen: dict[str, int] = {}
-
-    def add(doc_id: str, text: str, lineno: int) -> None:
-        if not doc_id:
-            raise ParseError("empty doc_id", path=str(path), line=lineno)
-        if doc_id in seen:
-            raise DuplicateIdError("doc_id", doc_id, path=str(path), line=lineno)
-        seen[doc_id] = lineno
-        docs.append(Document(doc_id, text))
-
+    lines: list[int] = []
     if format == "jsonl":
         for lineno, record in _jsonl_records(path):
-            add(_require_str(record, "doc_id", str(path), lineno),
-                _require_str(record, "text", str(path), lineno), lineno)
+            docs.append(Document(_require_str(record, "doc_id", str(path), lineno),
+                                 _require_str(record, "text", str(path), lineno)))
+            lines.append(lineno)
     elif format == "tsv":
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -145,25 +153,23 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
                 cols = line.split("\t", 1)
                 if len(cols) != 2:
                     raise ParseError("expected 2 tab-separated columns", path=str(path), line=lineno)
-                add(cols[0], cols[1], lineno)
+                docs.append(Document(cols[0], cols[1]))
+                lines.append(lineno)
     else:
         raise ValueError(f"unknown corpus format {format!r}; expected 'jsonl' or 'tsv'")
-    return Corpus(docs)
+    return Corpus(docs, path=str(path), lines=lines)
 
 
 def load_queries(path: str | Path) -> QuerySet:
     """Load a query set from JSONL with query_id/text fields."""
     path = Path(path)
     entries: list[tuple[str, str]] = []
-    seen: set[str] = set()
+    lines: list[int] = []
     for lineno, record in _jsonl_records(path):
-        qid = _require_str(record, "query_id", str(path), lineno)
-        text = _require_str(record, "text", str(path), lineno)
-        if qid in seen:
-            raise DuplicateIdError("query_id", qid, path=str(path), line=lineno)
-        seen.add(qid)
-        entries.append((qid, text))
-    return QuerySet(entries)
+        entries.append((_require_str(record, "query_id", str(path), lineno),
+                        _require_str(record, "text", str(path), lineno)))
+        lines.append(lineno)
+    return QuerySet(entries, path=str(path), lines=lines)
 
 
 def load_qrels(path: str | Path) -> QrelSet:

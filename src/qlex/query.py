@@ -1,11 +1,12 @@
 """Query-time scoring over baked score matrices.
 
 One code path serves every index flavor (plain BM25, q-rescaled, gamma
-sharpened, DPH): tokens select columns, column slices are summed into a
-float64 accumulator, and ties are broken by ascending internal document
-index so rankings are fully deterministic.
+sharpened, DPH): tokens select columns, and one ``np.bincount`` sums the
+widened float64 column slices per document, in query-token order from 0.0
+(the summation-order contract of ``score_query``).  Ties are broken by
+ascending internal document index so rankings are fully deterministic.
 
-Ranking is an exact partial top-k over the dense accumulator.  A code
+Ranking is an exact partial top-k over the dense score vector.  A code
 query touches few documents (a near-unique identifier carries the score at
 q < 1), so only the documents with a positive score are partitioned and
 sorted; zero, negative and NaN scores are visited only when the positives
@@ -46,9 +47,16 @@ def score_query(index: SparseScoreIndex, tokens: Sequence[str]) -> np.ndarray:
 
     Token multiplicity counts: a token appearing twice contributes its
     column twice.  Tokens outside the vocabulary contribute nothing.
+
+    Summation order is part of the contract: each matched column's float32
+    scores are widened to float64 (times the multiplicity), and a document's
+    score is the left-to-right sum, starting from 0.0, of its entries over
+    the matched columns in first-occurrence order of the query tokens.  One
+    ``np.bincount`` over the concatenated column slices adds exactly in that
+    order, so the scores are the bytes a column-by-column scatter-add gives.
     """
-    scores = np.zeros(index.num_docs, dtype=np.float64)
     col_ptr, row_idx, data = index.col_ptr, index.row_idx, index.scores
+    rows, weights = [], []
     for term, mult in Counter(tokens).items():
         tid = index.vocab.get(term)
         if tid is None:
@@ -57,8 +65,12 @@ def score_query(index: SparseScoreIndex, tokens: Sequence[str]) -> np.ndarray:
         contrib = data[start:end].astype(np.float64)
         if mult != 1:
             contrib *= mult
-        scores[row_idx[start:end]] += contrib
-    return scores
+        rows.append(row_idx[start:end])
+        weights.append(contrib)
+    if not rows:
+        return np.zeros(index.num_docs, dtype=np.float64)
+    return np.bincount(np.concatenate(rows), weights=np.concatenate(weights),
+                       minlength=index.num_docs)
 
 
 # Score classes in the order a stable sort of -scores visits them; ``tied``

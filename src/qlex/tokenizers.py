@@ -71,9 +71,16 @@ def split_identifier(token: str) -> list[str]:
     before its last capital when followed by a lowercase letter, so
     ``HTTPServer`` gives ``[http, server]``.  Length-1 parts are kept.
     A token with no boundary comes back as a single lowercased part.
+
+    An ASCII token takes one regex pass: ``_CAMEL_RE`` matches only
+    ``[A-Za-z0-9]``, so every other character already acts as a separator,
+    and its lookahead sees "not ``[a-z]``" at a separator as at a chunk end.
+    Other tokens are cut at separators first and split chunk by chunk.
     """
     if not token:
         raise ValueError("cannot split an empty token")
+    if token.isascii():
+        return [p.lower() for p in _CAMEL_RE.findall(token)]
     parts: list[str] = []
     for chunk in _SEP_RE.split(token):
         if not chunk:

@@ -14,6 +14,7 @@ from collections import Counter
 import numpy as np
 
 from qlex.stats import CorpusStats
+from qlex.tokenizers import _CAMEL_RE, _SEP_RE
 
 
 def lucene_idf(df: int, n_docs: int) -> float:
@@ -142,6 +143,41 @@ def rank_by_full_sort(scores: np.ndarray, k: int) -> np.ndarray:
     in ``qlex.query`` must reproduce this order exactly.
     """
     return np.argsort(-scores, kind="stable")[:k]
+
+
+def score_by_scatter(index, tokens) -> np.ndarray:
+    """Dense float64 scores by scatter-adding one matched column at a time.
+
+    Columns are visited in first-occurrence order of the query tokens; the
+    vectorized ``qlex.query.score_query`` must give the same bytes.
+    """
+    scores = np.zeros(index.num_docs, dtype=np.float64)
+    for term, mult in Counter(tokens).items():
+        tid = index.vocab.get(term)
+        if tid is None:
+            continue
+        start, end = index.col_ptr[tid], index.col_ptr[tid + 1]
+        contrib = index.scores[start:end].astype(np.float64)
+        if mult != 1:
+            contrib *= mult
+        scores[index.row_idx[start:end]] += contrib
+    return scores
+
+
+def split_identifier_by_chunks(token: str) -> list[str]:
+    """Identifier parts by cutting at separators first, then splitting each
+    ASCII chunk on camelCase/digit boundaries; non-ASCII chunks stay whole."""
+    if not token:
+        raise ValueError("cannot split an empty token")
+    parts: list[str] = []
+    for chunk in _SEP_RE.split(token):
+        if not chunk:
+            continue
+        if chunk.isascii():
+            parts.extend(m.group(0).lower() for m in _CAMEL_RE.finditer(chunk))
+        else:
+            parts.append(chunk.lower())
+    return parts
 
 
 def ndcg_by_hand(ranked_doc_ids: list[str], rels: dict[str, int], k: int) -> float:

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlex import (DuplicateIdError, IndexFormatError, ParseError, build_index,
-                  load_corpus, load_qrels, load_queries, load_index, save_index,
+from qlex import (Corpus, Document, DuplicateIdError, IndexFormatError, ParseError, QuerySet,
+                  build_dph_index, build_index, load_corpus, load_qrels, load_queries, load_index, save_index,
                   dumps_index, loads_index, top_k)
 from qlex import storage
 from qlex.storage import INDEX_FORMAT_VERSION, _MAGIC
@@ -74,6 +74,36 @@ class TestQueryLoading:
         path.write_text('{"query_id": "q1", "text": "a"}\n{"query_id": "q1", "text": "b"}\n')
         with pytest.raises(DuplicateIdError):
             load_queries(path)
+
+    def test_empty_query_id_names_path_and_line(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        path.write_text('{"query_id": "q1", "text": "a"}\n\n{"query_id": "", "text": "b"}\n')
+        with pytest.raises(ParseError, match="empty query_id") as exc:
+            load_queries(path)
+        assert (exc.value.path, exc.value.line) == (str(path), 3)
+        assert f"{path}:line 3: " in str(exc.value)
+
+
+class TestIdValidation:
+    """One id check per kind; loaders locate it, direct construction still raises."""
+
+    def test_empty_tsv_doc_id_names_line(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("a\tone\n\tmissing id\n")
+        with pytest.raises(ParseError, match="empty doc_id") as exc:
+            load_corpus(path, format="tsv")
+        assert (exc.value.path, exc.value.line) == (str(path), 2)
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: Corpus([Document("a", "x"), Document("", "y")]), "empty doc_id at position 1"),
+        (lambda: Corpus([Document("a", "x"), Document("a", "y")]), "duplicate doc_id 'a'"),
+        (lambda: QuerySet([("q1", "x"), ("", "y")]), "empty query_id at position 1"),
+        (lambda: QuerySet([("q1", "x"), ("q1", "y")]), "duplicate query_id 'q1'"),
+    ], ids=["corpus_empty", "corpus_duplicate", "queries_empty", "queries_duplicate"])
+    def test_direct_construction_raises(self, build, error):
+        with pytest.raises(ParseError, match=error) as exc:
+            build()
+        assert exc.value.line is None
 
 
 class TestQrelsLoading:
@@ -169,6 +199,36 @@ class TestIndexSerialization:
     def test_malformed_structure_is_corrupt_error(self, index, corrupt):
         corrupt(index)
         with pytest.raises(IndexFormatError, match="corrupt index"):
+            loads_index(dumps_index(index))
+
+    @pytest.mark.parametrize("scorer, fields", [
+        ("bm25", {"k1": float("nan")}),
+        ("bm25", {"k1": 0.0}),
+        ("bm25", {"b": 7.0}),
+        ("bm25", {"b": float("nan")}),
+        ("bm25", {"avg_len": -1.0}),
+        ("bm25", {"avg_len": float("inf")}),
+        ("bm25", {"applied_q": 0.5, "applied_gamma": 2.0}),
+        ("bm25", {"applied_q": float("inf")}),
+        ("bm25", {"applied_gamma": float("-inf")}),
+        ("bm25", {"applied_gamma": -3.0}),
+        ("dph", {"k1": 1.5}),
+        ("dph", {"b": 0.75}),
+        ("dph", {"avg_len": 0.0}),
+        ("dph", {"applied_q": 0.5}),
+    ], ids=["k1_nan", "k1_zero", "b_7", "b_nan", "avg_len_negative", "avg_len_inf",
+            "q_and_gamma", "q_inf", "gamma_inf", "gamma_negative", "dph_k1", "dph_b",
+            "dph_avg_len_zero", "dph_rescaled"])
+    def test_impossible_header_is_corrupt_error(self, scorer, fields):
+        corpus = make_corpus(["alpha beta gamma", "beta gamma delta", "gamma delta"])
+        index = (build_index if scorer == "bm25" else build_dph_index)(corpus, TokenizerMode.T0)
+        loads_index(dumps_index(index))
+        for name, value in fields.items():
+            if name.startswith("applied_"):
+                setattr(index.header, name, value)
+            else:
+                setattr(index, name, value)
+        with pytest.raises(IndexFormatError, match="corrupt header"):
             loads_index(dumps_index(index))
 
     @pytest.mark.parametrize("raw", [b'["alpha", ["beta"], "delta", "gamma"]',

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qlex import (ModeMismatchError, batch_retrieve, build_dph_index, build_index,
@@ -16,7 +16,7 @@ from qlex.query import RankedList, rank_from_scores
 from qlex.tokenizers import TokenizerMode, tokenize
 
 from conftest import hapax_mechanism_corpus, make_corpus, random_corpus
-from oracles import bm25_scores, rank_by_full_sort
+from oracles import bm25_scores, rank_by_full_sort, score_by_scatter
 
 
 class TestScoreQuery:
@@ -99,6 +99,62 @@ def _docs(n: int) -> SimpleNamespace:
     return SimpleNamespace(doc_ids=[f"d{i}" for i in range(n)])
 
 
+# Identifier-like words: camel/snake/acronym/digit surfaces split under t2/t3,
+# and parts shared between surfaces ("user", "parse") repeat inside one query.
+_WORDS = ["getUser", "user_id", "HTTPServer", "parseJSON2", "Parse", "i18n", "data",
+          "userData", "sha256sum", "fooBar_baz", "über_Name"]
+_SCORERS = {
+    "bm25": build_index,
+    "dph": build_dph_index,
+    "q2": lambda c, m: rescale_index(build_index(c, m), 2.0),
+    "q0.3": lambda c, m: rescale_index(build_index(c, m), 0.3),
+    "gamma2": lambda c, m: rescale_index_gamma(build_index(c, m), 2.0),
+}
+
+
+def _assert_scores_match_scatter(index, tokens) -> None:
+    got = score_query(index, tokens)
+    assert got.dtype == np.float64
+    assert got.tobytes() == score_by_scatter(index, tokens).tobytes()
+
+
+class TestScoreQueryByteIdentity:
+    """``score_query`` gives the bytes of the column-by-column scatter-add."""
+
+    @settings(deadline=None)
+    @given(docs=st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12),
+                         min_size=1, max_size=25),
+           query=st.lists(st.sampled_from(_WORDS + ["the", "oov_Term"]), max_size=30),
+           picks=st.lists(st.integers(0, 99), max_size=40),
+           mode=st.sampled_from(list(TokenizerMode)),
+           scorer=st.sampled_from(sorted(_SCORERS)))
+    def test_matches_scatter_add(self, docs, query, picks, mode, scorer):
+        index = _SCORERS[scorer](make_corpus([" ".join(d) for d in docs]), mode)
+        _assert_scores_match_scatter(index, tokenize(" ".join(query), mode))
+        # Raw vocabulary terms in the drawn order, repeats included.
+        _assert_scores_match_scatter(index, [index.terms[i % index.vocab_size] for i in picks])
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(0, 30))
+    def test_long_query_keeps_the_summation_order(self, seed, exponent):
+        # BM25 sums of float32 scores are often exact in float64, whatever the
+        # order; scores spread over many magnitudes make the order visible.
+        rng = np.random.default_rng(seed)
+        index = build_index(random_corpus(rng, 30, 25, min_len=10, max_len=30), TokenizerMode.T1)
+        magnitudes = 10.0 ** rng.uniform(-exponent, exponent, index.nnz)
+        index.scores[...] = rng.standard_normal(index.nnz) * magnitudes
+        terms = list(rng.permutation(index.terms))
+        _assert_scores_match_scatter(index, terms + terms[:5])
+
+    @pytest.mark.parametrize("tokens", [[], ["oov"], ["oov", "oov", "nope"]],
+                             ids=["empty", "oov", "oov-repeated"])
+    def test_no_match_is_all_zero(self, tokens):
+        index = build_index(make_corpus(["aa bb", "bb cc", "cc"]), TokenizerMode.T1)
+        scores = score_query(index, tokens)
+        assert scores.tobytes() == np.zeros(3).tobytes()
+        _assert_scores_match_scatter(index, tokens)
+
+
 def _assert_matches_full_sort(index, scores: np.ndarray, k: int) -> None:
     """Same doc order and the same float64 scores, bit for bit (NaN, -0.0)."""
     ranked = rank_from_scores(index, scores, k)
@@ -149,7 +205,9 @@ class TestRankFromScores:
         assert (index.scores < 0).any()
         words = [f"w{i}" for i in range(12)]
         for _ in range(30):
-            scores = score_query(index, list(rng.choice(words, size=rng.integers(1, 5))))
+            tokens = list(rng.choice(words, size=rng.integers(1, 5)))
+            _assert_scores_match_scatter(index, tokens)
+            scores = score_query(index, tokens)
             for k in (1, 10, 40, 45):
                 _assert_matches_full_sort(index, scores, k)
 
@@ -161,6 +219,7 @@ class TestRankFromScores:
         index = build_index(make_corpus(texts), TokenizerMode.T1)
         rescale_index(index, 2.0)
         for query in (["common"], ["common", "a"], ["common", "b", "b"], ["zz"]):
+            _assert_scores_match_scatter(index, query)
             scores = score_query(index, query)
             for k in (1, 5, 40, 41):
                 _assert_matches_full_sort(index, scores, k)

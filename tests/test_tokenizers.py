@@ -1,11 +1,15 @@
 """Tokenizer modes and identifier splitting."""
 
 import string
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from qlex import tokenizers
 from qlex.tokenizers import TokenizerMode, default_stopwords, split_identifier, tokenize
+
+from oracles import split_identifier_by_chunks
 
 T0, T1, T2, T3 = TokenizerMode.T0, TokenizerMode.T1, TokenizerMode.T2, TokenizerMode.T3
 
@@ -130,6 +134,28 @@ class TestModeInvariants:
     def test_t2_consecutive_dedup_is_per_token(self):
         # Two occurrences of the same boundary-free token stay two tokens.
         assert tokenize("data data", T2) == ["data", "data"]
+
+
+class TestSplitIdentifierOracle:
+    """The one-pass ASCII split equals the cut-at-separators chunk loop."""
+
+    PRINTABLE = st.text(alphabet=string.printable, min_size=1, max_size=40)
+    # Mostly identifier characters, with some non-ASCII letters and separators.
+    MIXED = st.text(alphabet=st.one_of(
+        st.sampled_from(string.ascii_letters + string.digits + "_- .é"),
+        st.characters()), min_size=1, max_size=40)
+
+    @settings(deadline=None)
+    @given(st.one_of(PRINTABLE, MIXED))
+    def test_split_identifier_matches_chunk_loop(self, token):
+        assert split_identifier(token) == split_identifier_by_chunks(token)
+
+    @settings(deadline=None)
+    @given(st.one_of(PRINTABLE, MIXED), st.sampled_from([T2, T3]))
+    def test_tokenize_matches_chunk_loop(self, text, mode):
+        with mock.patch.object(tokenizers, "split_identifier", split_identifier_by_chunks):
+            want = tokenize(text, mode)
+        assert tokenize(text, mode) == want
 
 
 class TestStopwords:
