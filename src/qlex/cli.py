@@ -332,10 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     _echo_config(args)
     try:
         return args.func(args)
-    except QlexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (QlexError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -52,13 +52,14 @@ def _index_ids(kind: str, ids: Iterable[str], path: str | None,
 class Corpus:
     """An ordered collection of documents with unique, non-empty ids.
 
-    ``path`` and ``lines`` (one 1-based source line per document) only
-    locate an invalid id in the error message.
+    ``path`` (kept as an attribute) and ``lines`` (one 1-based source line
+    per document) locate an invalid id in the error message.
     """
 
     def __init__(self, documents: Iterable[Document], *, path: str | None = None,
                  lines: Sequence[int] | None = None):
         self.docs: tuple[Document, ...] = tuple(documents)
+        self.path = path
         self._by_id = _index_ids("doc_id", (d.doc_id for d in self.docs), path, lines)
 
     def __len__(self) -> int:

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus_io import Corpus, QuerySet, QrelSet
-from .errors import RescaleStateError
+from .errors import QlexError, RescaleStateError
 from .index import SparseScoreIndex
 from .query import RankedList, batch_retrieve, rank_tokens
 from .storage import load_index
@@ -218,15 +218,14 @@ def q_sweep(base_index_path: str | Path, queries: QuerySet, qrels: QrelSet,
             grid: Sequence[float] = DEFAULT_Q_GRID, k: int = 100) -> SweepTable:
     """Mean NDCG@10 across an exponent grid.
 
-    The baseline is loaded and checked once; since the rescale is in place,
-    each grid point rescales a copy with its own scores and header.  Ties
+    The baseline is loaded once; since the rescale is in place, each grid
+    point rescales a copy with its own scores and header, and
+    :func:`rescale_index` refuses a DPH or already-rescaled baseline.  Ties
     on the mean prefer the larger exponent (the one closer to plain BM25).
     """
     if not grid:
         raise ValueError("sweep grid must be non-empty")
     base = load_index(base_index_path)
-    if base.header.applied_q is not None or base.header.applied_gamma is not None:
-        raise RescaleStateError("sweep baseline must be an untransformed index")
     rows: list[tuple[float, float]] = []
     for q in grid:
         index = dataclasses.replace(base, scores=base.scores.copy(),
@@ -305,12 +304,17 @@ def query_features(surfaces: Sequence[str], dfs: Sequence[int]) -> QueryFeatures
 
 
 def whitespace_token_counter(corpus: Corpus) -> Callable[[str], int]:
-    """Default budget counter: whitespace-split token count per doc id."""
+    """Default budget counter: whitespace-split token count per doc id, counted lazily."""
     cache: dict[str, int] = {}
 
     def count(doc_id: str) -> int:
         if doc_id not in cache:
-            cache[doc_id] = len(corpus.text(doc_id).split())
+            try:
+                text = corpus.text(doc_id)
+            except KeyError:
+                raise QlexError(f"ranked doc id {doc_id!r} is not in the budget corpus "
+                                f"{corpus.path or '(in memory)'}") from None
+            cache[doc_id] = len(text.split())
         return cache[doc_id]
 
     return count

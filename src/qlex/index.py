@@ -33,19 +33,16 @@ SCORER_DPH = "dph"
 
 @dataclass(frozen=True)
 class BuildParams:
-    """BM25 hyperparameters. ``delta`` is the RSJ smoothing constant."""
+    """BM25 hyperparameters."""
 
     k1: float = 1.5
     b: float = 0.75
-    delta: float = 0.5
 
     def __post_init__(self):
         if not (self.k1 > 0 and math.isfinite(self.k1)):
             raise ValueError(f"k1 must be finite and > 0, got {self.k1}")
         if not (0.0 <= self.b <= 1.0):
             raise ValueError(f"b must lie in [0, 1], got {self.b}")
-        if self.delta != 0.5:
-            raise ValueError("the RSJ smoothing constant is fixed at 0.5")
 
 
 @dataclass
@@ -198,6 +195,17 @@ def count_tokens(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
                        df=df, col_ptr=col_ptr, doc_lens=np.array(doc_lens, dtype=np.int64))
 
 
+def rsj_idf(df: np.ndarray | int, num_docs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smoothed RSJ odds ``(N - df + 0.5) / (df + 0.5)`` and the baked IDF ``log(1 + odds)``.
+
+    Float64, per entry of ``df``.  :func:`build_index` bakes this IDF and the
+    rescales in :mod:`qlex.transforms` divide it back out.
+    """
+    df = np.asarray(df, dtype=np.float64)
+    odds = (num_docs - df + 0.5) / (df + 0.5)
+    return odds, np.log(1.0 + odds)
+
+
 def build_index(corpus: Corpus, mode: TokenizerMode,
                 params: BuildParams | None = None) -> SparseScoreIndex:
     """Build a baked BM25 score index over ``corpus`` under ``mode``.
@@ -208,8 +216,8 @@ def build_index(corpus: Corpus, mode: TokenizerMode,
     """
     params = params or BuildParams()
     counts = count_tokens(corpus, mode)
-    df, tfs, k1, b = counts.df, counts.tfs, params.k1, params.b
-    idf = np.log(1.0 + (counts.num_docs - df + 0.5) / (df + 0.5))
+    tfs, k1, b = counts.tfs, params.k1, params.b
+    idf = rsj_idf(counts.df, counts.num_docs)[1]
     length_norm = 1.0 - b + b * (counts.doc_lens[counts.rows] / counts.avg_len)
     weights = idf[counts.tids] * (tfs * (k1 + 1.0) / (tfs + k1 * length_norm))
     return SparseScoreIndex.from_counts(counts, weights, IndexHeader(mode=mode), k1=k1, b=b)

@@ -13,18 +13,23 @@ ordinary log IDF; for q > 1 it saturates at 1/(q - 1).
 Because a built index stores ``lucene_idf * tf_factor`` per entry, moving
 an index to a different exponent q is a pure column rescale: every entry of
 column t is multiplied by ``idf_qlog(n_t, N, q) / idf_lucene(n_t, N)``.
-The rescale is destructive and single-shot; the index header records it.
+The gamma sharpening ``idf ** gamma`` is the same rescale with column factor
+``idf ** (gamma - 1)``; both run through one all-or-nothing path,
+:func:`_rescale`.  The rescale is destructive and single-shot; the index
+header records it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
 from .corpus_io import Corpus
 from .errors import RescaleStateError
-from .index import SCORER_BM25, SCORER_DPH, IndexHeader, SparseScoreIndex, count_tokens
+from .index import (SCORER_BM25, SCORER_DPH, IndexHeader, SparseScoreIndex, count_tokens,
+                    rsj_idf)
 from .tokenizers import TokenizerMode
 
 __all__ = [
@@ -54,15 +59,15 @@ def _ln_q_vec(x: np.ndarray, q: float) -> np.ndarray:
     return (np.power(x, 1.0 - q) - 1.0) / (1.0 - q)
 
 
-def rsj_odds(n_t: int, num_docs: int, delta: float = 0.5) -> float:
-    """Smoothed RSJ odds ``(N - n_t + delta) / (n_t + delta)``.
+def rsj_odds(n_t: int, num_docs: int) -> float:
+    """Smoothed RSJ odds ``(N - n_t + 0.5) / (n_t + 0.5)``.
 
     Falls below 1 when the term occurs in more than half the corpus; the
     sign convention of the downstream log is kept deliberately.
     """
     if not 0 <= n_t <= num_docs:
         raise ValueError(f"n_t must lie in [0, N], got n_t={n_t}, N={num_docs}")
-    return (num_docs - n_t + delta) / (n_t + delta)
+    return float(rsj_idf(n_t, num_docs)[0])
 
 
 def idf_qlog(n_t: int, num_docs: int, q: float) -> float:
@@ -77,60 +82,51 @@ def idf_lucene(n_t: int, num_docs: int) -> float:
     return math.log(1.0 + rsj_odds(n_t, num_docs))
 
 
-def _require_pristine(index: SparseScoreIndex, what: str) -> None:
+def _rescale(index: SparseScoreIndex, name: str, value: float,
+             factors: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> SparseScoreIndex:
+    """Multiply each entry of column t by ``factors(odds, idf)[t]``, all or nothing.
+
+    Refuses a DPH or rescaled index; ``value == 1.0`` is the untouched,
+    unmarked identity.  ``odds`` and ``idf`` are the ones the build baked
+    with (:func:`qlex.index.rsj_idf`).  The float64 products are written back
+    as float32, and ``applied_<name>`` is marked, only if every narrowed score
+    is finite; otherwise ValueError leaves scores and header as they were.
+    """
     header = index.header
     if header.scorer != SCORER_BM25:
-        raise RescaleStateError(f"{what} applies to bm25 indexes only, "
+        raise RescaleStateError(f"{name} rescale applies to bm25 indexes only, "
                                 f"this index was built with scorer={header.scorer!r}")
-    if header.applied_q is not None:
-        raise RescaleStateError(f"{what} refused: index already rescaled at q={header.applied_q}")
-    if header.applied_gamma is not None:
-        raise RescaleStateError(f"{what} refused: index already rescaled at "
-                                f"gamma={header.applied_gamma}")
-
-
-def _scale_columns(index: SparseScoreIndex, factors: np.ndarray, what: str) -> None:
-    """Multiply every stored entry of column t by ``factors[t]``, all or nothing.
-
-    The products are formed in float64 and narrowed to float32; only if
-    every narrowed score is finite are they written back into
-    ``index.scores``.  Otherwise ValueError is raised and the index is left
-    as it was, so a refused transform consumes no header state.
-    """
-    rescaled = index.scores.astype(np.float64)
+    for done, applied in (("q", header.applied_q), ("gamma", header.applied_gamma)):
+        if applied is not None:
+            raise RescaleStateError(f"{name} rescale refused: index already rescaled "
+                                    f"at {done}={applied}")
+    if value == 1.0:
+        return index
+    odds, idf = rsj_idf(index.df, index.num_docs)
     with np.errstate(over="ignore", invalid="ignore"):
-        rescaled *= np.repeat(factors, np.diff(index.col_ptr))
+        rescaled = index.scores.astype(np.float64)
+        rescaled *= np.repeat(factors(odds, idf), np.diff(index.col_ptr))
         narrowed = rescaled.astype(np.float32)
     if not np.isfinite(narrowed).all():
-        raise ValueError(f"{what} gives non-finite float32 scores; index left unchanged")
+        raise ValueError(f"rescale to {name}={value} gives non-finite float32 scores; "
+                         "index left unchanged")
     index.scores[...] = narrowed
+    setattr(header, f"applied_{name}", value)
+    return index
 
 
 def rescale_index(index: SparseScoreIndex, q: float) -> SparseScoreIndex:
     """Move a baked BM25 index to exponent ``q`` by rescaling each column.
 
-    At q = 1.0 exactly the matrix is returned untouched, bit for bit, and
-    the header is not marked (the identity costs nothing and consumes no
-    state).  Otherwise each stored entry of column t is multiplied by
-    ``idf_qlog(n_t, N, q) / idf_lucene(n_t, N)``; ratios are computed once
-    per column in float64 and the result is narrowed back to float32 in
-    place.  One pass, O(|V| + nnz).  A second rescale is a state error; a
-    q whose scores overflow float32 is a ValueError that leaves the index
-    untouched.
+    Each stored entry of column t is multiplied by
+    ``idf_qlog(n_t, N, q) / idf_lucene(n_t, N)`` in one O(|V| + nnz) pass.
+    q = 1.0 exactly returns the index untouched, bit for bit, and unmarked.
+    A second rescale is a state error; a q whose scores overflow float32 is
+    a ValueError that leaves the index untouched.
     """
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q}")
-    _require_pristine(index, "rescale")
-    if q == 1.0:
-        return index
-    df = index.df.astype(np.float64)
-    n = float(index.num_docs)
-    odds = (n - df + 0.5) / (df + 0.5)
-    with np.errstate(over="ignore"):
-        ratios = _ln_q_vec(odds, q) / np.log(1.0 + odds)
-    _scale_columns(index, ratios, f"rescale to q={q}")
-    index.header.applied_q = q
-    return index
+    return _rescale(index, "q", q, lambda odds, idf: _ln_q_vec(odds, q) / idf)
 
 
 def rescale_index_gamma(index: SparseScoreIndex, gamma: float) -> SparseScoreIndex:
@@ -141,17 +137,7 @@ def rescale_index_gamma(index: SparseScoreIndex, gamma: float) -> SparseScoreInd
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and > 0, got {gamma}")
-    _require_pristine(index, "gamma rescale")
-    if gamma == 1.0:
-        return index
-    df = index.df.astype(np.float64)
-    n = float(index.num_docs)
-    idf = np.log(1.0 + (n - df + 0.5) / (df + 0.5))
-    with np.errstate(over="ignore"):
-        factors = np.power(idf, gamma - 1.0)
-    _scale_columns(index, factors, f"gamma rescale to gamma={gamma}")
-    index.header.applied_gamma = gamma
-    return index
+    return _rescale(index, "gamma", gamma, lambda odds, idf: np.power(idf, gamma - 1.0))
 
 
 def build_dph_index(corpus: Corpus, mode: TokenizerMode) -> SparseScoreIndex:

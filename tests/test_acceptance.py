@@ -275,9 +275,12 @@ def test_criterion_12_systems_overhead_shape():
     for toks in queries:  # warm both before timing
         rank_tokens(plain, toks, 100)
         rank_tokens(transformed, toks, 100)
-    for _ in range(11):
-        for name, idx in (("plain", plain), ("transformed", transformed)):
-            for toks in queries:
+    # Each query's two calls run back to back, and the side that goes first
+    # alternates by round, so machine-speed drift reaches both sides alike.
+    sides = (("plain", plain), ("transformed", transformed))
+    for round_no in range(11):
+        for toks in queries:
+            for name, idx in sides[::-1] if round_no % 2 else sides:
                 t0 = time.perf_counter()
                 rank_tokens(idx, toks, 100)
                 laps[name].append(time.perf_counter() - t0)

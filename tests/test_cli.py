@@ -11,7 +11,7 @@ from qlex.evaluation import (eval_mrr, eval_ndcg, eval_recall, paired_bootstrap,
                              report_to_json)
 from qlex.query import batch_retrieve
 
-from conftest import (hapax_mechanism_corpus, random_corpus, write_jsonl_corpus,
+from conftest import (hapax_mechanism_corpus, make_corpus, random_corpus, write_jsonl_corpus,
                       write_jsonl_queries, write_qrels)
 
 
@@ -236,6 +236,34 @@ class TestErrorsAndParsing:
         assert rc == 1
         assert "applies to bm25 indexes only" in capsys.readouterr().err
         assert (workdir / "dph.qlx").read_bytes() == before
+
+    @pytest.mark.parametrize("build_flags, rescale_flags", [
+        ((), ("--q", "0.5")), ((), ("--gamma", "2.0")), (("--dph",), ())])
+    def test_sweep_refuses_a_transformed_or_dph_baseline(self, workdir, capsys, build_flags,
+                                                          rescale_flags):
+        run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "base.qlx",
+            *build_flags)
+        if rescale_flags:
+            run("rescale", "--index", workdir / "base.qlx", *rescale_flags)
+        capsys.readouterr()
+        rc = run("sweep", "--index", workdir / "base.qlx", "--queries", workdir / "queries.jsonl",
+                 "--qrels", workdir / "qrels.tsv", "--grid", "0.3,1.0")
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_eval_budget_corpus_lacking_a_ranked_doc(self, tmp_path, capsys):
+        write_jsonl_corpus(tmp_path / "corpus.jsonl", make_corpus(["alpha beta", "beta gamma"]))
+        write_jsonl_corpus(tmp_path / "other.jsonl", make_corpus(["alpha"], prefix="x"))
+        write_jsonl_queries(tmp_path / "queries.jsonl", [("q0", "beta")])
+        write_qrels(tmp_path / "qrels.tsv", [("q0", "d1", 1)])
+        run("build", "--corpus", tmp_path / "corpus.jsonl", "--index", tmp_path / "idx.qlx")
+        capsys.readouterr()
+        rc = run("eval", "--index", tmp_path / "idx.qlx", "--queries", tmp_path / "queries.jsonl",
+                 "--qrels", tmp_path / "qrels.tsv", "--budgets", "10",
+                 "--corpus", tmp_path / "other.jsonl")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "'d0'" in err and str(tmp_path / "other.jsonl") in err
 
     def test_parse_bins(self):
         assert _parse_bins("1,5,20") == [(1, 1), (2, 5), (6, 20), (21, None)]

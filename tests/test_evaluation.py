@@ -6,11 +6,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from qlex import (QrelSet, QuerySet, RankedList, batch_retrieve, build_index,
-                  df_bin_occlusion, evaluation, load_index,
+from qlex import (QrelSet, QuerySet, RankedList, RescaleStateError, batch_retrieve,
+                  build_dph_index, build_index, df_bin_occlusion, evaluation, load_index,
                   eval_mrr, eval_ndcg, eval_recall, mrr, ndcg_at_k, paired_bootstrap,
                   q_sweep, query_features, recall_at_k, recall_at_token_budget,
-                  rescale_index, save_index, sweep_to_csv, report_to_tsv,
+                  rescale_index, rescale_index_gamma, save_index, sweep_to_csv, report_to_tsv,
                   report_to_json, whitespace_token_counter)
 from qlex.evaluation import DEFAULT_DF_BINS, DEFAULT_Q_GRID
 from qlex.tokenizers import TokenizerMode
@@ -189,6 +189,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             q_sweep(path, queries, qrels, grid=[])
 
+    @pytest.mark.parametrize("make_baseline", [
+        lambda corpus: rescale_index(build_index(corpus, TokenizerMode.T0), 0.5),
+        lambda corpus: rescale_index_gamma(build_index(corpus, TokenizerMode.T0), 2.0),
+        lambda corpus: build_dph_index(corpus, TokenizerMode.T0),
+    ], ids=["q", "gamma", "dph"])
+    def test_transformed_or_dph_baseline_refused(self, tmp_path, make_baseline):
+        corpus, queries, qrels = hapax_mechanism_corpus(100, 10, 4, 10)
+        path = tmp_path / "base.qlx"
+        save_index(make_baseline(corpus), path)
+        with pytest.raises(RescaleStateError):
+            q_sweep(path, queries, qrels, grid=[0.3, 1.0], k=10)
+
     def test_loads_once_and_matches_reload_per_point(self, tmp_path, monkeypatch):
         path, queries, qrels = self.build_base(tmp_path)
         grid = [0.05, 0.5, 0.7, 1.0, 1.5]
@@ -232,7 +244,6 @@ class TestOcclusion:
         corpus, queries, qrels = hapax_mechanism_corpus(100, 10, 4, 10)
         index = build_index(corpus, TokenizerMode.T0)
         rescale_index(index, 0.5)
-        from qlex import RescaleStateError
         with pytest.raises(RescaleStateError):
             df_bin_occlusion(index, queries, qrels, q=0.1)
 

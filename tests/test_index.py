@@ -82,7 +82,7 @@ class TestStructure:
             BuildParams(k1=-1.0)
         with pytest.raises(ValueError):
             BuildParams(b=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # the RSJ smoothing constant is fixed at 0.5
             BuildParams(delta=0.4)
 
     def test_scores_float32_colptr_int64(self):
