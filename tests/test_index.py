@@ -15,8 +15,12 @@ from oracles import bm25_scores, corpus_stats_by_counters, csc_by_counters, luce
 
 # Stopwords, length-1 words, punctuation, camel/snake identifiers and
 # non-ASCII identifiers, so some documents tokenize to nothing in some modes.
+# Also a case mapping that changes length ("İ" lowercases to two code points),
+# mixed-case stopwords, underscore-only parts and identifiers joined by
+# punctuation, where splitting a surface before or after lowercasing differs.
 _WORDS = ["the", "of", "and", "a", "x", "ab", "aa0", "parseHTTPServer", "snake_case_id",
-          "get2Value", "naïveÜber", "日本語", "ÆgirSøk", "..", "--"]
+          "get2Value", "naïveÜber", "日本語", "ÆgirSøk", "..", "--", "İDfoo", "The", "OF",
+          "__init__", "x__y", "fooBar.bazQux"]
 _TEXTS = st.lists(st.lists(st.sampled_from(_WORDS), max_size=8).map(" ".join),
                   min_size=1, max_size=8)
 
@@ -122,6 +126,7 @@ class TestSharedPass:
     @given(texts=_TEXTS, mode=st.sampled_from(list(TokenizerMode)))
     @example(texts=["the of", "", "parseHTTPServer naïveÜber", "..", "ÆgirSøk the"],
              mode=TokenizerMode.T2)
+    @example(texts=["İDfoo The", "__init__ x__y", "fooBar.bazQux OF"], mode=TokenizerMode.T0)
     @settings(max_examples=200, deadline=None)
     def test_matches_counter_oracle(self, texts, mode):
         corpus = make_corpus(texts)
