@@ -197,6 +197,8 @@ def _median_mad(values: list[float]) -> tuple[float, float]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     corpus = load_corpus(args.corpus)
     mode = _mode(args)
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from .corpus_io import Corpus
 from .errors import BuildError, IndexFormatError
-from .tokenizers import TokenizerMode, tokenize
+from .tokenizers import (TokenizerMode, default_stopwords, surface_tokens, tokenize,
+                         word_surfaces)
 
 __all__ = ["BuildParams", "IndexHeader", "SparseScoreIndex", "TokenCounts", "build_index",
            "count_tokens"]
@@ -163,7 +164,10 @@ def count_tokens(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
     """Tokenize every document once and count its (term, doc) pairs.
 
     The only corpus tokenization pass: both index builders and the corpus
-    statistics read it.  Raises BuildError when the corpus has no tokens.
+    statistics read it.  Under T2/T3 each distinct surface is tokenized
+    once, by :func:`~qlex.tokenizers.surface_tokens`, into a tuple of term
+    ids that every later occurrence reuses; T0 and T1 tokenize per document.
+    Raises BuildError when the corpus has no tokens.
     """
     num_docs = len(corpus)
     # Ids in first-seen order; a missing key is given the next id.
@@ -171,10 +175,24 @@ def count_tokens(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
     first_seen.default_factory = first_seen.__len__
     token_ids: list[int] = []
     doc_lens: list[int] = []
-    for doc in corpus:
-        toks = tokenize(doc.text, mode)
-        doc_lens.append(len(toks))
-        token_ids.extend(map(first_seen.__getitem__, toks))
+    if mode in (TokenizerMode.T2, TokenizerMode.T3):
+        stopwords = default_stopwords()
+        emissions: dict[str, tuple[int, ...]] = {}
+        for doc in corpus:
+            before = len(token_ids)
+            for raw in word_surfaces(doc.text):
+                ids = emissions.get(raw)
+                if ids is None:
+                    ids = emissions[raw] = tuple(
+                        map(first_seen.__getitem__, surface_tokens(raw, mode, stopwords)))
+                token_ids.extend(ids)
+            doc_lens.append(len(token_ids) - before)
+        del emissions
+    else:
+        for doc in corpus:
+            toks = tokenize(doc.text, mode)
+            doc_lens.append(len(toks))
+            token_ids.extend(map(first_seen.__getitem__, toks))
     if not token_ids:  # also an empty corpus
         raise BuildError(f"corpus of {num_docs} documents has no tokens under mode {mode.value}")
 

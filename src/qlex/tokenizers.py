@@ -25,7 +25,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Collection
 
-__all__ = ["TokenizerMode", "tokenize", "split_identifier", "default_stopwords"]
+__all__ = ["TokenizerMode", "tokenize", "split_identifier", "word_surfaces", "surface_tokens",
+           "default_stopwords"]
 
 # Word-character runs of length >= 2; underscores count as word characters,
 # so snake_case survives extraction intact and is split later if requested.
@@ -93,14 +94,35 @@ def split_identifier(token: str) -> list[str]:
     return parts
 
 
-def _emit_t2(raw: str, whole: str, out: list[str]) -> None:
-    # Whole token first, then parts, collapsing consecutive repeats within
-    # this emission unit only (cross-token multiset counts are preserved).
+def word_surfaces(text: str) -> list[str]:
+    """Word-character runs of length >= 2 in ``text``, as written: the T2/T3 surfaces."""
+    return _WORD_RE.findall(text)
+
+
+def surface_tokens(raw: str, mode: TokenizerMode, stopwords: Collection[str]) -> list[str]:
+    """The T2 or T3 tokens of one raw surface (an item of :func:`word_surfaces`).
+
+    Nothing for a stopword (checked on ``raw.lower()``).  T2 emits the whole
+    lowercased surface, then its parts, collapsing consecutive repeats inside
+    this one emission only.  T3 emits the parts, or the whole surface when it
+    does not split.  The emission depends on ``raw`` alone, so a document's
+    tokens are the concatenated emissions of its surfaces.  T0 has no such
+    rule: it lowercases before extracting, and lowercasing can change where
+    words start (``"İ"`` becomes two code points, one not a word character).
+    """
+    if mode not in (TokenizerMode.T2, TokenizerMode.T3):
+        raise ValueError(f"mode {mode.value} has no per-surface rule")
+    whole = raw.lower()
+    if whole in stopwords:
+        return []
+    parts = split_identifier(raw)
+    if mode is TokenizerMode.T3:
+        return parts if len(parts) >= 2 else [whole]
     unit = [whole]
-    for part in split_identifier(raw):
+    for part in parts:
         if part != unit[-1]:
             unit.append(part)
-    out.extend(unit)
+    return unit
 
 
 def tokenize(text: str, mode: TokenizerMode,
@@ -120,16 +142,4 @@ def tokenize(text: str, mode: TokenizerMode,
     if mode is TokenizerMode.T0:
         return [m.group(0) for m in _WORD_RE.finditer(text.lower())
                 if m.group(0) not in sw]
-
-    out: list[str] = []
-    for m in _WORD_RE.finditer(text):
-        raw = m.group(0)
-        whole = raw.lower()
-        if whole in sw:
-            continue
-        if mode is TokenizerMode.T2:
-            _emit_t2(raw, whole, out)
-        else:  # T3: sub-tokens only; keep the whole token when it does not split
-            parts = split_identifier(raw)
-            out.extend(parts if len(parts) >= 2 else [whole])
-    return out
+    return [tok for raw in word_surfaces(text) for tok in surface_tokens(raw, mode, sw)]

@@ -214,6 +214,15 @@ class TestAnalysisCommands:
 
 
 class TestErrorsAndParsing:
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_bench_needs_a_trial(self, workdir, capsys, trials):
+        rc = run("bench", "--corpus", workdir / "corpus.jsonl",
+                 "--queries", workdir / "queries.jsonl", "--trials", trials)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "--trials" in captured.err
+        assert "nan" not in captured.out
+
     def test_missing_corpus_is_exit_one(self, tmp_path, capsys):
         rc = run("build", "--corpus", tmp_path / "nope.jsonl",
                  "--index", tmp_path / "idx.qlx")

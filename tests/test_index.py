@@ -1,12 +1,15 @@
 """Index construction against hand arithmetic and a dense oracle."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qlex import BuildError, BuildParams, build_dph_index, build_index, compute_corpus_stats
+from qlex import (BuildError, BuildParams, build_dph_index, build_index, compute_corpus_stats,
+                  load_corpus)
 from qlex.index import count_tokens
 from qlex.tokenizers import TokenizerMode, tokenize
 
@@ -21,6 +24,13 @@ from oracles import bm25_scores, corpus_stats_by_counters, csc_by_counters, luce
 _WORDS = ["the", "of", "and", "a", "x", "ab", "aa0", "parseHTTPServer", "snake_case_id",
           "get2Value", "naïveÜber", "日本語", "ÆgirSøk", "..", "--", "İDfoo", "The", "OF",
           "__init__", "x__y", "fooBar.bazQux"]
+# The benchmark's input generator, read-only: the identity gate also runs on
+# benchmark-shaped text at smoke size.
+_GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+_gen_spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN_PATH)
+perfbench_gen = importlib.util.module_from_spec(_gen_spec)
+_gen_spec.loader.exec_module(perfbench_gen)
+
 _TEXTS = st.lists(st.lists(st.sampled_from(_WORDS), max_size=8).map(" ".join),
                   min_size=1, max_size=8)
 
@@ -146,3 +156,22 @@ class TestSharedPass:
             assert index.doc_lens.tolist() == doc_lens
             index.check_invariants()
         assert compute_corpus_stats(corpus, mode) == corpus_stats_by_counters(doc_tokens)
+
+
+class TestBenchmarkText:
+    """The shared pass against the Counter oracles on each benchmark workload's corpus."""
+
+    @pytest.mark.parametrize("workload", perfbench_gen.WORKLOADS)
+    def test_matches_counter_oracle(self, tmp_path, workload):
+        perfbench_gen.generate(workload, 7, tmp_path, smoke=True)
+        corpus = load_corpus(tmp_path / "corpus.jsonl")
+        for mode in TokenizerMode:
+            doc_tokens = [tokenize(doc.text, mode) for doc in corpus]
+            terms, col_ptr, row_idx, tfs, doc_lens = csc_by_counters(doc_tokens)
+            counts = count_tokens(corpus, mode)
+            assert counts.terms == terms
+            assert counts.col_ptr.tolist() == col_ptr
+            assert counts.rows.tolist() == row_idx
+            assert counts.tfs.tolist() == tfs
+            assert counts.doc_lens.tolist() == doc_lens
+            assert compute_corpus_stats(corpus, mode) == corpus_stats_by_counters(doc_tokens)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlex import tokenizers
-from qlex.tokenizers import TokenizerMode, default_stopwords, split_identifier, tokenize
+from qlex.tokenizers import (TokenizerMode, default_stopwords, split_identifier, surface_tokens,
+                             tokenize, word_surfaces)
 
 from oracles import split_identifier_by_chunks
 
@@ -156,6 +157,64 @@ class TestSplitIdentifierOracle:
         with mock.patch.object(tokenizers, "split_identifier", split_identifier_by_chunks):
             want = tokenize(text, mode)
         assert tokenize(text, mode) == want
+
+
+def _by_surfaces(text: str, mode: TokenizerMode) -> list[str]:
+    """A document's tokens as the concatenated emissions of its surfaces.
+
+    T2/T3 surfaces are the raw word runs, each emitted by ``surface_tokens``.
+    A T0 surface is a word run of the lowercased text and a T1 surface a
+    whitespace-split word of it; each emits itself (T0 drops stopwords).
+    """
+    sw = default_stopwords()
+    if mode is T0:
+        return [s for s in word_surfaces(text.lower()) if s not in sw]
+    if mode is T1:
+        return text.lower().split()
+    return [tok for raw in word_surfaces(text) for tok in surface_tokens(raw, mode, sw)]
+
+
+class TestSurfaceEmissions:
+    """Per-surface emissions, which the T2/T3 index build reuses per distinct surface."""
+
+    # Length-changing case mappings, mixed-case stopwords, underscore-only
+    # parts and identifiers joined by punctuation, plus free text over them.
+    TRICKY = ["İDfoo", "The", "OF", "__init__", "x__y", "fooBar.bazQux", "parseHTTPServer",
+              "naïveÜber", "ÆgirSøk", "日本語", "ẞig"]
+    NON_ASCII = "İıẞßÆøé日\u0307"
+    TEXT = st.one_of(
+        st.text(alphabet=string.printable, max_size=60),
+        st.text(alphabet=string.ascii_letters + string.digits + "_ .-" + NON_ASCII, max_size=60),
+        st.lists(st.sampled_from(TRICKY), max_size=10).map(" ".join),
+    )
+
+    @settings(deadline=None)
+    @given(TEXT, st.sampled_from([T0, T1, T2, T3]))
+    def test_concatenated_emissions_equal_tokenize(self, text, mode):
+        assert _by_surfaces(text, mode) == tokenize(text, mode)
+
+    def test_t0_surfaces_come_from_lowercased_text(self):
+        # "İ" lowercases to "i" plus a combining dot, which is not a word
+        # character, so T0 cannot reuse emissions keyed by raw surfaces.
+        assert tokenize("İDfoo", T0) == ["dfoo"]
+        assert [raw.lower() for raw in word_surfaces("İDfoo")] == ["i\u0307dfoo"]
+
+    def test_stopwords_checked_lowercased(self):
+        sw = default_stopwords()
+        for mode in (T2, T3):
+            assert surface_tokens("The", mode, sw) == []
+            assert surface_tokens("OF", mode, sw) == []
+
+    def test_underscore_only_parts(self):
+        sw = default_stopwords()
+        assert surface_tokens("__init__", T2, sw) == ["__init__", "init"]
+        assert surface_tokens("__init__", T3, sw) == ["__init__"]
+        assert surface_tokens("x__y", T3, sw) == ["x", "y"]
+
+    @pytest.mark.parametrize("mode", [T0, T1])
+    def test_no_rule_for_t0_t1(self, mode):
+        with pytest.raises(ValueError):
+            surface_tokens("fooBar", mode, default_stopwords())
 
 
 class TestStopwords:
