@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import resource
 import sys
 import time
@@ -20,7 +19,7 @@ import numpy as np
 from . import __version__
 from .corpus_io import load_corpus, load_queries, load_qrels
 from .errors import QlexError
-from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, DEFAULT_TOKEN_BUDGETS,
+from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, NDCG_CUTOFF,
                          df_bin_occlusion, eval_mrr, eval_ndcg, eval_recall,
                          paired_bootstrap, q_sweep, recall_at_token_budget,
                          report_to_json, report_to_tsv, sweep_to_csv,
@@ -119,7 +118,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels)
     grid = _parse_floats(args.grid) if args.grid else list(DEFAULT_Q_GRID)
-    table = q_sweep(args.index, queries, qrels, grid, k=args.k)
+    table = q_sweep(args.index, queries, qrels, grid)
     _write_or_print(sweep_to_csv(table), args.out)
     print(f"q_opt={table.q_opt:.2f}", file=sys.stderr)
     return 0
@@ -139,26 +138,25 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels)
     rankings = batch_retrieve(index, queries, index.header.mode, max(args.k, 100))
+    ndcg = eval_ndcg(rankings, qrels, NDCG_CUTOFF)
     reports = {
-        "ndcg@10": eval_ndcg(rankings, qrels, 10),
+        f"ndcg@{NDCG_CUTOFF}": ndcg,
         "mrr": eval_mrr(rankings, qrels),
         f"recall@{args.k}": eval_recall(rankings, qrels, args.k),
     }
     boot = None
     if args.compare_index:
         other = load_index(args.compare_index)
-        other_rankings = batch_retrieve(other, queries, other.header.mode, max(args.k, 100))
-        boot = paired_bootstrap(
-            reports["ndcg@10"].per_query,
-            eval_ndcg(other_rankings, qrels, 10).per_query,
-            resamples=args.resamples, seed=args.seed)
+        other_rankings = batch_retrieve(other, queries, other.header.mode, NDCG_CUTOFF)
+        boot = paired_bootstrap(ndcg.per_query,
+                                eval_ndcg(other_rankings, qrels, NDCG_CUTOFF).per_query,
+                                resamples=args.resamples, seed=args.seed)
     if args.budgets:
         if not args.corpus:
             raise QlexError("--budgets needs --corpus for the token counter")
         corpus = load_corpus(args.corpus)
         budget_rows = recall_at_token_budget(
-            index, queries, qrels, _parse_ints(args.budgets),
-            whitespace_token_counter(corpus), k=max(args.k, 100))
+            rankings, qrels, _parse_ints(args.budgets), whitespace_token_counter(corpus))
         for budget, rec in budget_rows:
             print(f"recall@{budget}tok\t{rec:.4f}", file=sys.stderr)
 
@@ -182,7 +180,7 @@ def _cmd_occlusion(args: argparse.Namespace) -> int:
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels)
     bins = _parse_bins(args.bins) if args.bins else list(DEFAULT_DF_BINS)
-    rows = df_bin_occlusion(index, queries, qrels, bins, q=args.q, k=args.k)
+    rows = df_bin_occlusion(index, queries, qrels, bins, q=args.q)
     lines = ["df_lo\tdf_hi\tmean_ndcg_loss"]
     for (lo, hi), loss in rows:
         lines.append(f"{lo}\t{hi if hi is not None else 'inf'}\t{loss:+.6f}")
@@ -286,7 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--grid", help="comma-separated q values")
-    p.add_argument("--k", type=int, default=100)
     p.add_argument("--out", help="CSV output path (default stdout)")
 
     p = add("predict-q", _cmd_predict_q, "predict the exponent from corpus statistics")
@@ -297,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--k", type=int, default=10, help="recall cutoff")
+    p.add_argument("--k", type=int, default=10, help="recall cutoff (>= 1)")
     p.add_argument("--format", default="tsv", choices=["tsv", "json"])
     p.add_argument("--out")
     p.add_argument("--compare-index", help="second index for a paired bootstrap on NDCG@10")
@@ -312,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qrels", required=True)
     p.add_argument("--q", type=float, help="operating exponent (rescales a pristine index)")
     p.add_argument("--bins", help="comma-separated inclusive upper df edges")
-    p.add_argument("--k", type=int, default=100)
     p.add_argument("--out")
 
     p = add("bench", _cmd_bench, "steady-state build/rescale/query timings")

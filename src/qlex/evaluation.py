@@ -13,8 +13,11 @@ direction).  With zero reversals out of R resamples the harness reports
 ``p <= 1/R`` and never prints a p below the empirical resolution 1e-4.
 
 Diagnostics: exponent sweeps over copies of one loaded baseline (the
-rescale is destructive), document-frequency-bin occlusion, query shape
-features, and recall under a retrieval token budget.
+rescale is destructive), document-frequency-bin occlusion, and recall
+under a retrieval token budget.  Sweep and occlusion report only NDCG at
+``NDCG_CUTOFF``, so they rank each query to that depth and no deeper: the
+ranking is exact with ties by ascending doc index, so its first
+``NDCG_CUTOFF`` hits are those of any deeper ranking.
 """
 
 from __future__ import annotations
@@ -37,14 +40,17 @@ from .tokenizers import tokenize
 from .transforms import rescale_index
 
 __all__ = [
-    "EvalReport", "BootstrapResult", "SweepTable", "QueryFeatures",
-    "DEFAULT_Q_GRID", "DEFAULT_DF_BINS", "DEFAULT_TOKEN_BUDGETS",
+    "EvalReport", "BootstrapResult", "SweepTable",
+    "NDCG_CUTOFF", "DEFAULT_Q_GRID", "DEFAULT_DF_BINS", "DEFAULT_TOKEN_BUDGETS",
     "ndcg_at_k", "mrr", "recall_at_k",
     "eval_ndcg", "eval_mrr", "eval_recall",
     "paired_bootstrap", "q_sweep", "df_bin_occlusion",
-    "query_features", "recall_at_token_budget", "whitespace_token_counter",
+    "recall_at_token_budget", "whitespace_token_counter",
     "report_to_tsv", "report_to_json", "sweep_to_csv",
 ]
+
+# The one NDCG depth: eval's ndcg@10, the sweep and the occlusion losses.
+NDCG_CUTOFF = 10
 
 DEFAULT_Q_GRID: tuple[float, ...] = (0.05, 0.10, 0.20, 0.30, 0.50, 0.70, 0.90, 1.00)
 
@@ -98,13 +104,6 @@ class SweepTable:
     q_opt: float
 
 
-@dataclass(frozen=True)
-class QueryFeatures:
-    low_df_mass: float
-    median_df: float
-    identifier_fraction: float
-
-
 # ---------------------------------------------------------------- metrics
 
 def _gains(qrels: QrelSet, query_id: str) -> dict[str, int]:
@@ -114,8 +113,14 @@ def _gains(qrels: QrelSet, query_id: str) -> dict[str, int]:
     return rels
 
 
-def ndcg_at_k(ranked: RankedList, qrels: QrelSet, k: int = 10) -> float:
+def _check_cutoff(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"metric cutoff k must be >= 1, got {k}")
+
+
+def ndcg_at_k(ranked: RankedList, qrels: QrelSet, k: int = NDCG_CUTOFF) -> float:
     """NDCG@k with linear gains; the ideal ranking sorts judged relevance."""
+    _check_cutoff(k)
     rels = _gains(qrels, ranked.query_id)
     dcg = 0.0
     for i, (doc_id, _) in enumerate(ranked.hits[:k]):
@@ -138,6 +143,7 @@ def mrr(ranked: RankedList, qrels: QrelSet) -> float:
 
 def recall_at_k(ranked: RankedList, qrels: QrelSet, k: int) -> float:
     """Fraction of judged-relevant documents present in the top k."""
+    _check_cutoff(k)
     rels = _gains(qrels, ranked.query_id)
     top = set(doc_id for doc_id, _ in ranked.hits[:k])
     return sum(1 for d in rels if d in top) / len(rels)
@@ -157,7 +163,8 @@ def _aggregate(rankings: Iterable[RankedList], qrels: QrelSet,
                       n_queries=len(per_query), n_skipped=skipped)
 
 
-def eval_ndcg(rankings: Iterable[RankedList], qrels: QrelSet, k: int = 10) -> EvalReport:
+def eval_ndcg(rankings: Iterable[RankedList], qrels: QrelSet,
+              k: int = NDCG_CUTOFF) -> EvalReport:
     return _aggregate(rankings, qrels, lambda r: ndcg_at_k(r, qrels, k))
 
 
@@ -215,7 +222,7 @@ def paired_bootstrap(metric_a: Mapping[str, float], metric_b: Mapping[str, float
 # ------------------------------------------------------------ diagnostics
 
 def q_sweep(base_index_path: str | Path, queries: QuerySet, qrels: QrelSet,
-            grid: Sequence[float] = DEFAULT_Q_GRID, k: int = 100) -> SweepTable:
+            grid: Sequence[float] = DEFAULT_Q_GRID) -> SweepTable:
     """Mean NDCG@10 across an exponent grid.
 
     The baseline is loaded once; since the rescale is in place, each grid
@@ -231,8 +238,8 @@ def q_sweep(base_index_path: str | Path, queries: QuerySet, qrels: QrelSet,
         index = dataclasses.replace(base, scores=base.scores.copy(),
                                     header=dataclasses.replace(base.header))
         rescale_index(index, q)
-        rankings = batch_retrieve(index, queries, index.header.mode, k)
-        rows.append((float(q), eval_ndcg(rankings, qrels, 10).mean))
+        rankings = batch_retrieve(index, queries, index.header.mode, NDCG_CUTOFF)
+        rows.append((float(q), eval_ndcg(rankings, qrels, NDCG_CUTOFF).mean))
     q_opt, best = rows[0]
     for q, mean in rows[1:]:
         if mean > best or (mean == best and q > q_opt):
@@ -246,8 +253,7 @@ def _bin_contains(lo: int, hi: int | None, df: int) -> bool:
 
 def df_bin_occlusion(index: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
                      bins: Sequence[tuple[int, int | None]] = DEFAULT_DF_BINS,
-                     q: float | None = None, k: int = 100,
-                     ) -> list[tuple[tuple[int, int | None], float]]:
+                     q: float | None = None) -> list[tuple[tuple[int, int | None], float]]:
     """Mean NDCG@10 loss from removing each df bin's tokens from queries.
 
     ``q`` moves a pristine index to the requested operating point first (or
@@ -270,37 +276,18 @@ def df_bin_occlusion(index: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
             continue
         n_eval += 1
         tokens = tokenize(text, mode)
-        full = ndcg_at_k(rank_tokens(index, tokens, k, qid), qrels, 10)
+        full = ndcg_at_k(rank_tokens(index, tokens, NDCG_CUTOFF, qid), qrels, NDCG_CUTOFF)
         dfs = [index.df[index.vocab[t]] if t in index.vocab else 0 for t in tokens]
         for lo, hi in bins:
             kept = [t for t, d in zip(tokens, dfs) if not (d and _bin_contains(lo, hi, d))]
             if len(kept) == len(tokens):
                 continue
-            occluded = ndcg_at_k(rank_tokens(index, kept, k, qid), qrels, 10)
+            occluded = ndcg_at_k(rank_tokens(index, kept, NDCG_CUTOFF, qid), qrels,
+                                 NDCG_CUTOFF)
             losses[(lo, hi)] += full - occluded
     if n_eval == 0:
         raise ValueError("no query has a positively judged document")
     return [((lo, hi), losses[(lo, hi)] / n_eval) for lo, hi in bins]
-
-
-def query_features(surfaces: Sequence[str], dfs: Sequence[int]) -> QueryFeatures:
-    """Shape features of one tokenized query.
-
-    ``surfaces`` are pre-lowercase token surfaces aligned with ``dfs``
-    (df 0 for out-of-vocabulary tokens).  A token counts as an identifier
-    when its surface has an uppercase letter after the first character or
-    contains a dot.  ``median_df`` is the lower median.
-    """
-    if len(surfaces) != len(dfs):
-        raise ValueError("surfaces and dfs must align")
-    if not surfaces:
-        return QueryFeatures(0.0, 0.0, 0.0)
-    n = len(surfaces)
-    low = sum(1 for d in dfs if d <= 5) / n
-    med = float(sorted(dfs)[(n - 1) // 2])
-    ident = sum(1 for s in surfaces
-                if "." in s or any(c.isupper() for c in s[1:])) / n
-    return QueryFeatures(low_df_mass=low, median_df=med, identifier_fraction=ident)
 
 
 def whitespace_token_counter(corpus: Corpus) -> Callable[[str], int]:
@@ -320,14 +307,15 @@ def whitespace_token_counter(corpus: Corpus) -> Callable[[str], int]:
     return count
 
 
-def recall_at_token_budget(index: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
-                           budgets: Sequence[int], counter: Callable[[str], int],
-                           k: int = 100) -> list[tuple[int, float]]:
+def recall_at_token_budget(rankings: Iterable[RankedList], qrels: QrelSet,
+                           budgets: Sequence[int],
+                           counter: Callable[[str], int]) -> list[tuple[int, float]]:
     """Recall under a reading budget of K tokens.
 
     Walk each ranking top-down accumulating ``counter(doc_id)``; a query is
     recalled at budget K when the cumulative count up to and including the
-    first relevant document does not exceed K.  Budgets must be ascending;
+    first relevant document does not exceed K, so a relevant document below
+    the ranking's depth is never recalled.  Budgets must be ascending;
     recall is then monotone in K by construction.
     """
     budgets = list(budgets)
@@ -335,7 +323,6 @@ def recall_at_token_budget(index: SparseScoreIndex, queries: QuerySet, qrels: Qr
         raise ValueError("budgets must be positive")
     if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be strictly ascending")
-    rankings = batch_retrieve(index, queries, index.header.mode, k)
     costs: list[float] = []
     n_eval = 0
     for ranked in rankings:

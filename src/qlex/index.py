@@ -22,8 +22,7 @@ import numpy as np
 
 from .corpus_io import Corpus
 from .errors import BuildError, IndexFormatError
-from .tokenizers import (TokenizerMode, default_stopwords, surface_tokens, tokenize,
-                         word_surfaces)
+from .tokenizers import TokenizerMode, surface_tokens, tokenize, word_surfaces
 
 __all__ = ["BuildParams", "IndexHeader", "SparseScoreIndex", "TokenCounts", "build_index",
            "count_tokens"]
@@ -176,7 +175,6 @@ def count_tokens(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
     token_ids: list[int] = []
     doc_lens: list[int] = []
     if mode in (TokenizerMode.T2, TokenizerMode.T3):
-        stopwords = default_stopwords()
         emissions: dict[str, tuple[int, ...]] = {}
         for doc in corpus:
             before = len(token_ids)
@@ -184,7 +182,7 @@ def count_tokens(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
                 ids = emissions.get(raw)
                 if ids is None:
                     ids = emissions[raw] = tuple(
-                        map(first_seen.__getitem__, surface_tokens(raw, mode, stopwords)))
+                        map(first_seen.__getitem__, surface_tokens(raw, mode)))
                 token_ids.extend(ids)
             doc_lens.append(len(token_ids) - before)
         del emissions

@@ -23,7 +23,6 @@ import enum
 import re
 from functools import lru_cache
 from importlib import resources
-from typing import Collection
 
 __all__ = ["TokenizerMode", "tokenize", "split_identifier", "word_surfaces", "surface_tokens",
            "default_stopwords"]
@@ -99,7 +98,7 @@ def word_surfaces(text: str) -> list[str]:
     return _WORD_RE.findall(text)
 
 
-def surface_tokens(raw: str, mode: TokenizerMode, stopwords: Collection[str]) -> list[str]:
+def surface_tokens(raw: str, mode: TokenizerMode) -> list[str]:
     """The T2 or T3 tokens of one raw surface (an item of :func:`word_surfaces`).
 
     Nothing for a stopword (checked on ``raw.lower()``).  T2 emits the whole
@@ -113,7 +112,7 @@ def surface_tokens(raw: str, mode: TokenizerMode, stopwords: Collection[str]) ->
     if mode not in (TokenizerMode.T2, TokenizerMode.T3):
         raise ValueError(f"mode {mode.value} has no per-surface rule")
     whole = raw.lower()
-    if whole in stopwords:
+    if whole in default_stopwords():
         return []
     parts = split_identifier(raw)
     if mode is TokenizerMode.T3:
@@ -125,12 +124,11 @@ def surface_tokens(raw: str, mode: TokenizerMode, stopwords: Collection[str]) ->
     return unit
 
 
-def tokenize(text: str, mode: TokenizerMode,
-             stopwords: Collection[str] | None = None) -> list[str]:
+def tokenize(text: str, mode: TokenizerMode) -> list[str]:
     """Tokenize ``text`` under the given mode.
 
-    ``stopwords`` defaults to the bundled list; it applies to T0/T2/T3
-    whole tokens only.  T1 never filters.  The returned tokens are
+    The bundled stopword list (:func:`default_stopwords`) applies to
+    T0/T2/T3 whole tokens only; T1 never filters.  The returned tokens are
     lowercase and contain no whitespace.
     """
     if not isinstance(mode, TokenizerMode):
@@ -138,8 +136,7 @@ def tokenize(text: str, mode: TokenizerMode,
     if mode is TokenizerMode.T1:
         return text.lower().split()
 
-    sw = default_stopwords() if stopwords is None else stopwords
     if mode is TokenizerMode.T0:
-        return [m.group(0) for m in _WORD_RE.finditer(text.lower())
-                if m.group(0) not in sw]
-    return [tok for raw in word_surfaces(text) for tok in surface_tokens(raw, mode, sw)]
+        sw = default_stopwords()
+        return [w for w in _WORD_RE.findall(text.lower()) if w not in sw]
+    return [tok for raw in word_surfaces(text) for tok in surface_tokens(raw, mode)]

@@ -183,12 +183,12 @@ def test_criterion_08_synthetic_mechanism(tmp_path):
     path = tmp_path / "mech.qlx"
     save_index(base, path)
 
-    table = q_sweep(path, queries, qrels, grid=DEFAULT_Q_GRID, k=100)
+    table = q_sweep(path, queries, qrels, grid=DEFAULT_Q_GRID)
     means = dict(table.rows)
     assert table.q_opt <= 0.5
     assert means[table.q_opt] - means[1.00] >= 0.2
 
-    rows = df_bin_occlusion(base, queries, qrels, q=table.q_opt, k=100)
+    rows = df_bin_occlusion(base, queries, qrels, q=table.q_opt)
     losses = {bin_: loss for bin_, loss in rows}
     assert max(losses, key=losses.get) == (1, 1)
     assert losses[(1, 1)] > 0.0

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qlex import load_index, load_qrels, load_queries
+from qlex import load_index, load_qrels, load_queries, query
 from qlex.cli import _parse_bins, main
 from qlex.evaluation import (eval_mrr, eval_ndcg, eval_recall, paired_bootstrap,
                              report_to_json)
@@ -120,7 +120,7 @@ class TestAnalysisCommands:
     def test_sweep_csv(self, mech, capsys):
         rc = run("sweep", "--index", mech / "base.qlx",
                  "--queries", mech / "queries.jsonl", "--qrels", mech / "qrels.tsv",
-                 "--grid", "0.1,0.3,1.0", "--k", "50")
+                 "--grid", "0.1,0.3,1.0")
         assert rc == 0
         out = capsys.readouterr()
         lines = out.out.strip().splitlines()
@@ -177,6 +177,31 @@ class TestAnalysisCommands:
                                     other_ndcg.per_query, resamples=500, seed=7)
         assert out == report_to_json(reports, expected)
 
+    def test_eval_ranks_each_query_once_per_index(self, mech, capsys, monkeypatch):
+        run("rescale", "--index", mech / "base.qlx", "--out", mech / "q01.qlx", "--q", "0.1")
+        ranked = []
+        rank_tokens = query.rank_tokens
+        monkeypatch.setattr(query, "rank_tokens",
+                            lambda index, *rest: ranked.append(index) or rank_tokens(index, *rest))
+        rc = run("eval", "--index", mech / "base.qlx",
+                 "--queries", mech / "queries.jsonl", "--qrels", mech / "qrels.tsv",
+                 "--compare-index", mech / "q01.qlx", "--resamples", "100",
+                 "--budgets", "128,1024", "--corpus", mech / "corpus.jsonl")
+        assert rc == 0
+        assert "recall@1024tok" in capsys.readouterr().err
+        n_queries = len(load_queries(mech / "queries.jsonl"))
+        assert len(ranked) == 2 * n_queries
+        assert len({id(index) for index in ranked}) == 2
+
+    @pytest.mark.parametrize("k", ["0", "-95"])
+    def test_eval_rejects_a_cutoff_below_one(self, mech, capsys, k):
+        rc = run("eval", "--index", mech / "base.qlx",
+                 "--queries", mech / "queries.jsonl", "--qrels", mech / "qrels.tsv", "--k", k)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "k must be >= 1" in err
+        assert f"recall@{k}:" not in err
+
     def test_eval_budgets_need_corpus(self, mech, capsys):
         rc = run("eval", "--index", mech / "base.qlx",
                  "--queries", mech / "queries.jsonl", "--qrels", mech / "qrels.tsv",
@@ -193,7 +218,7 @@ class TestAnalysisCommands:
     def test_occlusion_table(self, mech, capsys):
         rc = run("occlusion", "--index", mech / "base.qlx",
                  "--queries", mech / "queries.jsonl", "--qrels", mech / "qrels.tsv",
-                 "--q", "0.1", "--bins", "1,5,100", "--k", "50")
+                 "--q", "0.1", "--bins", "1,5,100")
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "df_lo\tdf_hi\tmean_ndcg_loss"

@@ -1,4 +1,4 @@
-"""Metrics, bootstrap, sweep, occlusion, features, and budget recall."""
+"""Metrics, bootstrap, sweep, occlusion, and budget recall."""
 
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -9,10 +9,11 @@ import pytest
 from qlex import (QrelSet, QuerySet, RankedList, RescaleStateError, batch_retrieve,
                   build_dph_index, build_index, df_bin_occlusion, evaluation, load_index,
                   eval_mrr, eval_ndcg, eval_recall, mrr, ndcg_at_k, paired_bootstrap,
-                  q_sweep, query_features, recall_at_k, recall_at_token_budget,
-                  rescale_index, rescale_index_gamma, save_index, sweep_to_csv, report_to_tsv,
-                  report_to_json, whitespace_token_counter)
+                  q_sweep, recall_at_k, recall_at_token_budget, rescale_index,
+                  rescale_index_gamma, save_index, sweep_to_csv, report_to_tsv, report_to_json,
+                  tokenize, whitespace_token_counter)
 from qlex.evaluation import DEFAULT_DF_BINS, DEFAULT_Q_GRID
+from qlex.query import rank_tokens
 from qlex.tokenizers import TokenizerMode
 
 from conftest import hapax_mechanism_corpus, make_corpus, random_corpus
@@ -68,6 +69,11 @@ class TestNdcg:
         with pytest.raises(ValueError):
             ndcg_at_k(ranked("q1", ["d0"]), qrels, 10)
 
+    @pytest.mark.parametrize("k", [0, -95])
+    def test_cutoff_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            ndcg_at_k(ranked("q1", ["d0"]), qrels_of(q1={"d0": 1}), k)
+
 
 class TestMrrRecall:
     def test_mrr_first_relevant_at_rank_four(self):
@@ -81,6 +87,12 @@ class TestMrrRecall:
     def test_recall_fraction(self):
         qrels = qrels_of(q1={"a": 1, "b": 1, "c": 1, "d": 2})
         assert recall_at_k(ranked("q1", ["a", "x", "d", "y"]), qrels, 3) == 0.5
+
+    @pytest.mark.parametrize("k", [0, -95])
+    def test_recall_cutoff_below_one_rejected(self, k):
+        # hits[:-95] would read as "all but the last 95" and report 1.0.
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            recall_at_k(ranked("q1", ["d0"]), qrels_of(q1={"d0": 1}), k)
 
     def test_aggregate_skips_and_counts_unjudged_queries(self):
         qrels = qrels_of(q1={"a": 1}, q2={"b": 0})
@@ -173,13 +185,13 @@ class TestSweep:
 
     def test_grid_of_one(self, tmp_path):
         path, queries, qrels = self.build_base(tmp_path)
-        table = q_sweep(path, queries, qrels, grid=[1.0], k=50)
+        table = q_sweep(path, queries, qrels, grid=[1.0])
         assert table.q_opt == 1.0
         assert len(table.rows) == 1
 
     def test_ties_prefer_larger_q(self, tmp_path):
         path, queries, qrels = self.build_base(tmp_path)
-        table = q_sweep(path, queries, qrels, grid=[0.05, 0.10, 0.20], k=50)
+        table = q_sweep(path, queries, qrels, grid=[0.05, 0.10, 0.20])
         means = [m for _, m in table.rows]
         assert means[0] == means[1] == means[2] == 1.0
         assert table.q_opt == 0.20
@@ -199,7 +211,7 @@ class TestSweep:
         path = tmp_path / "base.qlx"
         save_index(make_baseline(corpus), path)
         with pytest.raises(RescaleStateError):
-            q_sweep(path, queries, qrels, grid=[0.3, 1.0], k=10)
+            q_sweep(path, queries, qrels, grid=[0.3, 1.0])
 
     def test_loads_once_and_matches_reload_per_point(self, tmp_path, monkeypatch):
         path, queries, qrels = self.build_base(tmp_path)
@@ -213,13 +225,13 @@ class TestSweep:
 
         loads = []
         monkeypatch.setattr(evaluation, "load_index", lambda p: loads.append(p) or load_index(p))
-        table = q_sweep(path, queries, qrels, grid=grid, k=50)
+        table = q_sweep(path, queries, qrels, grid=grid)
         assert loads == [path]
         assert table.rows == reference
 
     def test_csv_output_shape(self, tmp_path):
         path, queries, qrels = self.build_base(tmp_path)
-        table = q_sweep(path, queries, qrels, grid=[0.3, 1.0], k=50)
+        table = q_sweep(path, queries, qrels, grid=[0.3, 1.0])
         csv = sweep_to_csv(table)
         lines = csv.strip().split("\n")
         assert lines[0] == "q,mean_ndcg"
@@ -231,7 +243,7 @@ class TestOcclusion:
         corpus, queries, qrels = hapax_mechanism_corpus(
             n_docs=400, group_size=100, mids_per_group=16, n_queries=30)
         index = build_index(corpus, TokenizerMode.T0)
-        rows = df_bin_occlusion(index, queries, qrels, q=0.1, k=50)
+        rows = df_bin_occlusion(index, queries, qrels, q=0.1)
         by_bin = {b: loss for b, loss in rows}
         assert index.header.applied_q == 0.1
         hapax_loss = by_bin[(1, 1)]
@@ -254,11 +266,32 @@ class TestOcclusion:
         queries = QuerySet([("q1", "rare common")])
         qrels = qrels_of(q1={"d1": 1})
         index = build_index(corpus, TokenizerMode.T1)
-        rows = df_bin_occlusion(index, queries, qrels,
-                                bins=[(1, 1), (2, 2)], k=3)
+        rows = df_bin_occlusion(index, queries, qrels, bins=[(1, 1), (2, 2)])
         by_bin = dict(rows)
         assert by_bin[(1, 1)] < 0.0
         assert by_bin[(2, 2)] == pytest.approx(0.0, abs=1e-12)
+
+    def test_matches_a_depth_100_reference(self):
+        # Occlusion ranks to depth 10 only; NDCG@10 must read the same there.
+        corpus, queries, qrels = hapax_mechanism_corpus(
+            n_docs=400, group_size=100, mids_per_group=16, n_queries=30)
+        index = rescale_index(build_index(corpus, TokenizerMode.T0), 0.3)
+
+        def df(token):
+            return int(index.df[index.vocab[token]]) if token in index.vocab else 0
+
+        judged = [(qid, tokenize(text, TokenizerMode.T0)) for qid, text in queries
+                  if qrels.has_relevant(qid)]
+        expected = []
+        for lo, hi in DEFAULT_DF_BINS:
+            total = 0.0
+            for qid, tokens in judged:
+                kept = [t for t in tokens if not lo <= df(t) <= (hi or math.inf)]
+                total += (ndcg_at_k(rank_tokens(index, tokens, 100, qid), qrels)
+                          - ndcg_at_k(rank_tokens(index, kept, 100, qid), qrels))
+            expected.append(((lo, hi), total / len(judged)))
+        assert any(loss != 0.0 for _, loss in expected)
+        assert df_bin_occlusion(index, queries, qrels) == expected
 
     def test_default_bins_partition(self):
         lows = [lo for lo, _ in DEFAULT_DF_BINS]
@@ -268,49 +301,20 @@ class TestOcclusion:
             assert lo2 == hi + 1
 
 
-class TestQueryFeatures:
-    def test_all_rare_tokens(self):
-        f = query_features(["alpha", "beta"], [1, 1])
-        assert f.low_df_mass == 1.0
-
-    def test_median_df_odd(self):
-        f = query_features(["a", "b", "c"], [1, 10, 100])
-        assert f.median_df == 10.0
-
-    def test_median_df_even_uses_lower(self):
-        f = query_features(["a", "b"], [10, 100])
-        assert f.median_df == 10.0
-
-    def test_identifier_fraction(self):
-        f = query_features(["handleWebSocketUpgrade", "auth"], [3, 500])
-        assert f.identifier_fraction == 0.5
-
-    def test_dotted_and_leading_capital(self):
-        f = query_features(["os.path", "Auth", "内部"], [1, 1, 1])
-        assert f.identifier_fraction == pytest.approx(1 / 3)
-
-    def test_empty_query(self):
-        f = query_features([], [])
-        assert (f.low_df_mass, f.median_df, f.identifier_fraction) == (0.0, 0.0, 0.0)
-
-    def test_alignment_required(self):
-        with pytest.raises(ValueError):
-            query_features(["a"], [1, 2])
-
-
 class TestTokenBudgetRecall:
-    def build(self):
+    def build(self, depth=3):
         # d0: 4 tokens, d1: 6 tokens, d2: 2 tokens. Query hits d0 then d1.
         corpus = make_corpus(["gold gold gold shared", "shared b c d e f", "tiny doc"])
         index = build_index(corpus, TokenizerMode.T1)
         queries = QuerySet([("q1", "gold shared")])
-        return corpus, index, queries
+        rankings = batch_retrieve(index, queries, TokenizerMode.T1, depth)
+        return corpus, rankings
 
     def test_budget_must_cover_gold_prefix(self):
-        corpus, index, queries = self.build()
+        corpus, rankings = self.build()
         qrels = qrels_of(q1={"d1": 1})  # gold at rank 2, behind d0's 4 tokens
         counter = whitespace_token_counter(corpus)
-        rows = recall_at_token_budget(index, queries, qrels, [4, 9, 10, 16], counter, k=3)
+        rows = recall_at_token_budget(rankings, qrels, [4, 9, 10, 16], counter)
         assert rows == [(4, 0.0), (9, 0.0), (10, 1.0), (16, 1.0)]
 
     def test_monotone_in_budget(self):
@@ -320,25 +324,26 @@ class TestTokenBudgetRecall:
         queries = QuerySet([(f"q{i}", f"w{i} w{i+1}") for i in range(10)])
         qrels = QrelSet(judgments={f"q{i}": {f"d{i}": 1} for i in range(10)})
         counter = whitespace_token_counter(corpus)
-        rows = recall_at_token_budget(index, queries, qrels, [8, 32, 128, 512], counter)
+        rankings = batch_retrieve(index, queries, TokenizerMode.T1, 100)
+        rows = recall_at_token_budget(rankings, qrels, [8, 32, 128, 512], counter)
         values = [r for _, r in rows]
         assert values == sorted(values)
 
     def test_unrecalled_when_gold_missing_from_ranking(self):
-        corpus, index, queries = self.build()
+        corpus, rankings = self.build(depth=2)
         qrels = qrels_of(q1={"d2": 1})  # d2 never matches the query
         counter = whitespace_token_counter(corpus)
-        rows = recall_at_token_budget(index, queries, qrels, [10_000], counter, k=2)
+        rows = recall_at_token_budget(rankings, qrels, [10_000], counter)
         assert rows == [(10_000, 0.0)]
 
     def test_budgets_validated(self):
-        corpus, index, queries = self.build()
+        corpus, rankings = self.build()
         counter = whitespace_token_counter(corpus)
         qrels = qrels_of(q1={"d0": 1})
         with pytest.raises(ValueError):
-            recall_at_token_budget(index, queries, qrels, [16, 8], counter)
+            recall_at_token_budget(rankings, qrels, [16, 8], counter)
         with pytest.raises(ValueError):
-            recall_at_token_budget(index, queries, qrels, [], counter)
+            recall_at_token_budget(rankings, qrels, [], counter)
 
 
 class TestReportWriters:

@@ -90,9 +90,6 @@ class TestModes:
     def test_t3_keeps_unsplittable_tokens(self):
         assert tokenize("auth handleUpgrade", T3) == ["auth", "handle", "upgrade"]
 
-    def test_custom_stopwords_override(self):
-        assert tokenize("alpha beta", T0, stopwords={"alpha"}) == ["beta"]
-
     def test_mode_type_checked(self):
         with pytest.raises(TypeError):
             tokenize("x", "t0")
@@ -171,7 +168,7 @@ def _by_surfaces(text: str, mode: TokenizerMode) -> list[str]:
         return [s for s in word_surfaces(text.lower()) if s not in sw]
     if mode is T1:
         return text.lower().split()
-    return [tok for raw in word_surfaces(text) for tok in surface_tokens(raw, mode, sw)]
+    return [tok for raw in word_surfaces(text) for tok in surface_tokens(raw, mode)]
 
 
 class TestSurfaceEmissions:
@@ -200,21 +197,19 @@ class TestSurfaceEmissions:
         assert [raw.lower() for raw in word_surfaces("İDfoo")] == ["i\u0307dfoo"]
 
     def test_stopwords_checked_lowercased(self):
-        sw = default_stopwords()
         for mode in (T2, T3):
-            assert surface_tokens("The", mode, sw) == []
-            assert surface_tokens("OF", mode, sw) == []
+            assert surface_tokens("The", mode) == []
+            assert surface_tokens("OF", mode) == []
 
     def test_underscore_only_parts(self):
-        sw = default_stopwords()
-        assert surface_tokens("__init__", T2, sw) == ["__init__", "init"]
-        assert surface_tokens("__init__", T3, sw) == ["__init__"]
-        assert surface_tokens("x__y", T3, sw) == ["x", "y"]
+        assert surface_tokens("__init__", T2) == ["__init__", "init"]
+        assert surface_tokens("__init__", T3) == ["__init__"]
+        assert surface_tokens("x__y", T3) == ["x", "y"]
 
     @pytest.mark.parametrize("mode", [T0, T1])
     def test_no_rule_for_t0_t1(self, mode):
         with pytest.raises(ValueError):
-            surface_tokens("fooBar", mode, default_stopwords())
+            surface_tokens("fooBar", mode)
 
 
 class TestStopwords:
