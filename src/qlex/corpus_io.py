@@ -53,26 +53,32 @@ class Corpus:
     """An ordered collection of documents with unique, non-empty ids.
 
     ``path`` (kept as an attribute) and ``lines`` (one 1-based source line
-    per document) locate an invalid id in the error message.
+    per document) locate an invalid id in the error message.  ``docs`` is
+    read-only, so what :func:`qlex.index.count_tokens` keeps per corpus
+    object stays true of it.
     """
 
     def __init__(self, documents: Iterable[Document], *, path: str | None = None,
                  lines: Sequence[int] | None = None):
-        self.docs: tuple[Document, ...] = tuple(documents)
+        self._docs: tuple[Document, ...] = tuple(documents)
         self.path = path
-        self._by_id = _index_ids("doc_id", (d.doc_id for d in self.docs), path, lines)
+        self._by_id = _index_ids("doc_id", (d.doc_id for d in self._docs), path, lines)
+
+    @property
+    def docs(self) -> tuple[Document, ...]:
+        return self._docs
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self._docs)
 
     def __iter__(self) -> Iterator[Document]:
-        return iter(self.docs)
+        return iter(self._docs)
 
     def text(self, doc_id: str) -> str:
-        return self.docs[self._by_id[doc_id]].text
+        return self._docs[self._by_id[doc_id]].text
 
     def doc_ids(self) -> list[str]:
-        return [d.doc_id for d in self.docs]
+        return [d.doc_id for d in self._docs]
 
 
 class QuerySet:

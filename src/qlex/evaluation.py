@@ -89,9 +89,15 @@ class BootstrapResult:
     seed: int
 
     def p_label(self) -> str:
-        """Human-readable empirical p, floored at the bootstrap resolution."""
+        """Human-readable empirical p, floored at the bootstrap resolution.
+
+        With zero reversals the bound is ``p <= max(1/R, 1e-4)``: 0.01 at
+        R = 100, 1e-4 at the default R = 10,000 and beyond.
+        """
         if self.sign_reversals == 0 and self.mean_delta != 0.0:
-            return "p <= 1e-4 (empirical resolution)"
+            floor = max(1.0 / self.resamples, 1e-4)
+            shown = "1e-4" if floor == 1e-4 else f"{floor:.4g}"
+            return f"p <= {shown} (empirical resolution)"
         p = max(self.sign_reversals / self.resamples, 1e-4)
         return f"p = {p:.4f}"
 

@@ -7,14 +7,16 @@ Lucene shifted IDF ``log(1 + (N - n_t + 0.5) / (n_t + 0.5))`` times the
 saturated, length-normalized term-frequency factor.  Scores are stored as
 float32; all scoring arithmetic upstream of storage is float64.
 
-:func:`count_tokens` is the one tokenize-and-count pass over a corpus.  A
-scorer is an entry-weight formula over it (BM25 here, DPH in
-:mod:`qlex.transforms`); :mod:`qlex.stats` reads the same pass.
+:func:`count_tokens` is the one tokenize-and-count pass over a corpus, run
+once per corpus object and mode.  A scorer is an entry-weight formula over
+it (BM25 here, DPH in :mod:`qlex.transforms`); :mod:`qlex.stats` reads the
+same pass.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -100,15 +102,20 @@ class SparseScoreIndex:
     @classmethod
     def from_counts(cls, counts: "TokenCounts", weights: np.ndarray, header: IndexHeader,
                     k1: float = math.nan, b: float = math.nan) -> "SparseScoreIndex":
-        """Store float64 per-entry ``weights`` (aligned with ``counts.tfs``) as float32."""
+        """Store float64 per-entry ``weights`` (aligned with ``counts.tfs``) as float32.
+
+        The index shares the read-only arrays of ``counts`` and gets its own
+        ``terms`` and ``doc_ids`` lists, so it cannot change what a later
+        build from the same counts reads.
+        """
         return cls(
             col_ptr=counts.col_ptr,
             row_idx=counts.rows,
             scores=weights.astype(np.float32),
             vocab={t: i for i, t in enumerate(counts.terms)},
-            terms=counts.terms,
+            terms=list(counts.terms),
             df=counts.df,
-            doc_ids=counts.doc_ids,
+            doc_ids=list(counts.doc_ids),
             num_docs=counts.num_docs,
             avg_len=counts.avg_len,
             k1=k1,
@@ -142,32 +149,55 @@ class SparseScoreIndex:
 class TokenCounts:
     """Every (term, document) pair of a corpus with its tf, in CSC order.
 
-    Entry j is term ``tids[j]`` (an index into the sorted ``terms``) in
-    document ``rows[j]``; ``doc_lens`` are post-tokenization lengths.
+    Column t (term ``terms[t]``, sorted) holds entries
+    ``col_ptr[t]:col_ptr[t+1]``: document ``rows[j]`` contains the term
+    ``tfs[j]`` times (both int32).  A per-column value reaches its entries as
+    ``np.repeat(value, df)``.  ``doc_lens`` are post-tokenization lengths.
+    Every field is read-only, because :func:`count_tokens` hands the same
+    object to every consumer of its corpus and mode.
     """
 
-    terms: list[str]
-    doc_ids: list[str]
+    terms: tuple[str, ...]
+    doc_ids: tuple[str, ...]
     num_docs: int
     n_tok: int
     avg_len: float
-    tids: np.ndarray
     rows: np.ndarray
     tfs: np.ndarray
     df: np.ndarray
     col_ptr: np.ndarray
     doc_lens: np.ndarray
 
+    def __post_init__(self):
+        for array in (self.rows, self.tfs, self.df, self.col_ptr, self.doc_lens):
+            array.flags.writeable = False
+
+
+# One TokenCounts per (corpus, mode); an entry lives as long as its corpus.
+_COUNTS: weakref.WeakKeyDictionary[Corpus, dict[TokenizerMode, TokenCounts]] = (
+    weakref.WeakKeyDictionary())
+
 
 def count_tokens(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
     """Tokenize every document once and count its (term, doc) pairs.
 
-    The only corpus tokenization pass: both index builders and the corpus
-    statistics read it.  Under T2/T3 each distinct surface is tokenized
-    once, by :func:`~qlex.tokenizers.surface_tokens`, into a tuple of term
-    ids that every later occurrence reuses; T0 and T1 tokenize per document.
-    Raises BuildError when the corpus has no tokens.
+    The only corpus tokenization pass, run once per corpus object and mode:
+    both index builders and the corpus statistics read it, and later calls
+    return the same read-only result for as long as the (immutable) corpus
+    lives.  Threads counting one corpus at once may each run the pass, to
+    equal results.  Under T2/T3 each distinct surface is tokenized once, by
+    :func:`~qlex.tokenizers.surface_tokens`, into a tuple of term ids that
+    every later occurrence reuses; T0 and T1 tokenize per document.  Raises
+    BuildError, on every call, when the corpus has no tokens.
     """
+    by_mode = _COUNTS.setdefault(corpus, {})
+    counts = by_mode.get(mode)
+    if counts is None:
+        counts = by_mode[mode] = _count(corpus, mode)
+    return counts
+
+
+def _count(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
     num_docs = len(corpus)
     # Ids in first-seen order; a missing key is given the next id.
     first_seen: defaultdict[str, int] = defaultdict()
@@ -191,24 +221,29 @@ def count_tokens(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
             toks = tokenize(doc.text, mode)
             doc_lens.append(len(toks))
             token_ids.extend(map(first_seen.__getitem__, toks))
-    if not token_ids:  # also an empty corpus
+    n_tok = len(token_ids)
+    if not n_tok:  # also an empty corpus
         raise BuildError(f"corpus of {num_docs} documents has no tokens under mode {mode.value}")
 
     terms = sorted(first_seen)
     rank = np.empty(len(terms), dtype=np.int64)
     rank[[first_seen[t] for t in terms]] = np.arange(len(terms))
     keys = rank[np.array(token_ids, dtype=np.int64)]
+    # Transients go before the kept arrays are made, so that those do not
+    # land above freed memory and keep it resident as long as the corpus.
+    del token_ids, first_seen, rank
     keys *= num_docs
     keys += np.repeat(np.arange(num_docs, dtype=np.int64), doc_lens)
     # Sorted unique keys are term-major with ascending documents inside a term.
     keys, tfs = np.unique(keys, return_counts=True)
-    tids = keys // num_docs
-    df = np.bincount(tids, minlength=len(terms))
-    col_ptr = np.concatenate(([0], np.cumsum(df)))
-    return TokenCounts(terms=terms, doc_ids=corpus.doc_ids(), num_docs=num_docs,
-                       n_tok=len(token_ids), avg_len=len(token_ids) / num_docs, tids=tids,
-                       rows=(keys % num_docs).astype(np.int32), tfs=tfs.astype(np.float64),
-                       df=df, col_ptr=col_ptr, doc_lens=np.array(doc_lens, dtype=np.int64))
+    df = np.bincount(keys // num_docs, minlength=len(terms))
+    keys %= num_docs
+    rows, tfs = keys.astype(np.int32), tfs.astype(np.int32)
+    del keys
+    return TokenCounts(terms=tuple(terms), doc_ids=tuple(corpus.doc_ids()), num_docs=num_docs,
+                       n_tok=n_tok, avg_len=n_tok / num_docs, rows=rows, tfs=tfs, df=df,
+                       col_ptr=np.concatenate(([0], np.cumsum(df))),
+                       doc_lens=np.array(doc_lens, dtype=np.int64))
 
 
 def rsj_idf(df: np.ndarray | int, num_docs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,8 +267,8 @@ def build_index(corpus: Corpus, mode: TokenizerMode,
     """
     params = params or BuildParams()
     counts = count_tokens(corpus, mode)
-    tfs, k1, b = counts.tfs, params.k1, params.b
+    tfs, k1, b = counts.tfs.astype(np.float64), params.k1, params.b
     idf = rsj_idf(counts.df, counts.num_docs)[1]
     length_norm = 1.0 - b + b * (counts.doc_lens[counts.rows] / counts.avg_len)
-    weights = idf[counts.tids] * (tfs * (k1 + 1.0) / (tfs + k1 * length_norm))
+    weights = np.repeat(idf, counts.df) * (tfs * (k1 + 1.0) / (tfs + k1 * length_norm))
     return SparseScoreIndex.from_counts(counts, weights, IndexHeader(mode=mode), k1=k1, b=b)

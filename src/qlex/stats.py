@@ -8,7 +8,8 @@ corpus), to a retrieval exponent::
 
 Statistics are read from :func:`qlex.index.count_tokens`, the same
 tokenize-and-count pass that builds the index, so ``htok`` and the index
-agree on what a token is by construction, stopword removal included.
+agree on what a token is by construction, stopword removal included.  After
+a build from the same corpus object and mode they cost no second pass.
 """
 
 from __future__ import annotations
@@ -64,11 +65,13 @@ DEFAULT_PREDICTOR = PredictorModel()
 def compute_corpus_stats(corpus: Corpus, mode: TokenizerMode) -> CorpusStats:
     """Statistics of the index's own tokenize-and-count pass.
 
-    Raises BuildError on an empty or token-free corpus.
+    Reuses the pass of an earlier build from the same corpus object and
+    mode.  Raises BuildError on an empty or token-free corpus.
     """
     counts = count_tokens(corpus, mode)
     n_tok, vocab_size = counts.n_tok, len(counts.terms)
-    hapax_types = int((np.bincount(counts.tids, weights=counts.tfs) == 1).sum())
+    # A type occurs once in the corpus when it is in one document, once.
+    hapax_types = int(((counts.df == 1) & (counts.tfs[counts.col_ptr[:-1]] == 1)).sum())
     df_sorted = np.sort(counts.df)
     return CorpusStats(
         n_tok=n_tok,

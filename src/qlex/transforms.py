@@ -153,9 +153,9 @@ def build_dph_index(corpus: Corpus, mode: TokenizerMode) -> SparseScoreIndex:
     identical to BM25 indexes; only the header's scorer tag differs.
     """
     counts = count_tokens(corpus, mode)
-    tfs, avg_len, num_docs = counts.tfs, counts.avg_len, counts.num_docs
+    tfs, avg_len, num_docs = counts.tfs.astype(np.float64), counts.avg_len, counts.num_docs
     dl = counts.doc_lens[counts.rows].astype(np.float64)
-    coll_freq = np.bincount(counts.tids, weights=tfs)[counts.tids]
+    coll_freq = np.repeat(np.add.reduceat(tfs, counts.col_ptr[:-1]), counts.df)
     f = np.minimum(tfs / dl, 1.0 - 1e-9)
     norm = (1.0 - f) ** 2 / (tfs + 1.0)
     info = tfs * np.log2((tfs * avg_len / dl) * (num_docs / coll_freq))

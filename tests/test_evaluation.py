@@ -125,7 +125,7 @@ class TestBootstrap:
         assert res.mean_delta == pytest.approx(0.2)
         assert res.ci_lo == pytest.approx(0.2) and res.ci_hi == pytest.approx(0.2)
         assert res.sign_reversals == 0
-        assert "1e-4" in res.p_label()
+        assert res.p_label() == "p <= 0.0005 (empirical resolution)"
 
     def test_seed_reproducibility_and_thread_independence(self):
         rng = np.random.default_rng(0)
@@ -172,6 +172,18 @@ class TestBootstrap:
         b = {f"q{i}": 1.0 for i in range(5)}
         res = paired_bootstrap(a, b, resamples=10_000, seed=0)
         assert res.p_label() == "p <= 1e-4 (empirical resolution)"
+
+    @pytest.mark.parametrize("resamples, label", [
+        (100, "p <= 0.01 (empirical resolution)"),
+        (1_000, "p <= 0.001 (empirical resolution)"),
+        (20_000, "p <= 1e-4 (empirical resolution)"),
+    ], ids=["R100", "R1000", "R20000"])
+    def test_zero_reversals_bound_is_one_over_resamples(self, resamples, label):
+        a = {f"q{i}": 0.0 for i in range(5)}
+        b = {f"q{i}": 1.0 for i in range(5)}
+        res = paired_bootstrap(a, b, resamples=resamples, seed=0)
+        assert res.sign_reversals == 0
+        assert res.p_label() == label
 
 
 class TestSweep:

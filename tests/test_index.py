@@ -1,7 +1,9 @@
 """Index construction against hand arithmetic and a dense oracle."""
 
+import gc
 import importlib.util
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from qlex import (BuildError, BuildParams, build_dph_index, build_index, compute_corpus_stats,
                   load_corpus)
+from qlex import index as index_module
 from qlex.index import count_tokens
+from qlex.storage import dumps_index
+from qlex.transforms import rescale_index
 from qlex.tokenizers import TokenizerMode, tokenize
 
 from conftest import make_corpus, random_corpus
@@ -158,6 +163,98 @@ class TestSharedPass:
         assert compute_corpus_stats(corpus, mode) == corpus_stats_by_counters(doc_tokens)
 
 
+_MEMO_TEXTS = ["parseHTTPServer reads the config", "snake_case_id and get2Value",
+               "the config reader parses aa0", "aa0 aa0 parseHTTPServer"]
+
+
+@pytest.fixture
+def tokenizer_calls(monkeypatch):
+    """Count the per-document tokenizer calls of ``count_tokens`` (T0/T1 and T2/T3)."""
+    calls = {"tokenize": 0, "word_surfaces": 0}
+
+    def counting(name):
+        original = getattr(index_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(index_module, name, counting(name))
+    return calls
+
+
+class TestCountsMemo:
+    """One tokenize-and-count pass per corpus object and mode."""
+
+    @pytest.mark.parametrize("mode, tokenizer", [(TokenizerMode.T0, "tokenize"),
+                                                 (TokenizerMode.T2, "word_surfaces")])
+    def test_build_stats_and_dph_tokenize_once(self, tokenizer_calls, mode, tokenizer):
+        corpus = make_corpus(_MEMO_TEXTS)
+        build_index(corpus, mode)
+        compute_corpus_stats(corpus, mode)
+        build_dph_index(corpus, mode)
+        assert tokenizer_calls[tokenizer] == len(corpus)
+        assert sum(tokenizer_calls.values()) == len(corpus)
+
+    def test_modes_are_separate_entries(self, tokenizer_calls):
+        corpus = make_corpus(_MEMO_TEXTS)
+        t0 = count_tokens(corpus, TokenizerMode.T0)
+        t2 = count_tokens(corpus, TokenizerMode.T2)
+        assert t0 is not t2 and t0.terms != t2.terms
+        assert count_tokens(corpus, TokenizerMode.T0) is t0
+        assert count_tokens(corpus, TokenizerMode.T2) is t2
+        assert tokenizer_calls == {"tokenize": len(corpus), "word_surfaces": len(corpus)}
+
+    def test_equal_corpus_counts_again_to_the_same_bytes(self, tokenizer_calls):
+        first, second = make_corpus(_MEMO_TEXTS), make_corpus(_MEMO_TEXTS)
+        for mode in (TokenizerMode.T0, TokenizerMode.T2):
+            assert dumps_index(build_index(first, mode)) == dumps_index(build_index(second, mode))
+            assert (dumps_index(build_dph_index(first, mode))
+                    == dumps_index(build_dph_index(second, mode)))
+            assert compute_corpus_stats(first, mode) == compute_corpus_stats(second, mode)
+        assert tokenizer_calls == {"tokenize": 2 * len(first), "word_surfaces": 2 * len(first)}
+
+    def test_build_error_is_raised_on_every_call(self, tokenizer_calls):
+        corpus = make_corpus(["the of a", ". .."])
+        for _ in range(2):
+            with pytest.raises(BuildError):
+                count_tokens(corpus, TokenizerMode.T0)
+        assert tokenizer_calls["tokenize"] == 2 * len(corpus)
+
+    def test_entry_lives_as_long_as_its_corpus(self):
+        corpus = make_corpus(_MEMO_TEXTS)
+        counts = weakref.ref(count_tokens(corpus, TokenizerMode.T0))
+        build_index(corpus, TokenizerMode.T0)
+        gc.collect()
+        assert counts() is not None
+        del corpus
+        gc.collect()
+        assert counts() is None
+
+    def test_mutating_an_index_leaves_later_builds_unchanged(self):
+        corpus = make_corpus(_MEMO_TEXTS)
+        for build in (build_index, build_dph_index):
+            expected = dumps_index(build(corpus, TokenizerMode.T0))
+            index = build(corpus, TokenizerMode.T0)
+            for array in (index.col_ptr, index.row_idx, index.df, index.doc_lens):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] += 1
+            index.terms[0] = "mutated"
+            index.doc_ids.reverse()
+            index.scores[:] = 0.0
+            assert dumps_index(build(corpus, TokenizerMode.T0)) == expected
+        rescale_index(build_index(corpus, TokenizerMode.T0), 0.3)
+        assert dumps_index(build_index(corpus, TokenizerMode.T0)) == dumps_index(
+            build_index(make_corpus(_MEMO_TEXTS), TokenizerMode.T0))
+
+    def test_corpus_documents_cannot_be_reassigned(self):
+        corpus = make_corpus(_MEMO_TEXTS)
+        with pytest.raises(AttributeError):
+            corpus.docs = ()
+        assert len(corpus.docs) == len(_MEMO_TEXTS)
+
+
 class TestBenchmarkText:
     """The shared pass against the Counter oracles on each benchmark workload's corpus."""
 
@@ -169,7 +266,7 @@ class TestBenchmarkText:
             doc_tokens = [tokenize(doc.text, mode) for doc in corpus]
             terms, col_ptr, row_idx, tfs, doc_lens = csc_by_counters(doc_tokens)
             counts = count_tokens(corpus, mode)
-            assert counts.terms == terms
+            assert list(counts.terms) == terms
             assert counts.col_ptr.tolist() == col_ptr
             assert counts.rows.tolist() == row_idx
             assert counts.tfs.tolist() == tfs
