@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus_io import Corpus, QuerySet, QrelSet
-from .errors import QlexError, RescaleStateError
+from .errors import QlexError
 from .index import SparseScoreIndex
 from .query import RankedList, batch_retrieve, rank_tokens
 from .storage import load_index
@@ -117,6 +117,16 @@ def _gains(qrels: QrelSet, query_id: str) -> dict[str, int]:
     if not rels:
         raise ValueError(f"query {query_id!r} has no positively judged document")
     return rels
+
+
+def _judged(items: Iterable, qrels: QrelSet,
+            query_id: Callable[[object], str] = lambda entry: entry[0]) -> list:
+    """The items (by default (query_id, text) pairs) whose query has a
+    positively judged document, in order; ValueError when there is none."""
+    judged = [item for item in items if qrels.has_relevant(query_id(item))]
+    if not judged:
+        raise ValueError("no query has a positively judged document")
+    return judged
 
 
 def _check_cutoff(k: int) -> None:
@@ -232,17 +242,18 @@ def q_sweep(base_index_path: str | Path, queries: QuerySet, qrels: QrelSet,
     """Mean NDCG@10 across an exponent grid.
 
     The baseline is loaded once; since the rescale is in place, each grid
-    point rescales a copy with its own scores and header, and
-    :func:`rescale_index` refuses a DPH or already-rescaled baseline.  Ties
-    on the mean prefer the larger exponent (the one closer to plain BM25).
+    point rescales a copy with its own scores, and :func:`rescale_index`
+    refuses a DPH or already-rescaled baseline.  Ties on the mean prefer the
+    larger exponent (the one closer to plain BM25).  ValueError, before any
+    load, when no query has a positively judged document.
     """
     if not grid:
         raise ValueError("sweep grid must be non-empty")
+    _judged(queries, qrels)
     base = load_index(base_index_path)
     rows: list[tuple[float, float]] = []
     for q in grid:
-        index = dataclasses.replace(base, scores=base.scores.copy(),
-                                    header=dataclasses.replace(base.header))
+        index = dataclasses.replace(base, scores=base.scores.copy())
         rescale_index(index, q)
         rankings = batch_retrieve(index, queries, index.header.mode, NDCG_CUTOFF)
         rows.append((float(q), eval_ndcg(rankings, qrels, NDCG_CUTOFF).mean))
@@ -262,25 +273,24 @@ def df_bin_occlusion(index: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
                      q: float | None = None) -> list[tuple[tuple[int, int | None], float]]:
     """Mean NDCG@10 loss from removing each df bin's tokens from queries.
 
-    ``q`` moves a pristine index to the requested operating point first (or
-    validates an already-rescaled index).  A query with no tokens in a bin
-    contributes zero loss for that bin.  Losses are not clamped: a negative
-    mean means removing that bin helped.
+    ValueError unless ``bins`` are non-empty, ascending, disjoint inclusive
+    ranges from df 1 with only the last one open.  ``q`` moves a pristine
+    index to the requested operating point first (an index already there is
+    used as it is).  A query with no tokens in a bin contributes zero loss
+    for that bin.  Losses are not clamped: a negative mean means removing
+    that bin helped.
     """
-    if q is not None:
-        applied = index.header.applied_q
-        if applied is None:
-            rescale_index(index, q)  # identity at q = 1.0
-        elif applied != q:
-            raise RescaleStateError(
-                f"index already rescaled at q={applied}, cannot occlude at q={q}")
+    ends = [0] + [hi for _, hi in bins]  # the end of the bin before each bin
+    if not bins or not all(end is not None and end < lo and (hi is None or lo <= hi)
+                           for (lo, hi), end in zip(bins, ends)):
+        raise ValueError("df bins must be non-empty, ascending and disjoint from 1, with "
+                         f"only the last one open; got {list(bins)}")
+    judged = _judged(queries, qrels)
+    if q is not None and index.header.applied_q != q:
+        rescale_index(index, q)  # identity at q = 1.0
     mode = index.header.mode
     losses = {b: 0.0 for b in bins}
-    n_eval = 0
-    for qid, text in queries:
-        if not qrels.has_relevant(qid):
-            continue
-        n_eval += 1
+    for qid, text in judged:
         tokens = tokenize(text, mode)
         full = ndcg_at_k(rank_tokens(index, tokens, NDCG_CUTOFF, qid), qrels, NDCG_CUTOFF)
         dfs = [index.df[index.vocab[t]] if t in index.vocab else 0 for t in tokens]
@@ -291,9 +301,7 @@ def df_bin_occlusion(index: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
             occluded = ndcg_at_k(rank_tokens(index, kept, NDCG_CUTOFF, qid), qrels,
                                  NDCG_CUTOFF)
             losses[(lo, hi)] += full - occluded
-    if n_eval == 0:
-        raise ValueError("no query has a positively judged document")
-    return [((lo, hi), losses[(lo, hi)] / n_eval) for lo, hi in bins]
+    return [((lo, hi), losses[(lo, hi)] / len(judged)) for lo, hi in bins]
 
 
 def whitespace_token_counter(corpus: Corpus) -> Callable[[str], int]:
@@ -329,12 +337,9 @@ def recall_at_token_budget(rankings: Iterable[RankedList], qrels: QrelSet,
         raise ValueError("budgets must be positive")
     if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be strictly ascending")
+    judged = _judged(rankings, qrels, lambda ranked: ranked.query_id)
     costs: list[float] = []
-    n_eval = 0
-    for ranked in rankings:
-        if not qrels.has_relevant(ranked.query_id):
-            continue
-        n_eval += 1
+    for ranked in judged:
         rels = qrels.relevant_docs(ranked.query_id)
         cumulative = 0
         cost = math.inf
@@ -344,9 +349,7 @@ def recall_at_token_budget(rankings: Iterable[RankedList], qrels: QrelSet,
                 cost = cumulative
                 break
         costs.append(cost)
-    if n_eval == 0:
-        raise ValueError("no query has a positively judged document")
-    return [(int(k_budget), sum(1 for c in costs if c <= k_budget) / n_eval)
+    return [(int(k_budget), sum(1 for c in costs if c <= k_budget) / len(judged))
             for k_budget in budgets]
 
 

@@ -47,18 +47,36 @@ class BuildParams:
             raise ValueError(f"b must lie in [0, 1], got {self.b}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class IndexHeader:
-    """Auditable index state: tokenizer mode, scorer, and applied transforms.
+    """Index state the arrays do not imply, and the one definition of a legal one.
 
-    ``applied_q`` / ``applied_gamma`` are None until the corresponding
-    in-place IDF transform has been run; an index accepts at most one.
+    Construction raises ValueError unless a BM25 header's k1 and b pass
+    :class:`BuildParams` and a DPH header's are NaN, avg_len is finite and
+    > 0, and at most one transform mark is set (None means not applied): a
+    finite ``applied_q`` or a finite ``applied_gamma`` > 0, on BM25 only.
     """
 
     mode: TokenizerMode
-    scorer: str = SCORER_BM25
+    scorer: str
+    k1: float
+    b: float
+    avg_len: float
     applied_q: float | None = None
     applied_gamma: float | None = None
+
+    def __post_init__(self):
+        if self.scorer == SCORER_BM25:
+            BuildParams(k1=self.k1, b=self.b)
+        elif not (self.scorer == SCORER_DPH and math.isnan(self.k1) and math.isnan(self.b)):
+            raise ValueError(f"scorer {self.scorer!r} is neither bm25 nor dph with NaN k1 and b")
+        if not (math.isfinite(self.avg_len) and self.avg_len > 0):
+            raise ValueError(f"avg_len must be finite and > 0, got {self.avg_len}")
+        marks = [v for v in (self.applied_q, self.applied_gamma) if v is not None]
+        if marks and (len(marks) > 1 or not math.isfinite(marks[0]) or self.scorer != SCORER_BM25
+                      or not (self.applied_gamma is None or self.applied_gamma > 0)):
+            raise ValueError("a rescale sets one finite q or gamma > 0, on a BM25 index only; "
+                             f"got q={self.applied_q}, gamma={self.applied_gamma}")
 
 
 @dataclass
@@ -79,9 +97,6 @@ class SparseScoreIndex:
     df: np.ndarray
     doc_ids: list[str]
     num_docs: int
-    avg_len: float
-    k1: float
-    b: float
     header: IndexHeader
     # Available after an in-process build; not serialized (scoring never reads it).
     doc_lens: np.ndarray | None = field(repr=False, default=None)
@@ -100,8 +115,8 @@ class SparseScoreIndex:
         return self.row_idx[start:end], self.scores[start:end]
 
     @classmethod
-    def from_counts(cls, counts: "TokenCounts", weights: np.ndarray, header: IndexHeader,
-                    k1: float = math.nan, b: float = math.nan) -> "SparseScoreIndex":
+    def from_counts(cls, counts: "TokenCounts", weights: np.ndarray,
+                    header: IndexHeader) -> "SparseScoreIndex":
         """Store float64 per-entry ``weights`` (aligned with ``counts.tfs``) as float32.
 
         The index shares the read-only arrays of ``counts`` and gets its own
@@ -117,9 +132,6 @@ class SparseScoreIndex:
             df=counts.df,
             doc_ids=list(counts.doc_ids),
             num_docs=counts.num_docs,
-            avg_len=counts.avg_len,
-            k1=k1,
-            b=b,
             header=header,
             doc_lens=counts.doc_lens,
         )
@@ -271,4 +283,5 @@ def build_index(corpus: Corpus, mode: TokenizerMode,
     idf = rsj_idf(counts.df, counts.num_docs)[1]
     length_norm = 1.0 - b + b * (counts.doc_lens[counts.rows] / counts.avg_len)
     weights = np.repeat(idf, counts.df) * (tfs * (k1 + 1.0) / (tfs + k1 * length_norm))
-    return SparseScoreIndex.from_counts(counts, weights, IndexHeader(mode=mode), k1=k1, b=b)
+    header = IndexHeader(mode=mode, scorer=SCORER_BM25, k1=k1, b=b, avg_len=counts.avg_len)
+    return SparseScoreIndex.from_counts(counts, weights, header)

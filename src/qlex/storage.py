@@ -20,8 +20,11 @@ transform was applied, so a rescaled index is byte-for-byte the same size
 as its baseline.  ``df`` is not stored; it is recomputed from ``col_ptr``.
 
 A file is untrusted input: any malformed file raises IndexFormatError at
-load, including header numbers no build or rescale writes (``_check_header``)
-and a bad CSC structure (``SparseScoreIndex.check_invariants``).
+load.  This module checks bytes only: magic, version, ordinals, lengths
+and trailing bytes.  Which header states are legal is defined once, by
+:class:`~qlex.index.IndexHeader`, whose ValueError becomes a "corrupt
+header" error here; a bad CSC structure is caught by
+``SparseScoreIndex.check_invariants``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IndexFormatError
-from .index import SCORER_BM25, SCORER_DPH, BuildParams, IndexHeader, SparseScoreIndex
+from .index import SCORER_BM25, SCORER_DPH, IndexHeader, SparseScoreIndex
 from .tokenizers import TokenizerMode
 
 __all__ = ["INDEX_FORMAT_VERSION", "save_index", "load_index", "dumps_index", "loads_index"]
@@ -54,12 +57,12 @@ def dumps_index(index: SparseScoreIndex) -> bytes:
         INDEX_FORMAT_VERSION,
         _MODES.index(header.mode),
         _SCORERS.index(header.scorer),
-        index.k1,
-        index.b,
+        header.k1,
+        header.b,
         math.nan if header.applied_q is None else header.applied_q,
         math.nan if header.applied_gamma is None else header.applied_gamma,
         index.num_docs,
-        index.avg_len,
+        header.avg_len,
         index.vocab_size,
         index.nnz,
     )
@@ -120,26 +123,6 @@ class _Reader:
         return np.frombuffer(raw, dtype=dtype).copy()
 
 
-def _check_header(scorer: str, k1: float, b: float, avg_len: float,
-                  applied_q: float, applied_gamma: float) -> None:
-    """Raise IndexFormatError unless the header's numbers are ones a build and
-    at most one rescale can write (NaN marks an unset k1/b or transform)."""
-    if scorer == SCORER_BM25:
-        try:
-            BuildParams(k1=k1, b=b)
-        except ValueError as exc:
-            raise IndexFormatError(f"corrupt header: {exc}") from None
-    elif not (math.isnan(k1) and math.isnan(b)):
-        raise IndexFormatError("corrupt header: a DPH index stores NaN k1 and b")
-    if not (math.isfinite(avg_len) and avg_len > 0):
-        raise IndexFormatError(f"corrupt header: avg_len must be finite and > 0, got {avg_len}")
-    applied = [v for v in (applied_q, applied_gamma) if not math.isnan(v)]
-    if applied and (len(applied) > 1 or not math.isfinite(applied[0])
-                    or applied_gamma <= 0 or scorer != SCORER_BM25):
-        raise IndexFormatError("corrupt header: a rescale sets one finite q or gamma > 0, "
-                               "on a BM25 index only")
-
-
 def loads_index(data: bytes) -> SparseScoreIndex:
     reader = _Reader(data)
     if reader.take(len(_MAGIC)) != _MAGIC:
@@ -151,7 +134,13 @@ def loads_index(data: bytes) -> SparseScoreIndex:
                                f"this build reads version {INDEX_FORMAT_VERSION}")
     if not (0 <= mode_ord < len(_MODES) and 0 <= scorer_ord < len(_SCORERS)):
         raise IndexFormatError("corrupt header: unknown mode or scorer ordinal")
-    _check_header(_SCORERS[scorer_ord], k1, b, avg_len, applied_q, applied_gamma)
+    try:
+        header = IndexHeader(
+            mode=_MODES[mode_ord], scorer=_SCORERS[scorer_ord], k1=k1, b=b, avg_len=avg_len,
+            applied_q=None if math.isnan(applied_q) else applied_q,
+            applied_gamma=None if math.isnan(applied_gamma) else applied_gamma)
+    except ValueError as exc:
+        raise IndexFormatError(f"corrupt header: {exc}") from None
 
     terms = reader.json_strings()
     doc_ids = reader.json_strings()
@@ -161,12 +150,6 @@ def loads_index(data: bytes) -> SparseScoreIndex:
     if reader.pos != len(data):
         raise IndexFormatError(f"{len(data) - reader.pos} trailing bytes after index payload")
 
-    header = IndexHeader(
-        mode=_MODES[mode_ord],
-        scorer=_SCORERS[scorer_ord],
-        applied_q=None if math.isnan(applied_q) else applied_q,
-        applied_gamma=None if math.isnan(applied_gamma) else applied_gamma,
-    )
     index = SparseScoreIndex(
         col_ptr=col_ptr,
         row_idx=row_idx,
@@ -176,9 +159,6 @@ def loads_index(data: bytes) -> SparseScoreIndex:
         df=np.diff(col_ptr),
         doc_ids=doc_ids,
         num_docs=num_docs,
-        avg_len=avg_len,
-        k1=k1,
-        b=b,
         header=header,
     )
     index.check_invariants()

@@ -21,6 +21,7 @@ header records it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable
 
@@ -86,11 +87,12 @@ def _rescale(index: SparseScoreIndex, name: str, value: float,
              factors: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> SparseScoreIndex:
     """Multiply each entry of column t by ``factors(odds, idf)[t]``, all or nothing.
 
-    Refuses a DPH or rescaled index; ``value == 1.0`` is the untouched,
-    unmarked identity.  ``odds`` and ``idf`` are the ones the build baked
-    with (:func:`qlex.index.rsj_idf`).  The float64 products are written back
-    as float32, and ``applied_<name>`` is marked, only if every narrowed score
-    is finite; otherwise ValueError leaves scores and header as they were.
+    Refuses a DPH or rescaled index (RescaleStateError), then a value the
+    marked :class:`~qlex.index.IndexHeader` refuses (ValueError); ``value ==
+    1.0`` is the untouched, unmarked identity.  ``odds`` and ``idf`` are the
+    build's (:func:`qlex.index.rsj_idf`).  The float64 products are written
+    back as float32, and the marked header replaces the old one, only if
+    every narrowed score is finite; otherwise ValueError changes nothing.
     """
     header = index.header
     if header.scorer != SCORER_BM25:
@@ -100,6 +102,7 @@ def _rescale(index: SparseScoreIndex, name: str, value: float,
         if applied is not None:
             raise RescaleStateError(f"{name} rescale refused: index already rescaled "
                                     f"at {done}={applied}")
+    marked = dataclasses.replace(header, **{f"applied_{name}": value})
     if value == 1.0:
         return index
     odds, idf = rsj_idf(index.df, index.num_docs)
@@ -111,7 +114,7 @@ def _rescale(index: SparseScoreIndex, name: str, value: float,
         raise ValueError(f"rescale to {name}={value} gives non-finite float32 scores; "
                          "index left unchanged")
     index.scores[...] = narrowed
-    setattr(header, f"applied_{name}", value)
+    index.header = marked
     return index
 
 
@@ -121,22 +124,18 @@ def rescale_index(index: SparseScoreIndex, q: float) -> SparseScoreIndex:
     Each stored entry of column t is multiplied by
     ``idf_qlog(n_t, N, q) / idf_lucene(n_t, N)`` in one O(|V| + nnz) pass.
     q = 1.0 exactly returns the index untouched, bit for bit, and unmarked.
-    A second rescale is a state error; a q whose scores overflow float32 is
-    a ValueError that leaves the index untouched.
+    A second rescale is a state error; a non-finite q, or one whose scores
+    overflow float32, is a ValueError that leaves the index untouched.
     """
-    if not math.isfinite(q):
-        raise ValueError(f"q must be finite, got {q}")
     return _rescale(index, "q", q, lambda odds, idf: _ln_q_vec(odds, q) / idf)
 
 
 def rescale_index_gamma(index: SparseScoreIndex, gamma: float) -> SparseScoreIndex:
     """Sharpen the baked IDF to ``idf ** gamma`` (column factor idf^(gamma-1)).
 
-    gamma = 1.0 exactly is the untouched identity; gamma <= 0 is a domain
-    error.  Same single-shot state and overflow rules as :func:`rescale_index`.
+    gamma = 1.0 exactly is the untouched identity; a non-finite or non-positive
+    gamma is a domain error.  Same state and overflow rules as :func:`rescale_index`.
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     return _rescale(index, "gamma", gamma, lambda odds, idf: np.power(idf, gamma - 1.0))
 
 
@@ -160,4 +159,5 @@ def build_dph_index(corpus: Corpus, mode: TokenizerMode) -> SparseScoreIndex:
     norm = (1.0 - f) ** 2 / (tfs + 1.0)
     info = tfs * np.log2((tfs * avg_len / dl) * (num_docs / coll_freq))
     weights = norm * (info + 0.5 * np.log2(2.0 * math.pi * tfs * (1.0 - f)))
-    return SparseScoreIndex.from_counts(counts, weights, IndexHeader(mode=mode, scorer=SCORER_DPH))
+    header = IndexHeader(mode=mode, scorer=SCORER_DPH, k1=math.nan, b=math.nan, avg_len=avg_len)
+    return SparseScoreIndex.from_counts(counts, weights, header)

@@ -12,6 +12,30 @@ from qlex import Corpus, Document, QrelSet, QuerySet
 from qlex.tokenizers import TokenizerMode
 
 
+# Header states no build or rescale writes: (scorer, fields that differ from
+# a freshly built index of that scorer).  IndexHeader refuses each at
+# construction, and a file carrying one is a corrupt-header error.
+IMPOSSIBLE_HEADERS = [
+    ("bm25", {"k1": float("nan")}),
+    ("bm25", {"k1": 0.0}),
+    ("bm25", {"b": 7.0}),
+    ("bm25", {"b": float("nan")}),
+    ("bm25", {"avg_len": -1.0}),
+    ("bm25", {"avg_len": float("inf")}),
+    ("bm25", {"applied_q": 0.5, "applied_gamma": 2.0}),
+    ("bm25", {"applied_q": float("inf")}),
+    ("bm25", {"applied_gamma": float("-inf")}),
+    ("bm25", {"applied_gamma": -3.0}),
+    ("dph", {"k1": 1.5}),
+    ("dph", {"b": 0.75}),
+    ("dph", {"avg_len": 0.0}),
+    ("dph", {"applied_q": 0.5}),
+]
+IMPOSSIBLE_HEADER_IDS = ["k1_nan", "k1_zero", "b_7", "b_nan", "avg_len_negative", "avg_len_inf",
+                         "q_and_gamma", "q_inf", "gamma_inf", "gamma_negative", "dph_k1",
+                         "dph_b", "dph_avg_len_zero", "dph_rescaled"]
+
+
 def make_corpus(texts: list[str], prefix: str = "d") -> Corpus:
     return Corpus([Document(f"{prefix}{i}", t) for i, t in enumerate(texts)])
 

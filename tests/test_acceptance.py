@@ -73,10 +73,8 @@ def _synthetic_index(nnz: int, rows_per_col: int = 100,
         df=np.full(v, rows_per_col, dtype=np.int64),
         doc_ids=[f"d{i}" for i in range(num_docs)],
         num_docs=num_docs,
-        avg_len=float(rows_per_col),
-        k1=1.5,
-        b=0.75,
-        header=IndexHeader(mode=TokenizerMode.T1, scorer=SCORER_BM25),
+        header=IndexHeader(mode=TokenizerMode.T1, scorer=SCORER_BM25, k1=1.5, b=0.75,
+                           avg_len=float(rows_per_col)),
     )
 
 
@@ -247,11 +245,11 @@ def test_criterion_12_systems_overhead_shape():
     times = []
     for nnz in sizes:
         index = _synthetic_index(nnz)
-        pristine = index.scores.copy()
+        pristine, pristine_header = index.scores.copy(), index.header
         best = math.inf
         for _ in range(3):
             index.scores[...] = pristine
-            index.header.applied_q = None
+            index.header = pristine_header
             t0 = time.perf_counter()
             rescale_index(index, 0.5)
             best = min(best, time.perf_counter() - t0)

@@ -301,10 +301,27 @@ class TestErrorsAndParsing:
 
     def test_parse_bins(self):
         assert _parse_bins("1,5,20") == [(1, 1), (2, 5), (6, 20), (21, None)]
-        with pytest.raises(ValueError):
-            _parse_bins("5,5")
-        with pytest.raises(ValueError):
-            _parse_bins("0,5")
+
+    @pytest.mark.parametrize("edges", ["5,5", "0,5", "9,3"])
+    def test_occlusion_rejects_bad_bin_edges(self, workdir, capsys, edges):
+        run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "base.qlx")
+        capsys.readouterr()
+        rc = run("occlusion", "--index", workdir / "base.qlx", "--queries",
+                 workdir / "queries.jsonl", "--qrels", workdir / "qrels.tsv", "--bins", edges)
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "occlusion"])
+    def test_no_judged_query_is_exit_one(self, workdir, capsys, command):
+        run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "base.qlx")
+        write_qrels(workdir / "other.tsv", [("absent", "d0", 1)])
+        capsys.readouterr()
+        rc = run(command, "--index", workdir / "base.qlx", "--queries",
+                 workdir / "queries.jsonl", "--qrels", workdir / "other.tsv")
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error: no query has a positively judged document" in captured.err
+        assert "q_opt" not in captured.err and captured.out == ""
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -213,6 +213,14 @@ class TestSweep:
         with pytest.raises(ValueError):
             q_sweep(path, queries, qrels, grid=[])
 
+    def test_no_judged_query_rejected_before_loading(self, tmp_path):
+        path, queries, _ = self.build_base(tmp_path)
+        unjudged = qrels_of(absent={"d0": 1})
+        with pytest.raises(ValueError, match="no query has a positively judged document"):
+            q_sweep(path, queries, unjudged)
+        with pytest.raises(ValueError, match="no query has a positively judged document"):
+            q_sweep(tmp_path / "missing.qlx", queries, unjudged)
+
     @pytest.mark.parametrize("make_baseline", [
         lambda corpus: rescale_index(build_index(corpus, TokenizerMode.T0), 0.5),
         lambda corpus: rescale_index_gamma(build_index(corpus, TokenizerMode.T0), 2.0),
@@ -304,6 +312,31 @@ class TestOcclusion:
             expected.append(((lo, hi), total / len(judged)))
         assert any(loss != 0.0 for _, loss in expected)
         assert df_bin_occlusion(index, queries, qrels) == expected
+
+    @pytest.mark.parametrize("bins", [
+        [], [(0, 3)], [(5, 2)], [(1, 1), (1, None)], [(1, 5), (3, 8)], [(3, 5), (1, 2)],
+        [(1, None), (2, 5)], [(1, 1), (2, None), (3, None)],
+    ], ids=["empty", "lo_zero", "hi_below_lo", "open_overlaps", "overlap", "descending",
+            "open_not_last", "two_open"])
+    def test_invalid_bins_rejected(self, bins):
+        corpus, queries, qrels = hapax_mechanism_corpus(100, 10, 4, 10)
+        index = build_index(corpus, TokenizerMode.T0)
+        with pytest.raises(ValueError, match="df bins"):
+            df_bin_occlusion(index, queries, qrels, bins=bins, q=0.3)
+        assert index.header.applied_q is None
+
+    def test_no_judged_query_rejected(self):
+        corpus, queries, _ = hapax_mechanism_corpus(100, 10, 4, 10)
+        index = build_index(corpus, TokenizerMode.T0)
+        with pytest.raises(ValueError, match="no query has a positively judged document"):
+            df_bin_occlusion(index, queries, qrels_of(absent={"d0": 1}), q=0.3)
+        assert index.header.applied_q is None
+
+    def test_gapped_and_single_open_bins_accepted(self):
+        corpus, queries, qrels = hapax_mechanism_corpus(100, 10, 4, 10)
+        index = build_index(corpus, TokenizerMode.T0)
+        assert len(df_bin_occlusion(index, queries, qrels, bins=[(1, None)])) == 1
+        assert len(df_bin_occlusion(index, queries, qrels, bins=[(1, 1), (5, None)])) == 2
 
     def test_default_bins_partition(self):
         lows = [lo for lo, _ in DEFAULT_DF_BINS]

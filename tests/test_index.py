@@ -1,5 +1,6 @@
 """Index construction against hand arithmetic and a dense oracle."""
 
+import dataclasses
 import gc
 import importlib.util
 import math
@@ -10,15 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qlex import (BuildError, BuildParams, build_dph_index, build_index, compute_corpus_stats,
-                  load_corpus)
+from qlex import (BuildError, BuildParams, IndexHeader, RescaleStateError, build_dph_index,
+                  build_index, compute_corpus_stats, load_corpus)
 from qlex import index as index_module
 from qlex.index import count_tokens
-from qlex.storage import dumps_index
+from qlex.storage import dumps_index, loads_index
 from qlex.transforms import rescale_index
 from qlex.tokenizers import TokenizerMode, tokenize
 
-from conftest import make_corpus, random_corpus
+from conftest import IMPOSSIBLE_HEADER_IDS, IMPOSSIBLE_HEADERS, make_corpus, random_corpus
 from oracles import bm25_scores, corpus_stats_by_counters, csc_by_counters, lucene_idf
 
 # Stopwords, length-1 words, punctuation, camel/snake identifiers and
@@ -71,7 +72,7 @@ class TestHandValues:
         corpus = make_corpus(["the a of parser", "parser state machine"])
         index = build_index(corpus, TokenizerMode.T0)
         assert index.doc_lens.tolist() == [1, 3]
-        assert index.avg_len == 2.0
+        assert index.header.avg_len == 2.0
 
 
 class TestStructure:
@@ -253,6 +254,69 @@ class TestCountsMemo:
         with pytest.raises(AttributeError):
             corpus.docs = ()
         assert len(corpus.docs) == len(_MEMO_TEXTS)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _legal_headers(draw):
+    mode = draw(st.sampled_from(list(TokenizerMode)))
+    avg_len = draw(_POSITIVE)
+    if draw(st.booleans()):
+        return IndexHeader(mode=mode, scorer="dph", k1=math.nan, b=math.nan, avg_len=avg_len)
+    mark = draw(st.one_of(st.just({}), st.fixed_dictionaries({"applied_q": _FINITE}),
+                          st.fixed_dictionaries({"applied_gamma": _POSITIVE})))
+    return IndexHeader(mode=mode, scorer="bm25", k1=draw(_POSITIVE),
+                       b=draw(st.floats(min_value=0.0, max_value=1.0)), avg_len=avg_len, **mark)
+
+
+class TestIndexHeader:
+    """IndexHeader is the one definition of a legal index state."""
+
+    @pytest.mark.parametrize("scorer, fields", IMPOSSIBLE_HEADERS, ids=IMPOSSIBLE_HEADER_IDS)
+    def test_impossible_state_refused_at_construction(self, scorer, fields):
+        corpus = make_corpus(["alpha beta gamma", "beta gamma delta"])
+        header = (build_index if scorer == "bm25" else build_dph_index)(
+            corpus, TokenizerMode.T0).header
+        with pytest.raises(ValueError):
+            IndexHeader(**{**vars(header), **fields})
+
+    def test_fields_cannot_be_assigned(self):
+        header = build_index(make_corpus(["alpha beta"]), TokenizerMode.T0).header
+        for name, value in [("applied_q", 0.5), ("k1", 2.0), ("avg_len", 3.0)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(header, name, value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(header=_legal_headers())
+    def test_legal_header_survives_a_file_round_trip(self, header):
+        index = build_index(make_corpus(["alpha beta", "beta gamma"]), TokenizerMode.T0)
+        loaded = loads_index(dumps_index(dataclasses.replace(index, header=header)))
+        # repr, because a DPH header's NaN k1 and b never compare equal.
+        assert repr(loaded.header) == repr(header)
+
+    def test_overflowing_rescale_keeps_the_header_object(self):
+        index = build_index(make_corpus([f"uniq{i} shared{i % 7}" for i in range(2000)]),
+                            TokenizerMode.T1)
+        header = index.header
+        with pytest.raises(ValueError, match="non-finite"):
+            rescale_index(index, -12.0)
+        assert index.header is header
+
+    def test_rescaling_a_copy_leaves_the_original_unmarked(self):
+        index = build_index(make_corpus(["alpha beta", "beta gamma", "gamma delta"]),
+                            TokenizerMode.T0)
+        header = index.header
+        copy = rescale_index(dataclasses.replace(index, scores=index.scores.copy()), 0.3)
+        assert copy.header.applied_q == 0.3
+        assert index.header is header and header.applied_q is None
+
+    def test_state_is_checked_before_value(self):
+        dph = build_dph_index(make_corpus(["alpha beta", "beta gamma"]), TokenizerMode.T0)
+        with pytest.raises(RescaleStateError):
+            rescale_index(dph, math.nan)
 
 
 class TestBenchmarkText:
