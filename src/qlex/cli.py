@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .corpus_io import load_corpus, load_queries, load_qrels
 from .errors import QlexError
-from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, NDCG_CUTOFF,
+from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, NDCG_CUTOFF, _judged,
                          df_bin_occlusion, eval_mrr, eval_ndcg, eval_recall,
                          paired_bootstrap, q_sweep, recall_at_token_budget,
                          report_to_json, report_to_tsv, sweep_to_csv,
@@ -133,9 +133,10 @@ def _cmd_predict_q(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    index = load_index(args.index)
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels)
+    _judged(queries, qrels)
+    index = load_index(args.index)
     rankings = batch_retrieve(index, queries, index.header.mode, max(args.k, 100))
     ndcg = eval_ndcg(rankings, qrels, NDCG_CUTOFF)
     reports = {

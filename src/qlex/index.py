@@ -47,7 +47,7 @@ class BuildParams:
             raise ValueError(f"b must lie in [0, 1], got {self.b}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexHeader:
     """Index state the arrays do not imply, and the one definition of a legal one.
 
@@ -55,6 +55,8 @@ class IndexHeader:
     :class:`BuildParams` and a DPH header's are NaN, avg_len is finite and
     > 0, and at most one transform mark is set (None means not applied): a
     finite ``applied_q`` or a finite ``applied_gamma`` > 0, on BM25 only.
+    Equality and hashing leave out a DPH header's k1 and b: they are always
+    NaN, and NaN never equals itself.
     """
 
     mode: TokenizerMode
@@ -77,6 +79,16 @@ class IndexHeader:
                       or not (self.applied_gamma is None or self.applied_gamma > 0)):
             raise ValueError("a rescale sets one finite q or gamma > 0, on a BM25 index only; "
                              f"got q={self.applied_q}, gamma={self.applied_gamma}")
+
+    def _key(self) -> tuple:
+        params = (self.k1, self.b) if self.scorer == SCORER_BM25 else ()
+        return (self.mode, self.scorer, *params, self.avg_len, self.applied_q, self.applied_gamma)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, IndexHeader) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass

@@ -2,9 +2,12 @@
 
 One code path serves every index flavor (plain BM25, q-rescaled, gamma
 sharpened, DPH): tokens select columns, and one ``np.bincount`` sums the
-widened float64 column slices per document, in query-token order from 0.0
-(the summation-order contract of ``score_query``).  Ties are broken by
-ascending internal document index so rankings are fully deterministic.
+float32 column slices per document, in query-token order from 0.0 (the
+summation-order contract of ``score_query``), widening them once inside the
+concatenation that feeds it.  No float64 copy of the scores is kept: it
+would take twice their memory for the index's lifetime to save one pass.
+Ties break by ascending internal document index, so rankings are fully
+deterministic.
 
 Ranking is an exact partial top-k over the dense score vector.  A code
 query touches few documents (a near-unique identifier carries the score at
@@ -49,11 +52,13 @@ def score_query(index: SparseScoreIndex, tokens: Sequence[str]) -> np.ndarray:
     column twice.  Tokens outside the vocabulary contribute nothing.
 
     Summation order is part of the contract: each matched column's float32
-    scores are widened to float64 (times the multiplicity), and a document's
-    score is the left-to-right sum, starting from 0.0, of its entries over
-    the matched columns in first-occurrence order of the query tokens.  One
-    ``np.bincount`` over the concatenated column slices adds exactly in that
+    scores are widened to float64 (then times the multiplicity, as a float32
+    product would round), and a document's score is the left-to-right sum,
+    from 0.0, of its entries over the matched columns in first-occurrence
+    order of the query tokens.  One ``np.bincount`` adds exactly in that
     order, so the scores are the bytes a column-by-column scatter-add gives.
+    Its intp rows and float64 weights are concatenated straight from views
+    into the index, so each posting is copied once, by exact casts.
     """
     col_ptr, row_idx, data = index.col_ptr, index.row_idx, index.scores
     rows, weights = [], []
@@ -62,14 +67,13 @@ def score_query(index: SparseScoreIndex, tokens: Sequence[str]) -> np.ndarray:
         if tid is None:
             continue
         start, end = col_ptr[tid], col_ptr[tid + 1]
-        contrib = data[start:end].astype(np.float64)
-        if mult != 1:
-            contrib *= mult
         rows.append(row_idx[start:end])
-        weights.append(contrib)
+        weights.append(data[start:end] if mult == 1
+                       else data[start:end].astype(np.float64) * mult)
     if not rows:
         return np.zeros(index.num_docs, dtype=np.float64)
-    return np.bincount(np.concatenate(rows), weights=np.concatenate(weights),
+    return np.bincount(np.concatenate(rows, dtype=np.intp),
+                       weights=np.concatenate(weights, dtype=np.float64),
                        minlength=index.num_docs)
 
 

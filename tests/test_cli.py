@@ -311,7 +311,7 @@ class TestErrorsAndParsing:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["sweep", "occlusion"])
+    @pytest.mark.parametrize("command", ["sweep", "occlusion", "eval"])
     def test_no_judged_query_is_exit_one(self, workdir, capsys, command):
         run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "base.qlx")
         write_qrels(workdir / "other.tsv", [("absent", "d0", 1)])

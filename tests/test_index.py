@@ -294,8 +294,18 @@ class TestIndexHeader:
     def test_legal_header_survives_a_file_round_trip(self, header):
         index = build_index(make_corpus(["alpha beta", "beta gamma"]), TokenizerMode.T0)
         loaded = loads_index(dumps_index(dataclasses.replace(index, header=header)))
-        # repr, because a DPH header's NaN k1 and b never compare equal.
-        assert repr(loaded.header) == repr(header)
+        assert loaded.header == header and hash(loaded.header) == hash(header)
+
+    def test_equal_dph_headers_compare_equal(self):
+        corpus = make_corpus(["alpha beta", "beta gamma"])
+        dph = build_dph_index(corpus, TokenizerMode.T0)
+        loaded = loads_index(dumps_index(dph)).header
+        assert math.isnan(loaded.k1) and math.isnan(loaded.b)
+        assert loaded == dph.header and len({loaded, dph.header}) == 1
+        bm25 = build_index(corpus, TokenizerMode.T0).header
+        others = [bm25, dataclasses.replace(dph.header, avg_len=dph.header.avg_len + 1),
+                  dataclasses.replace(dph.header, mode=TokenizerMode.T1)]
+        assert all(other != dph.header for other in others)
 
     def test_overflowing_rescale_keeps_the_header_object(self):
         index = build_index(make_corpus([f"uniq{i} shared{i % 7}" for i in range(2000)]),

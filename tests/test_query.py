@@ -146,6 +146,30 @@ class TestScoreQueryByteIdentity:
         terms = list(rng.permutation(index.terms))
         _assert_scores_match_scatter(index, terms + terms[:5])
 
+    @pytest.mark.parametrize("mult", [3, 7])
+    def test_repeated_token_is_widened_before_it_is_multiplied(self, mult):
+        # A float32 product by 3 or 7 rounds (by 2 it is exact), so the
+        # repeated column must be widened to float64 first.
+        rng = np.random.default_rng(mult)
+        index = build_index(random_corpus(rng, 40, 20, min_len=10, max_len=30), TokenizerMode.T1)
+        magnitudes = 10.0 ** rng.uniform(-20, 20, index.nnz)
+        index.scores[...] = rng.standard_normal(index.nnz) * magnitudes
+        tid, other_tid = np.argsort(-index.df, kind="stable")[:2]
+        term, other = index.terms[tid], index.terms[other_tid]
+        col = index.scores[index.col_ptr[tid]:index.col_ptr[tid + 1]]
+        assert np.any((col * np.float32(mult)).astype(np.float64) != col.astype(np.float64) * mult)
+        _assert_scores_match_scatter(index, [term] * mult)
+        _assert_scores_match_scatter(index, [other, term] * mult + [other])
+
+    def test_single_column_query(self):
+        index = build_index(make_corpus(["aa bb", "bb cc", "cc", "bb"]), TokenizerMode.T1)
+        scores = score_query(index, ["bb", "oov"])
+        start, end = index.col_ptr[index.vocab["bb"]:index.vocab["bb"] + 2]
+        want = np.zeros(4)
+        want[index.row_idx[start:end]] = index.scores[start:end]
+        assert scores.tobytes() == want.tobytes()
+        _assert_scores_match_scatter(index, ["bb", "oov"])
+
     @pytest.mark.parametrize("tokens", [[], ["oov"], ["oov", "oov", "nope"]],
                              ids=["empty", "oov", "oov-repeated"])
     def test_no_match_is_all_zero(self, tokens):
