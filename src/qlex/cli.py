@@ -12,7 +12,6 @@ import gc
 import resource
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, NDCG_CUTOFF, _judged,
 from .index import BuildParams, build_index
 from .query import batch_retrieve, top_k, write_trec_run
 from .stats import compute_corpus_stats, predict_q
-from .storage import dumps_index, load_index, save_index
+from .storage import dumps_index, load_index, save_index, write_atomic
 from .tokenizers import TokenizerMode
 from .transforms import build_dph_index, rescale_index, rescale_index_gamma
 
@@ -43,7 +42,7 @@ def _mode(args: argparse.Namespace) -> TokenizerMode:
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        write_atomic(out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 

@@ -1,9 +1,10 @@
 """Loading and validation of corpora, query sets, and relevance judgments.
 
 Corpora and query sets are JSON Lines files (one object per line) with
-``doc_id``/``text`` and ``query_id``/``text`` fields; a two-column TSV
-corpus format is also accepted.  Qrels are whitespace-separated triples
-``query_id  doc_id  relevance`` with non-negative integer relevance.
+``doc_id``/``text`` and ``query_id``/``text`` fields.  Qrels are
+whitespace-separated triples ``query_id  doc_id  relevance`` with
+non-negative integer relevance.  Every file is UTF-8; an undecodable byte
+is a ParseError naming the file and line that holds it.
 """
 
 from __future__ import annotations
@@ -120,18 +121,53 @@ class QrelSet:
         return any(r > 0 for r in self.for_query(query_id).values())
 
 
-def _jsonl_records(path: str | Path):
-    with open(path, "r", encoding="utf-8") as fh:
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_WHITESPACE = " \t\n\r"
+
+
+def _undecodable(path: Path, exc: UnicodeDecodeError) -> ParseError:
+    """The ParseError for the first line of ``path`` holding a byte that is not UTF-8,
+    found by reading the file again with such bytes escaped, split into lines
+    as the loaders split it."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", path=str(path), line=lineno) from None
-            if not isinstance(record, dict):
-                raise ParseError("record is not a JSON object", path=str(path), line=lineno)
-            yield lineno, record
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                break
+    return ParseError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})",
+                      path=str(path), line=lineno)
+
+
+def _jsonl_records(path: Path):
+    """Yield (1-based line, record) for each non-blank line of a JSONL file.
+
+    One ``raw_decode`` parses a line, which is taken when only JSON
+    whitespace follows the value.  Any other line (blank, leading space, a
+    BOM, trailing data, bad JSON) falls back to ``strip`` and ``json.loads``,
+    which skip it or raise its error, so each line gives what json.loads gives.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    record, end = _raw_decode(line)
+                    whole = not line[end:].strip(_JSON_WHITESPACE)
+                except json.JSONDecodeError:
+                    whole = False
+                if not whole:
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ParseError(f"invalid JSON ({exc.msg})",
+                                         path=str(path), line=lineno) from None
+                if not isinstance(record, dict):
+                    raise ParseError("record is not a JSON object", path=str(path), line=lineno)
+                yield lineno, record
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
 
 
 def _require_str(record: dict, key: str, path: str, lineno: int) -> str:
@@ -141,29 +177,15 @@ def _require_str(record: dict, key: str, path: str, lineno: int) -> str:
     return value
 
 
-def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
-    """Load a corpus from JSONL (doc_id/text fields) or two-column TSV."""
+def load_corpus(path: str | Path) -> Corpus:
+    """Load a corpus from JSONL with doc_id/text fields."""
     path = Path(path)
     docs: list[Document] = []
     lines: list[int] = []
-    if format == "jsonl":
-        for lineno, record in _jsonl_records(path):
-            docs.append(Document(_require_str(record, "doc_id", str(path), lineno),
-                                 _require_str(record, "text", str(path), lineno)))
-            lines.append(lineno)
-    elif format == "tsv":
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cols = line.split("\t", 1)
-                if len(cols) != 2:
-                    raise ParseError("expected 2 tab-separated columns", path=str(path), line=lineno)
-                docs.append(Document(cols[0], cols[1]))
-                lines.append(lineno)
-    else:
-        raise ValueError(f"unknown corpus format {format!r}; expected 'jsonl' or 'tsv'")
+    for lineno, record in _jsonl_records(path):
+        docs.append(Document(_require_str(record, "doc_id", str(path), lineno),
+                             _require_str(record, "text", str(path), lineno)))
+        lines.append(lineno)
     return Corpus(docs, path=str(path), lines=lines)
 
 
@@ -189,26 +211,30 @@ def load_qrels(path: str | Path) -> QrelSet:
     path = Path(path)
     judgments: dict[str, dict[str, int]] = {}
     duplicates = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            cols = line.split()
-            if len(cols) != 3:
-                raise ParseError(f"expected 3 columns, got {len(cols)}", path=str(path), line=lineno)
-            qid, doc_id, rel_text = cols
-            try:
-                rel = int(rel_text)
-            except ValueError:
-                raise ParseError(f"relevance {rel_text!r} is not an integer",
-                                 path=str(path), line=lineno) from None
-            if rel < 0:
-                raise ParseError(f"negative relevance {rel} for ({qid}, {doc_id})",
-                                 path=str(path), line=lineno)
-            per_query = judgments.setdefault(qid, {})
-            if doc_id in per_query:
-                duplicates += 1
-            per_query[doc_id] = rel
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                cols = line.split()
+                if len(cols) != 3:
+                    raise ParseError(f"expected 3 columns, got {len(cols)}",
+                                     path=str(path), line=lineno)
+                qid, doc_id, rel_text = cols
+                try:
+                    rel = int(rel_text)
+                except ValueError:
+                    raise ParseError(f"relevance {rel_text!r} is not an integer",
+                                     path=str(path), line=lineno) from None
+                if rel < 0:
+                    raise ParseError(f"negative relevance {rel} for ({qid}, {doc_id})",
+                                     path=str(path), line=lineno)
+                per_query = judgments.setdefault(qid, {})
+                if doc_id in per_query:
+                    duplicates += 1
+                per_query[doc_id] = rel
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
     if duplicates:
         log.warning("qrels %s: %d duplicate (query, doc) pairs replaced by last value",
                     path, duplicates)

@@ -2,7 +2,7 @@
 
 Metrics: NDCG@k with linear gains ``rel / log2(rank + 1)``, MRR, Recall@k.
 Queries with no positively judged document are skipped and counted, never
-averaged in.
+averaged in; rankings with no judged query at all are a ValueError.
 
 Statistical comparison uses a seeded paired bootstrap over per-query
 deltas.  Significance is the opposite-tail count on centered resamples:
@@ -167,16 +167,11 @@ def recall_at_k(ranked: RankedList, qrels: QrelSet, k: int) -> float:
 
 def _aggregate(rankings: Iterable[RankedList], qrels: QrelSet,
                scorer: Callable[[RankedList], float]) -> EvalReport:
-    per_query: dict[str, float] = {}
-    skipped = 0
-    for ranked in rankings:
-        if not qrels.has_relevant(ranked.query_id):
-            skipped += 1
-            continue
-        per_query[ranked.query_id] = scorer(ranked)
-    mean = float(np.mean(list(per_query.values()))) if per_query else 0.0
-    return EvalReport(per_query=per_query, mean=mean,
-                      n_queries=len(per_query), n_skipped=skipped)
+    rankings = list(rankings)
+    judged = _judged(rankings, qrels, query_id=lambda ranked: ranked.query_id)
+    per_query = {ranked.query_id: scorer(ranked) for ranked in judged}
+    return EvalReport(per_query=per_query, mean=float(np.mean(list(per_query.values()))),
+                      n_queries=len(per_query), n_skipped=len(rankings) - len(judged))
 
 
 def eval_ndcg(rankings: Iterable[RankedList], qrels: QrelSet,

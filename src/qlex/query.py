@@ -28,6 +28,7 @@ import numpy as np
 from .corpus_io import QuerySet
 from .errors import ModeMismatchError
 from .index import SparseScoreIndex
+from .storage import write_atomic
 from .tokenizers import TokenizerMode, tokenize
 
 __all__ = ["RankedList", "score_query", "top_k", "batch_retrieve",
@@ -175,4 +176,4 @@ def write_trec_run(rankings: Iterable[RankedList], out: str | Path | IO[str]) ->
     if hasattr(out, "write"):
         out.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        write_atomic(out, text.encode("utf-8"))

@@ -81,17 +81,23 @@ def dumps_index(index: SparseScoreIndex) -> bytes:
     return buf.getvalue()
 
 
-def save_index(index: SparseScoreIndex, path: str | Path) -> None:
-    """Write ``index`` atomically: a temporary file beside ``path`` is renamed
-    over it, so a failed write leaves an existing file as it was."""
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically: a temporary file beside ``path``
+    is renamed over it, so a failed write leaves an existing file as it was
+    and no temporary file behind."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(dumps_index(index))
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_index(index: SparseScoreIndex, path: str | Path) -> None:
+    """Write ``index`` to ``path`` with :func:`write_atomic`."""
+    write_atomic(path, dumps_index(index))
 
 
 class _Reader:

@@ -15,12 +15,17 @@ Four modes are provided:
 
 Sub-token boundaries are computed from the original cased surface, since
 lowercasing first would erase camelCase boundaries.
+
+ASCII text skips the word regex: one byte-translation table turns every
+non-word byte into a space (and, for T0, A-Z into a-z) before one
+whitespace split, and the tokens are identical to the regex's.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+import string
 from functools import lru_cache
 from importlib import resources
 
@@ -30,6 +35,13 @@ __all__ = ["TokenizerMode", "tokenize", "split_identifier", "word_surfaces", "su
 # Word-character runs of length >= 2; underscores count as word characters,
 # so snake_case survives extraction intact and is split later if requested.
 _WORD_RE = re.compile(r"\b\w\w+\b")
+
+# In ASCII text ``\w`` is exactly ``[A-Za-z0-9_]``, so ``_WORD_RE``'s matches
+# are the whitespace-split items of length >= 2 once every other byte is a
+# space.  The T0 table also lowercases, as ``str.lower`` does ASCII text.
+_WORD_BYTES = (string.ascii_letters + string.digits + "_").encode("ascii")
+_SURFACE_TABLE = bytes(c if c in _WORD_BYTES else 0x20 for c in range(256))
+_T0_TABLE = _SURFACE_TABLE.lower()
 
 # One alternative per identifier part kind: acronym run (stops before a
 # trailing TitleCase word), TitleCase word, lowercase run, digit run.
@@ -61,6 +73,12 @@ def default_stopwords() -> frozenset[str]:
     """Load the bundled stopword list (33 common English function words)."""
     text = resources.files("qlex").joinpath("data/stopwords_en.txt").read_text("utf-8")
     return frozenset(w for w in text.split() if w)
+
+
+@lru_cache(maxsize=1)
+def _t0_drop() -> frozenset[str]:
+    """What T0 drops from an ASCII word split: stopwords and the 37 one-character words."""
+    return default_stopwords() | frozenset(string.ascii_lowercase + string.digits + "_")
 
 
 def split_identifier(token: str) -> list[str]:
@@ -95,6 +113,9 @@ def split_identifier(token: str) -> list[str]:
 
 def word_surfaces(text: str) -> list[str]:
     """Word-character runs of length >= 2 in ``text``, as written: the T2/T3 surfaces."""
+    if text.isascii():
+        return [w for w in text.encode("ascii").translate(_SURFACE_TABLE).decode("ascii").split()
+                if len(w) > 1]
     return _WORD_RE.findall(text)
 
 
@@ -137,6 +158,10 @@ def tokenize(text: str, mode: TokenizerMode) -> list[str]:
         return text.lower().split()
 
     if mode is TokenizerMode.T0:
+        if text.isascii():
+            drop = _t0_drop()
+            return [w for w in text.encode("ascii").translate(_T0_TABLE).decode("ascii").split()
+                    if w not in drop]
         sw = default_stopwords()
         return [w for w in _WORD_RE.findall(text.lower()) if w not in sw]
     return [tok for raw in word_surfaces(text) for tok in surface_tokens(raw, mode)]

@@ -8,13 +8,17 @@ float64 accumulation, mirroring the documented storage contract.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
+from qlex.errors import ParseError
 from qlex.stats import CorpusStats
-from qlex.tokenizers import _CAMEL_RE, _SEP_RE
+from qlex.tokenizers import _CAMEL_RE, _SEP_RE, TokenizerMode, default_stopwords, surface_tokens
 
 
 def lucene_idf(df: int, n_docs: int) -> float:
@@ -178,6 +182,49 @@ def split_identifier_by_chunks(token: str) -> list[str]:
         else:
             parts.append(chunk.lower())
     return parts
+
+
+_WORD_RUN = re.compile(r"\b\w\w+\b")
+
+
+def word_surfaces_by_regex(text: str) -> list[str]:
+    """Word-character runs of length >= 2, by one regex over any text."""
+    return _WORD_RUN.findall(text)
+
+
+def tokenize_by_regex(text: str, mode: TokenizerMode) -> list[str]:
+    """Every mode's tokens with words found by the regex alone: T0 over the
+    lowercased text, T2/T3 surfaces emitted by ``surface_tokens``."""
+    if mode is TokenizerMode.T0:
+        sw = default_stopwords()
+        return [w for w in _WORD_RUN.findall(text.lower()) if w not in sw]
+    if mode is TokenizerMode.T1:
+        return text.lower().split()
+    return [tok for raw in _WORD_RUN.findall(text) for tok in surface_tokens(raw, mode)]
+
+
+def jsonl_entries_by_loads(path: Path, id_key: str) -> tuple[list[tuple[str, str]], list[int]]:
+    """(id, text) entries and their 1-based lines, one ``json.loads`` per
+    non-blank line; a bad line raises the loaders' ParseError for it."""
+    entries: list[tuple[str, str]] = []
+    lines: list[int] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON ({exc.msg})", path=str(path), line=lineno) from None
+            if not isinstance(record, dict):
+                raise ParseError("record is not a JSON object", path=str(path), line=lineno)
+            for key in (id_key, "text"):
+                if not isinstance(record.get(key), str):
+                    raise ParseError(f"missing or non-string field {key!r}",
+                                     path=str(path), line=lineno)
+            entries.append((record[id_key], record["text"]))
+            lines.append(lineno)
+    return entries, lines
 
 
 def ndcg_by_hand(ranked_doc_ids: list[str], rels: dict[str, int], k: int) -> float:

@@ -1,21 +1,25 @@
 """File loading, validation, and index serialization surfaces."""
 
 import json
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qlex import (Corpus, Document, DuplicateIdError, IndexFormatError, ParseError, QuerySet,
-                  build_dph_index, build_index, load_corpus, load_qrels, load_queries, load_index, save_index,
-                  dumps_index, loads_index, top_k)
+                  RankedList, build_dph_index, build_index, load_corpus, load_qrels, load_queries,
+                  load_index, save_index, dumps_index, loads_index, top_k, write_trec_run)
 from qlex import storage
+from qlex.cli import _write_or_print
 from qlex.storage import INDEX_FORMAT_VERSION, _MAGIC
 from qlex.tokenizers import TokenizerMode
 
 from conftest import (IMPOSSIBLE_HEADER_IDS, IMPOSSIBLE_HEADERS, make_corpus,
                       write_jsonl_corpus)
+from oracles import jsonl_entries_by_loads
 
 
 class TestCorpusLoading:
@@ -52,16 +56,6 @@ class TestCorpusLoading:
         with pytest.raises(ParseError):
             load_corpus(path)
 
-    def test_tsv_format(self, tmp_path):
-        path = tmp_path / "c.tsv"
-        path.write_text("a\thello world\nb\tgoodbye\n")
-        corpus = load_corpus(path, format="tsv")
-        assert corpus.text("b") == "goodbye"
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_corpus(tmp_path / "x", format="parquet")
-
 
 class TestQueryLoading:
     def test_jsonl_queries(self, tmp_path):
@@ -85,15 +79,109 @@ class TestQueryLoading:
         assert f"{path}:line 3: " in str(exc.value)
 
 
+class TestJsonlFastPath:
+    """One ``raw_decode`` per line gives what one ``json.loads`` per line gives."""
+
+    ID = st.one_of(st.sampled_from(["a", "b", "", "é"]), st.text(max_size=4))
+    # Records both loaders accept, so that later lines are reached, and
+    # records with missing or non-string fields.
+    RECORD = st.one_of(
+        st.fixed_dictionaries({"doc_id": ID, "query_id": ID, "text": st.text(max_size=8)}),
+        st.dictionaries(st.sampled_from(["doc_id", "query_id", "text", "x"]),
+                        st.one_of(ID, st.integers(), st.none()), max_size=4),
+    )
+    # Whitespace json.loads strips (" \t\r") next to what only str.strip
+    # strips ("\x0c"), a BOM, and trailing data.
+    LEAD = st.sampled_from(["", "", " ", "\t", "\r", "\x0c", "\ufeff"])
+    TAIL = st.sampled_from(["", "", " ", "\t", "\r", "\x0c", " x", "{}", ","])
+    LINE = st.one_of(
+        st.builds(lambda lead, record, ascii_only, tail:
+                  lead + json.dumps(record, ensure_ascii=ascii_only) + tail,
+                  LEAD, RECORD, st.booleans(), TAIL),
+        st.sampled_from(["", " ", "\x0c", "[1]", "3", '"s"', "null", "{", "NaN", "{}{}"]),
+        st.text(max_size=20),
+    )
+
+    GOOD = '{"doc_id": "a", "query_id": "a", "text": "x"}'
+
+    @staticmethod
+    def _outcome(load):
+        try:
+            return load()
+        except ParseError as exc:
+            return type(exc), str(exc), exc.line
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(LINE, max_size=8), st.sampled_from(["corpus", "queries"]))
+    @example([GOOD + " \t\r", GOOD.replace("a", "b") + "\x0c"], "corpus")
+    @example(["\ufeff" + GOOD, " " + GOOD + " x"], "queries")
+    def test_same_records_or_error_as_loads_per_line(self, tmp_path_factory, lines, kind):
+        path = tmp_path_factory.mktemp("jsonl") / "in.jsonl"
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+        if kind == "corpus":
+            got = self._outcome(lambda: [(d.doc_id, d.text) for d in load_corpus(path)])
+
+            def want():
+                entries, at = jsonl_entries_by_loads(path, "doc_id")
+                corpus = Corpus([Document(*e) for e in entries], path=str(path), lines=at)
+                return [(d.doc_id, d.text) for d in corpus]
+        else:
+            got = self._outcome(lambda: list(load_queries(path)))
+
+            def want():
+                entries, at = jsonl_entries_by_loads(path, "query_id")
+                return list(QuerySet(entries, path=str(path), lines=at))
+        assert got == self._outcome(want)
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is a ParseError naming the file and its line."""
+
+    # (loader, a good line, the same line with a byte that is not UTF-8)
+    FILES = {
+        "corpus": (load_corpus, b'{"doc_id": "a", "text": "x"}', b'{"doc_id": "b", "text": "\xff"}'),
+        "queries": (load_queries, b'{"query_id": "q", "text": "x"}',
+                    b'{"query_id": "r", "text": "\xc3("}'),
+        "qrels": (load_qrels, b"q1 d1 1", b"q1 d\xe2\x82 1"),
+    }
+
+    @pytest.mark.parametrize("kind", FILES)
+    def test_names_path_and_line(self, tmp_path, kind):
+        load, good, bad = self.FILES[kind]
+        path = tmp_path / f"{kind}.txt"
+        # A lone CR ends a line in text mode too; 500 lines put the bad
+        # byte past the decoder's first chunk.
+        path.write_bytes(good + b"\r" + (good + b"\n") * 500 + bad + b"\n" + good + b"\n")
+        with pytest.raises(ParseError, match="is not UTF-8") as exc:
+            load(path)
+        assert (exc.value.path, exc.value.line) == (str(path), 502)
+        assert f"{path}:line 502: byte 0x" in str(exc.value)
+
+
+class TestAtomicWrites:
+    """Every file the package writes replaces the old one whole or not at all."""
+
+    @pytest.mark.parametrize("write", [
+        lambda path: save_index(build_index(make_corpus(["aa bb"]), TokenizerMode.T1), path),
+        lambda path: _write_or_print("new text\n", str(path)),
+        lambda path: write_trec_run([RankedList("q1", [("d0", 1.0)])], path),
+    ], ids=["save_index", "cli_out", "trec_run"])
+    def test_failed_rename_keeps_previous_file(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "out"
+        path.write_bytes(b"previous\n")
+
+        def refuse(src, dst):
+            raise OSError(18, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="cross-device"):
+            write(path)
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 class TestIdValidation:
     """One id check per kind; loaders locate it, direct construction still raises."""
-
-    def test_empty_tsv_doc_id_names_line(self, tmp_path):
-        path = tmp_path / "c.tsv"
-        path.write_text("a\tone\n\tmissing id\n")
-        with pytest.raises(ParseError, match="empty doc_id") as exc:
-            load_corpus(path, format="tsv")
-        assert (exc.value.path, exc.value.line) == (str(path), 2)
 
     @pytest.mark.parametrize("build, error", [
         (lambda: Corpus([Document("a", "x"), Document("", "y")]), "empty doc_id at position 1"),

@@ -103,6 +103,14 @@ class TestMrrRecall:
         assert report.mean == 1.0
         assert list(report.per_query) == ["q1"]
 
+    @pytest.mark.parametrize("metric", [lambda r, q: eval_ndcg(r, q, 10), eval_mrr,
+                                        lambda r, q: eval_recall(r, q, 10)],
+                             ids=["ndcg", "mrr", "recall"])
+    def test_no_judged_query_is_an_error_not_a_zero_mean(self, metric):
+        qrels = qrels_of(absent={"d0": 1}, q2={"d0": 0})
+        with pytest.raises(ValueError, match="no query has a positively judged document"):
+            metric([ranked("q1", ["d0"]), ranked("q2", ["d0"])], qrels)
+
     def test_report_mean_is_arithmetic_mean(self):
         qrels = qrels_of(q1={"a": 1}, q2={"b": 1})
         rankings = [ranked("q1", ["a"]), ranked("q2", ["x", "b"])]

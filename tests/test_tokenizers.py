@@ -4,13 +4,13 @@ import string
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qlex import tokenizers
 from qlex.tokenizers import (TokenizerMode, default_stopwords, split_identifier, surface_tokens,
                              tokenize, word_surfaces)
 
-from oracles import split_identifier_by_chunks
+from oracles import split_identifier_by_chunks, tokenize_by_regex, word_surfaces_by_regex
 
 T0, T1, T2, T3 = TokenizerMode.T0, TokenizerMode.T1, TokenizerMode.T2, TokenizerMode.T3
 
@@ -154,6 +154,41 @@ class TestSplitIdentifierOracle:
         with mock.patch.object(tokenizers, "split_identifier", split_identifier_by_chunks):
             want = tokenize(text, mode)
         assert tokenize(text, mode) == want
+
+
+class TestAsciiWordSplit:
+    """ASCII text's translate-and-split words equal the regex's, in every mode."""
+
+    # Word pieces of every length around the >= 2 cut, stopwords in any case,
+    # and ASCII controls, \x1c-\x1f among them (whitespace to str.split, not
+    # to bytes.split).
+    ASCII_PIECES = ["a", "I", "_", "7", "x1", "The", "OF", "fooBar", "__init__", "HTTPServer",
+                    " ", "\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f",
+                    "\x00", "\x7f", ".", "-", "'"]
+    ASCII = st.one_of(
+        st.text(alphabet=st.characters(max_codepoint=127), max_size=60),
+        st.lists(st.sampled_from(ASCII_PIECES), max_size=20).map("".join),
+    )
+    # "İ" lowercases to two code points, "Σ" and "²" are word characters
+    # outside ASCII, and U+00A0 is whitespace only to str.split.
+    MIXED = st.lists(st.one_of(
+        st.sampled_from(["İDfoo", "Σ", "²", "\u00a0", "é"] + ASCII_PIECES),
+        st.text(max_size=4)), max_size=20).map("".join)
+
+    EDGES = "a I _ 7 x1\x1cThe\x1fof ok"
+
+    @settings(deadline=None)
+    @given(st.one_of(ASCII, MIXED), st.sampled_from([T0, T1, T2, T3]))
+    @example(EDGES, T0)
+    @example(EDGES, T2)
+    def test_tokenize_equals_regex(self, text, mode):
+        assert tokenize(text, mode) == tokenize_by_regex(text, mode)
+
+    @settings(deadline=None)
+    @given(st.one_of(ASCII, MIXED))
+    @example(EDGES)
+    def test_word_surfaces_equal_regex(self, text):
+        assert word_surfaces(text) == word_surfaces_by_regex(text)
 
 
 def _by_surfaces(text: str, mode: TokenizerMode) -> list[str]:
