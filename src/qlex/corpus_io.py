@@ -4,7 +4,9 @@ Corpora and query sets are JSON Lines files (one object per line) with
 ``doc_id``/``text`` and ``query_id``/``text`` fields.  Qrels are
 whitespace-separated triples ``query_id  doc_id  relevance`` with
 non-negative integer relevance.  Every file is UTF-8; an undecodable byte
-is a ParseError naming the file and line that holds it.
+is a ParseError naming the file and line that holds it, and so is a field
+that a JSON escape leaves holding a lone surrogate, which UTF-8 cannot
+encode.
 """
 
 from __future__ import annotations
@@ -171,9 +173,20 @@ def _jsonl_records(path: Path):
 
 
 def _require_str(record: dict, key: str, path: str, lineno: int) -> str:
+    """The string field ``key``, which must encode as UTF-8.
+
+    A lone surrogate is not ASCII, so only a value that is not ASCII (an
+    O(1) flag test on CPython) is encoded to look for one.
+    """
     value = record.get(key)
     if not isinstance(value, str):
         raise ParseError(f"missing or non-string field {key!r}", path=path, line=lineno)
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"field {key!r} holds a lone surrogate {value[exc.start]!r}",
+                             path=path, line=lineno) from None
     return value
 
 

@@ -121,11 +121,6 @@ class SparseScoreIndex:
     def vocab_size(self) -> int:
         return len(self.terms)
 
-    def column(self, term_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row indices and scores of one vocabulary column (views)."""
-        start, end = self.col_ptr[term_id], self.col_ptr[term_id + 1]
-        return self.row_idx[start:end], self.scores[start:end]
-
     @classmethod
     def from_counts(cls, counts: "TokenCounts", weights: np.ndarray,
                     header: IndexHeader) -> "SparseScoreIndex":

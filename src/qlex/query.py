@@ -12,8 +12,9 @@ deterministic.
 Ranking is an exact partial top-k over the dense score vector.  A code
 query touches few documents (a near-unique identifier carries the score at
 q < 1), so only the documents with a positive score are partitioned and
-sorted; zero, negative and NaN scores are visited only when the positives
-cannot fill k.  The result equals a stable descending sort of all N scores.
+sorted; when they cannot fill k, the tied zero and NaN scores come from a
+prefix of the vector that grows only as far as it must, not from all N.
+The result equals a stable descending sort of all N scores.
 """
 
 from __future__ import annotations
@@ -103,6 +104,17 @@ def _top_of(idx: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
     return idx[np.argsort(-vals, kind="stable")]
 
 
+def _first_of(member, scores: np.ndarray, m: int, stop: int) -> np.ndarray:
+    """The first ``m`` documents whose score is a ``member``, in ascending order,
+    read from ``scores[:stop]``, doubled until it holds ``m`` of them or all N.
+    Any prefix holding ``m`` members has the same first ``m`` as the whole."""
+    while True:
+        idx = np.flatnonzero(member(scores[:stop]))
+        if idx.size >= m or stop >= scores.size:
+            return idx[:m]
+        stop *= 2
+
+
 def rank_from_scores(index: SparseScoreIndex, scores: np.ndarray, k: int,
                      query_id: str = "") -> RankedList:
     """Top-k ranking from a dense score vector, ties by ascending doc index.
@@ -117,6 +129,12 @@ def rank_from_scores(index: SparseScoreIndex, scores: np.ndarray, k: int,
        term with df > N/2), ranked like the positives;
     4. NaN scores last, in ascending doc order.
 
+    A tied class is reached only when every member of the earlier classes
+    is chosen, ``k - need`` of them, so ``scores[:k]`` holds at least
+    ``need`` members of it or of a later class.  ``_first_of`` reads the
+    class from there and grows the prefix only when negative or NaN scores
+    leave it short, so the result is that of a full scan.
+
     ``np.argpartition`` over the dense vector is not used: it visits and
     moves all N entries, most of them tied at exactly zero for a code
     query, and would still need the ties repaired.  Selecting from the
@@ -127,8 +145,11 @@ def rank_from_scores(index: SparseScoreIndex, scores: np.ndarray, k: int,
     parts = []
     need = k
     for member, tied in _SCORE_CLASSES:
-        idx = np.flatnonzero(member(scores))
-        parts.append(idx[:need] if tied else _top_of(idx, scores[idx], need))
+        if tied:
+            parts.append(_first_of(member, scores, need, k))
+        else:
+            idx = np.flatnonzero(member(scores))
+            parts.append(_top_of(idx, scores[idx], need))
         need -= parts[-1].size
         if need == 0:
             break

@@ -7,9 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qlex import Corpus, Document, QrelSet, QuerySet
 from qlex.tokenizers import TokenizerMode
+
+
+# A deep run of the property tests, for CI:
+#   python -m pytest tests/test_query.py --hypothesis-profile=deep
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 # Header states no build or rescale writes: (scorer, fields that differ from
@@ -34,6 +40,12 @@ IMPOSSIBLE_HEADERS = [
 IMPOSSIBLE_HEADER_IDS = ["k1_nan", "k1_zero", "b_7", "b_nan", "avg_len_negative", "avg_len_inf",
                          "q_and_gamma", "q_inf", "gamma_inf", "gamma_negative", "dph_k1",
                          "dph_b", "dph_avg_len_zero", "dph_rescaled"]
+
+
+def column_slice(index, term_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices and scores of one vocabulary column of ``index`` (views)."""
+    start, end = index.col_ptr[term_id], index.col_ptr[term_id + 1]
+    return index.row_idx[start:end], index.scores[start:end]
 
 
 def make_corpus(texts: list[str], prefix: str = "d") -> Corpus:

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qlex import (Corpus, Document, DuplicateIdError, IndexFormatError, ParseError, QuerySet,
-                  RankedList, build_dph_index, build_index, load_corpus, load_qrels, load_queries,
-                  load_index, save_index, dumps_index, loads_index, top_k, write_trec_run)
+from qlex import (Corpus, Document, DuplicateIdError, IndexFormatError, ParseError, QlexError,
+                  QuerySet, RankedList, build_dph_index, build_index, load_corpus, load_qrels,
+                  load_queries, load_index, save_index, dumps_index, loads_index, top_k,
+                  write_trec_run)
 from qlex import storage
 from qlex.cli import _write_or_print
 from qlex.storage import INDEX_FORMAT_VERSION, _MAGIC
@@ -156,6 +157,63 @@ class TestUndecodableBytes:
             load(path)
         assert (exc.value.path, exc.value.line) == (str(path), 502)
         assert f"{path}:line 502: byte 0x" in str(exc.value)
+
+
+class TestLoneSurrogates:
+    """A JSON escape that leaves a lone surrogate in a field is a ParseError
+    naming the file, the line and the field; UTF-8 cannot encode it."""
+
+    # (loader, a good line with escapes and its (id, text), a line with a
+    # lone surrogate, the field that holds it)
+    CASES = {
+        "doc_id": (load_corpus, r'{"doc_id": "a\u00e9", "text": "x"}', ("a\u00e9", "x"),
+                   r'{"doc_id": "ab\ud800c", "text": "x"}', "doc_id"),
+        "corpus_text": (load_corpus, r'{"doc_id": "a", "text": "\ud83d\ude00 pair"}',
+                        ("a", "\U0001f600 pair"), r'{"doc_id": "b", "text": "ok \udc00"}', "text"),
+        "query_id": (load_queries, r'{"query_id": "q\u00e9", "text": "x"}', ("q\u00e9", "x"),
+                     r'{"query_id": "r\udfff", "text": "x"}', "query_id"),
+        "query_text": (load_queries, r'{"query_id": "q", "text": "\\ud800 is text"}',
+                       ("q", "\\ud800 is text"), r'{"query_id": "r", "text": "\ud83d"}', "text"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_names_path_line_and_field(self, tmp_path, case):
+        load, good, entry, bad, field = self.CASES[case]
+        path = tmp_path / "in.jsonl"
+        path.write_text(good + "\n")
+        loaded = load(path)
+        entries = [(d.doc_id, d.text) for d in loaded] if load is load_corpus else list(loaded)
+        assert entries == [entry]
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ParseError, match=f"field '{field}' holds a lone surrogate") as exc:
+            load(path)
+        assert (exc.value.path, exc.value.line) == (str(path), 2)
+        assert str(exc.value).startswith(f"{path}:line 2: ")
+
+    # Any code point, surrogates included, often enough to be drawn.
+    TEXT = st.text(st.one_of(st.characters(categories=["Cs"]), st.sampled_from("ab_X1 "),
+                             st.characters(exclude_categories=())), max_size=12)
+
+    @settings(deadline=None)
+    @given(records=st.lists(st.tuples(TEXT, TEXT), min_size=1, max_size=5),
+           ascii_only=st.booleans())
+    def test_corpus_loads_or_names_the_path(self, tmp_path_factory, records, ascii_only):
+        # Unescaped, a surrogate is written as the bytes UTF-8 forbids for it.
+        path = tmp_path_factory.mktemp("surrogates") / "corpus.jsonl"
+        lines = ['{"doc_id": "anchor", "text": "anchor"}']
+        lines += [json.dumps({"doc_id": d, "text": t}, ensure_ascii=ascii_only)
+                  for d, t in records]
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass"))
+        try:
+            corpus = load_corpus(path)
+        except QlexError as exc:
+            assert str(path) in str(exc)
+            return
+        for mode in TokenizerMode:
+            index = build_index(corpus, mode)
+            save_index(index, path.with_suffix(".qlx"))
+            loaded = load_index(path.with_suffix(".qlx"))
+            assert loaded.doc_ids == corpus.doc_ids() and loaded.terms == index.terms
 
 
 class TestAtomicWrites:

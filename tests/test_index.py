@@ -19,7 +19,8 @@ from qlex.storage import dumps_index, loads_index
 from qlex.transforms import rescale_index
 from qlex.tokenizers import TokenizerMode, tokenize
 
-from conftest import IMPOSSIBLE_HEADER_IDS, IMPOSSIBLE_HEADERS, make_corpus, random_corpus
+from conftest import (IMPOSSIBLE_HEADER_IDS, IMPOSSIBLE_HEADERS, column_slice, make_corpus,
+                      random_corpus)
 from oracles import bm25_scores, corpus_stats_by_counters, csc_by_counters, lucene_idf
 
 # Stopwords, length-1 words, punctuation, camel/snake identifiers and
@@ -48,7 +49,7 @@ class TestHandValues:
         corpus = make_corpus(["a a b"])
         index = build_index(corpus, TokenizerMode.T1)
         tid = index.vocab["a"]
-        rows, scores = index.column(tid)
+        rows, scores = column_slice(index, tid)
         assert rows.tolist() == [0]
         expected = np.float32(math.log(4.0 / 3.0) * (10.0 / 7.0))
         assert scores[0] == expected
@@ -60,7 +61,7 @@ class TestHandValues:
         tid = index.vocab["common"]
         assert df[tid] == 2 and n == 2
         # Lucene shift keeps the weight strictly positive: log(1 + 0.5/2.5).
-        _, scores = index.column(tid)
+        _, scores = column_slice(index, tid)
         assert scores.min() > 0
         expected_idf = math.log(1.2)
         assert math.isclose(
@@ -122,7 +123,7 @@ class TestDenseOracle:
         doc_tokens = [tokenize(d.text, TokenizerMode.T1) for d in corpus]
         for term in index.terms:
             dense = bm25_scores(doc_tokens, [term])
-            col_rows, col_scores = index.column(index.vocab[term])
+            col_rows, col_scores = column_slice(index, index.vocab[term])
             sparse = np.zeros(len(doc_tokens))
             sparse[col_rows] = col_scores
             np.testing.assert_allclose(sparse, dense, rtol=1e-9, atol=0)

@@ -223,6 +223,24 @@ class TestRankFromScores:
     def test_edge_vectors(self, scores, k):
         _assert_matches_full_sort(_docs(scores.size), scores, k)
 
+    # Non-zero values packed at the front of a mostly-zero vector: negatives
+    # and NaN there leave the first k entries short of zeros, so the prefix
+    # the zero class is read from must grow, once or up to the whole vector.
+    _FRONT_POOL = [1.0, 2.5, math.inf, -1.0, -3.0, -math.inf, math.nan, -0.0, 0.0]
+
+    @settings(deadline=None)
+    @given(n=st.integers(1, 3000), front=st.floats(0.0, 1.0),
+           mix=st.lists(st.sampled_from(_FRONT_POOL), min_size=1, max_size=6),
+           small_k=st.integers(1, 40), k_frac=st.one_of(st.none(), st.floats(0.0, 1.0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_long_vectors_with_a_packed_front(self, n, front, mix, small_k, k_frac, seed):
+        rng = np.random.default_rng(seed)
+        scores = np.zeros(n)
+        head = int(front * n)
+        scores[:head] = rng.choice(np.array(mix), head)
+        k = small_k if k_frac is None else 1 + int(k_frac * (n + 4))
+        _assert_matches_full_sort(_docs(n), scores, k)
+
     def test_dph_index_with_negative_scores(self):
         rng = np.random.default_rng(8)
         index = build_dph_index(random_corpus(rng, 40, 12), TokenizerMode.T1)
@@ -266,7 +284,37 @@ class TestRankFromScores:
             assert format_trec_run(got) == format_trec_run(oracle)
 
 
+def _run_by_full_sort(index, queries: QuerySet, mode: TokenizerMode, k: int) -> str:
+    """The TREC run of ``queries`` ranked by the stable full sort oracle."""
+    rankings = []
+    for qid, text in queries:
+        scores = score_query(index, tokenize(text, mode))
+        rankings.append(RankedList(qid, [(index.doc_ids[i], float(scores[i]))
+                                         for i in rank_by_full_sort(scores, k)]))
+    return format_trec_run(rankings)
+
+
 class TestBatchAndRunFile:
+    @pytest.mark.parametrize("scorer", sorted(_SCORERS))
+    def test_run_file_when_most_queries_match_fewer_than_k(self, scorer):
+        # 600 documents over a 3,000-word vocabulary, so a query of 1-3 words
+        # matches a handful; "common" sits in two thirds of them, so at q = 0.3
+        # and q = 2 its negative scores sit among the zeros that fill k.
+        rng = np.random.default_rng(41)
+        words = [f"w{i}" for i in range(3000)]
+        texts = [("common " if rng.random() < 2 / 3 else "")
+                 + " ".join(rng.choice(words, size=rng.integers(3, 8))) for _ in range(600)]
+        index = _SCORERS[scorer](make_corpus(texts), TokenizerMode.T1)
+        queries = QuerySet([(f"q{j}", " ".join(rng.choice(words + ["common"] * 300,
+                                                           size=rng.integers(1, 4))))
+                            for j in range(60)])
+        k = 100
+        matched = [np.count_nonzero(score_query(index, tokenize(t, TokenizerMode.T1)) != 0)
+                   for _, t in queries]
+        assert sum(m < k for m in matched) > len(matched) / 2
+        got = format_trec_run(batch_retrieve(index, queries, TokenizerMode.T1, k))
+        assert got == _run_by_full_sort(index, queries, TokenizerMode.T1, k)
+
     def test_batch_preserves_query_order(self):
         index = build_index(make_corpus(["aa bb", "bb cc"]), TokenizerMode.T1)
         queries = QuerySet([("q2", "bb"), ("q1", "aa")])

@@ -12,7 +12,7 @@ from qlex import (RescaleStateError, build_dph_index, build_index, idf_lucene,
 from qlex.tokenizers import TokenizerMode, tokenize
 from qlex.query import score_query
 
-from conftest import make_corpus, random_corpus
+from conftest import column_slice, make_corpus, random_corpus
 from oracles import dph_scores, qlog_bm25_scores
 
 
@@ -179,7 +179,7 @@ class TestRescale:
         texts = [f"common filler{i}" for i in range(9)] + ["alone fillerx"]
         index = build_index(make_corpus(texts), TokenizerMode.T1)
         rescale_index(index, 0.5)
-        _, col = index.column(index.vocab["common"])
+        _, col = column_slice(index, index.vocab["common"])
         assert col.max() < 0
 
 
@@ -238,7 +238,7 @@ class TestDph:
         norm = (1.0 - f) ** 2 / 2.0
         expected = np.float32(norm * (1.0 * math.log2(1.0) +
                                       0.5 * math.log2(2.0 * math.pi * (1.0 - f))))
-        _, col = index.column(index.vocab["solo"])
+        _, col = column_slice(index, index.vocab["solo"])
         assert col[0] == expected
         assert np.isfinite(col[0])
 
