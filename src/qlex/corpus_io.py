@@ -1,12 +1,13 @@
 """Loading and validation of corpora, query sets, and relevance judgments.
 
 Corpora and query sets are JSON Lines files (one object per line) with
-``doc_id``/``text`` and ``query_id``/``text`` fields.  Qrels are
-whitespace-separated triples ``query_id  doc_id  relevance`` with
-non-negative integer relevance.  Every file is UTF-8; an undecodable byte
-is a ParseError naming the file and line that holds it, and so is a field
-that a JSON escape leaves holding a lone surrogate, which UTF-8 cannot
-encode.
+``doc_id``/``text`` and ``query_id``/``text`` fields; a :class:`Corpus` stores
+its ids and texts as two tuples of ``str`` and builds a :class:`Document`
+only when one is asked for.  Qrels are whitespace-separated triples
+``query_id  doc_id  relevance`` with non-negative integer relevance.  Every
+file is UTF-8; an undecodable byte is a ParseError naming the file and line
+that holds it, and so is a field that a JSON escape leaves holding a lone
+surrogate, which UTF-8 cannot encode.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -33,55 +35,60 @@ class Document:
     text: str
 
 
-def _index_ids(kind: str, ids: Iterable[str], path: str | None,
+def _index_ids(kind: str, ids: Sequence[str], path: str | None,
                lines: Sequence[int] | None) -> dict[str, int]:
     """Map each id to its position; the one empty- and duplicate-id check.
 
     Errors name the source ``path`` and the 1-based line of the offending
     record when ``lines`` gives one per id, else its position.
     """
-    by_id: dict[str, int] = {}
-    for i, ident in enumerate(ids):
-        line = None if lines is None else lines[i]
-        if not ident:
-            where = "" if line is not None else f" at position {i}"
-            raise ParseError(f"empty {kind}{where}", path=path, line=line)
-        if ident in by_id:
-            raise DuplicateIdError(kind, ident, path=path, line=line)
-        by_id[ident] = i
+    by_id = dict(zip(ids, range(len(ids))))
+    if len(by_id) < len(ids) or "" in by_id:  # walk the ids in order to the first bad one
+        seen: set[str] = set()
+        for i, ident in enumerate(ids):
+            line = None if lines is None else lines[i]
+            if not ident:
+                where = "" if line is not None else f" at position {i}"
+                raise ParseError(f"empty {kind}{where}", path=path, line=line)
+            if ident in seen:
+                raise DuplicateIdError(kind, ident, path=path, line=line)
+            seen.add(ident)
     return by_id
 
 
 class Corpus:
     """An ordered collection of documents with unique, non-empty ids.
 
-    ``path`` (kept as an attribute) and ``lines`` (one 1-based source line
-    per document) locate an invalid id in the error message.  ``docs`` is
-    read-only, so what :func:`qlex.index.count_tokens` keeps per corpus
-    object stays true of it.
+    ``path`` (kept as an attribute) and ``lines`` (one 1-based source line per document)
+    locate an invalid id in the error message.  :attr:`ids`, :attr:`texts` and ``docs`` are
+    read-only, so what :func:`qlex.index.count_tokens` keeps per corpus object stays true.
     """
 
     def __init__(self, documents: Iterable[Document], *, path: str | None = None,
                  lines: Sequence[int] | None = None):
-        self._docs: tuple[Document, ...] = tuple(documents)
-        self.path = path
-        self._by_id = _index_ids("doc_id", (d.doc_id for d in self._docs), path, lines)
+        docs = tuple(documents)
+        self._set_columns(tuple(d.doc_id for d in docs), tuple(d.text for d in docs), lines, path)
 
-    @property
-    def docs(self) -> tuple[Document, ...]:
-        return self._docs
+    def _set_columns(self, ids: tuple[str, ...], texts: tuple[str, ...],
+                     lines: Sequence[int] | None, path: str | None) -> None:
+        self._ids, self._texts, self.path = ids, texts, path
+        self._by_id = _index_ids("doc_id", ids, path, lines)
+
+    ids = property(attrgetter("_ids"), doc="The document ids, a tuple of str.")
+    texts = property(attrgetter("_texts"), doc="The document texts, a tuple of str.")
+    docs = property(tuple, doc="The documents, a tuple of Document built on each access.")
 
     def __len__(self) -> int:
-        return len(self._docs)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[Document]:
-        return iter(self._docs)
+        return map(Document, self._ids, self._texts)
 
     def text(self, doc_id: str) -> str:
-        return self._docs[self._by_id[doc_id]].text
+        return self._texts[self._by_id[doc_id]]
 
     def doc_ids(self) -> list[str]:
-        return [d.doc_id for d in self._docs]
+        return list(self._ids)
 
 
 class QuerySet:
@@ -93,7 +100,7 @@ class QuerySet:
     def __init__(self, entries: Iterable[tuple[str, str]], *, path: str | None = None,
                  lines: Sequence[int] | None = None):
         self.entries: tuple[tuple[str, str], ...] = tuple(entries)
-        _index_ids("query_id", (qid for qid, _ in self.entries), path, lines)
+        _index_ids("query_id", [qid for qid, _ in self.entries], path, lines)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -141,77 +148,66 @@ def _undecodable(path: Path, exc: UnicodeDecodeError) -> ParseError:
                       path=str(path), line=lineno)
 
 
-def _jsonl_records(path: Path):
-    """Yield (1-based line, record) for each non-blank line of a JSONL file.
+def _read_columns(path: Path, id_key: str) -> tuple[tuple[str, ...], tuple[str, ...], list[int]]:
+    """The ``id_key`` and ``text`` columns of a JSONL file, and each record's 1-based line.
 
-    One ``raw_decode`` parses a line, which is taken when only JSON
-    whitespace follows the value.  Any other line (blank, leading space, a
-    BOM, trailing data, bad JSON) falls back to ``strip`` and ``json.loads``,
-    which skip it or raise its error, so each line gives what json.loads gives.
-    """
+    One ``raw_decode`` parses a line when only JSON whitespace follows the value;
+    any other line (blank, a BOM, trailing data, bad JSON) falls back to ``strip``
+    and ``json.loads``, so each line gives what json.loads gives.  Both fields must
+    be strings UTF-8 can encode: a lone surrogate is not ASCII, so only a value
+    that is not an exact ASCII ``str`` is checked."""
+    ids, texts, lines = [], [], []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 try:
                     record, end = _raw_decode(line)
                     whole = not line[end:].strip(_JSON_WHITESPACE)
-                except json.JSONDecodeError:
+                except (ValueError, RecursionError):
                     whole = False
                 if not whole:
                     if not line.strip():
                         continue
                     try:
                         record = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ParseError(f"invalid JSON ({exc.msg})",
+                    except (ValueError, RecursionError) as exc:  # also too deep, or too long an int
+                        raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})",
                                          path=str(path), line=lineno) from None
                 if not isinstance(record, dict):
                     raise ParseError("record is not a JSON object", path=str(path), line=lineno)
-                yield lineno, record
+                ident, text = record.get(id_key), record.get("text")
+                if not (type(ident) is str is type(text) and ident.isascii() and text.isascii()):
+                    for value, key in ((ident, id_key), (text, "text")):
+                        if not isinstance(value, str):
+                            raise ParseError(f"missing or non-string field {key!r}",
+                                             path=str(path), line=lineno)
+                        try:
+                            value.encode("utf-8")
+                        except UnicodeEncodeError as exc:
+                            raise ParseError(f"field {key!r} holds a lone surrogate "
+                                             f"{value[exc.start]!r}", path=str(path),
+                                             line=lineno) from None
+                ids.append(ident)
+                texts.append(text)
+                lines.append(lineno)
     except UnicodeDecodeError as exc:
         raise _undecodable(path, exc) from None
-
-
-def _require_str(record: dict, key: str, path: str, lineno: int) -> str:
-    """The string field ``key``, which must encode as UTF-8.
-
-    A lone surrogate is not ASCII, so only a value that is not ASCII (an
-    O(1) flag test on CPython) is encoded to look for one.
-    """
-    value = record.get(key)
-    if not isinstance(value, str):
-        raise ParseError(f"missing or non-string field {key!r}", path=path, line=lineno)
-    if not value.isascii():
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise ParseError(f"field {key!r} holds a lone surrogate {value[exc.start]!r}",
-                             path=path, line=lineno) from None
-    return value
+    return tuple(ids), tuple(texts), lines
 
 
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus from JSONL with doc_id/text fields."""
     path = Path(path)
-    docs: list[Document] = []
-    lines: list[int] = []
-    for lineno, record in _jsonl_records(path):
-        docs.append(Document(_require_str(record, "doc_id", str(path), lineno),
-                             _require_str(record, "text", str(path), lineno)))
-        lines.append(lineno)
-    return Corpus(docs, path=str(path), lines=lines)
+    corpus = Corpus.__new__(Corpus)
+    corpus._set_columns(*_read_columns(path, "doc_id"), str(path))
+    return corpus
 
 
 def load_queries(path: str | Path) -> QuerySet:
     """Load a query set from JSONL with query_id/text fields."""
     path = Path(path)
-    entries: list[tuple[str, str]] = []
-    lines: list[int] = []
-    for lineno, record in _jsonl_records(path):
-        entries.append((_require_str(record, "query_id", str(path), lineno),
-                        _require_str(record, "text", str(path), lineno)))
-        lines.append(lineno)
-    return QuerySet(entries, path=str(path), lines=lines)
+    ids, texts, lines = _read_columns(path, "query_id")
+    return QuerySet(zip(ids, texts), path=str(path), lines=lines)
 
 
 def load_qrels(path: str | Path) -> QrelSet:

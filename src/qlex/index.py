@@ -225,9 +225,9 @@ def _count(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
     doc_lens: list[int] = []
     if mode in (TokenizerMode.T2, TokenizerMode.T3):
         emissions: dict[str, tuple[int, ...]] = {}
-        for doc in corpus:
+        for text in corpus.texts:
             before = len(token_ids)
-            for raw in word_surfaces(doc.text):
+            for raw in word_surfaces(text):
                 ids = emissions.get(raw)
                 if ids is None:
                     ids = emissions[raw] = tuple(
@@ -236,8 +236,8 @@ def _count(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
             doc_lens.append(len(token_ids) - before)
         del emissions
     else:
-        for doc in corpus:
-            toks = tokenize(doc.text, mode)
+        for text in corpus.texts:
+            toks = tokenize(text, mode)
             doc_lens.append(len(toks))
             token_ids.extend(map(first_seen.__getitem__, toks))
     n_tok = len(token_ids)
@@ -259,7 +259,7 @@ def _count(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
     keys %= num_docs
     rows, tfs = keys.astype(np.int32), tfs.astype(np.int32)
     del keys
-    return TokenCounts(terms=tuple(terms), doc_ids=tuple(corpus.doc_ids()), num_docs=num_docs,
+    return TokenCounts(terms=tuple(terms), doc_ids=corpus.ids, num_docs=num_docs,
                        n_tok=n_tok, avg_len=n_tok / num_docs, rows=rows, tfs=tfs, df=df,
                        col_ptr=np.concatenate(([0], np.cumsum(df))),
                        doc_lens=np.array(doc_lens, dtype=np.int64))

@@ -116,12 +116,15 @@ class _Reader:
 
     def json_strings(self) -> list[str]:
         (size,) = struct.unpack("<Q", self.take(8))
+        blob = self.take(size)
         try:
-            value = json.loads(self.take(size).decode("utf-8"))
-        except ValueError:  # bad UTF-8 or bad JSON
+            value = json.loads(blob.decode("utf-8"))
+            if b"\\u" in blob:  # a lone surrogate, which UTF-8 cannot encode, needs a \u escape
+                json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except (ValueError, RecursionError):  # bad UTF-8 or JSON, too deep, a lone surrogate
             value = None
         if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-            raise IndexFormatError("corrupt index: a JSON block is not an array of strings")
+            raise IndexFormatError("corrupt index: a JSON block is not an array of UTF-8 strings")
         return value
 
     def array(self, dtype, count: int) -> np.ndarray:

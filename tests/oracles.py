@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qlex.errors import ParseError
+from qlex.errors import DuplicateIdError, ParseError
 from qlex.stats import CorpusStats
 from qlex.tokenizers import _CAMEL_RE, _SEP_RE, TokenizerMode, default_stopwords, surface_tokens
 
@@ -214,8 +214,9 @@ def jsonl_entries_by_loads(path: Path, id_key: str) -> tuple[list[tuple[str, str
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", path=str(path), line=lineno) from None
+            except (ValueError, RecursionError) as exc:
+                raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", path=str(path),
+                                 line=lineno) from None
             if not isinstance(record, dict):
                 raise ParseError("record is not a JSON object", path=str(path), line=lineno)
             for key in (id_key, "text"):
@@ -225,6 +226,22 @@ def jsonl_entries_by_loads(path: Path, id_key: str) -> tuple[list[tuple[str, str
             entries.append((record[id_key], record["text"]))
             lines.append(lineno)
     return entries, lines
+
+
+def index_ids_by_loop(kind: str, ids, path: str | None, lines) -> dict[str, int]:
+    """Each id's position, checked one id at a time in order: the first empty
+    id (ParseError) or repeated id (DuplicateIdError) raises, naming ``path``
+    and its line from ``lines``, or its position when ``lines`` is None."""
+    by_id: dict[str, int] = {}
+    for i, ident in enumerate(ids):
+        line = None if lines is None else lines[i]
+        if not ident:
+            where = "" if line is not None else f" at position {i}"
+            raise ParseError(f"empty {kind}{where}", path=path, line=line)
+        if ident in by_id:
+            raise DuplicateIdError(kind, ident, path=path, line=line)
+        by_id[ident] = i
+    return by_id
 
 
 def ndcg_by_hand(ranked_doc_ids: list[str], rels: dict[str, int], k: int) -> float:

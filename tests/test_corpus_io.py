@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qlex import (Corpus, Document, DuplicateIdError, IndexFormatError, ParseError, QlexError,
-                  QuerySet, RankedList, build_dph_index, build_index, load_corpus, load_qrels,
-                  load_queries, load_index, save_index, dumps_index, loads_index, top_k,
-                  write_trec_run)
+from qlex import (BuildError, Corpus, Document, DuplicateIdError, IndexFormatError, ParseError,
+                  QlexError, QuerySet, RankedList, build_dph_index, build_index, load_corpus,
+                  load_qrels, load_queries, load_index, save_index, dumps_index, loads_index,
+                  top_k, write_trec_run)
 from qlex import storage
 from qlex.cli import _write_or_print
 from qlex.storage import INDEX_FORMAT_VERSION, _MAGIC
@@ -20,7 +20,7 @@ from qlex.tokenizers import TokenizerMode
 
 from conftest import (IMPOSSIBLE_HEADER_IDS, IMPOSSIBLE_HEADERS, make_corpus,
                       write_jsonl_corpus)
-from oracles import jsonl_entries_by_loads
+from oracles import index_ids_by_loop, jsonl_entries_by_loads
 
 
 class TestCorpusLoading:
@@ -116,6 +116,7 @@ class TestJsonlFastPath:
     @given(st.lists(LINE, max_size=8), st.sampled_from(["corpus", "queries"]))
     @example([GOOD + " \t\r", GOOD.replace("a", "b") + "\x0c"], "corpus")
     @example(["\ufeff" + GOOD, " " + GOOD + " x"], "queries")
+    @example([GOOD.replace('"x"', "7" * 5000), "[" * 100_000], "corpus")
     def test_same_records_or_error_as_loads_per_line(self, tmp_path_factory, lines, kind):
         path = tmp_path_factory.mktemp("jsonl") / "in.jsonl"
         path.write_bytes("\n".join(lines).encode("utf-8"))
@@ -214,6 +215,107 @@ class TestLoneSurrogates:
             save_index(index, path.with_suffix(".qlx"))
             loaded = load_index(path.with_suffix(".qlx"))
             assert loaded.doc_ids == corpus.doc_ids() and loaded.terms == index.terms
+
+
+class TestUntrustedLines:
+    """Any bytes, and any JSON value in any field, load or raise a QlexError naming the path."""
+
+    JSON_VALUE = st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
+        lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+        max_leaves=6)
+    RECORD = st.dictionaries(st.sampled_from(["doc_id", "query_id", "text"]), JSON_VALUE)
+    LINE = st.one_of(
+        st.binary(max_size=40),
+        st.builds(lambda record: json.dumps(record).encode("utf-8"), RECORD),
+        JSON_VALUE.map(lambda value: json.dumps(value).encode("utf-8")),
+        st.sampled_from([b'{"doc_id": "a", "query_id": "a", "text": "x"}', b"q1 d1 1"]),
+    )
+
+    @settings(deadline=None)
+    @given(st.lists(LINE, max_size=6))
+    @example([b"[" * 100_000])
+    @example([b'{"doc_id": "a", "query_id": "a", "text": ' + b"7" * 5000 + b"}"])
+    @example([b'{"doc_id": "a", "query_id": "a", "text": "x"}', b"q1 d1 " + b"7" * 5000])
+    def test_each_loader_returns_or_names_the_path(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("untrusted") / "in.txt"
+        path.write_bytes(b"\n".join(lines))
+        for load in (load_corpus, load_queries, load_qrels):
+            try:
+                load(path)
+            except QlexError as exc:
+                assert str(path) in str(exc)
+
+
+class TestColumns:
+    """A loaded Corpus and one built from Documents are the same corpus."""
+
+    @settings(deadline=None)
+    @given(ids=st.lists(st.sampled_from(["", "a", "b", "c"]), max_size=6),
+           blank=st.lists(st.booleans(), min_size=6, max_size=6),
+           kind=st.sampled_from(["corpus", "queries"]))
+    @example(ids=["", "a", "a"], blank=[False] * 6, kind="corpus")
+    @example(ids=["a", "", "a"], blank=[True] * 6, kind="corpus")
+    @example(ids=["a", "a", ""], blank=[False] * 6, kind="queries")
+    def test_id_errors_match_the_per_id_loop(self, tmp_path_factory, ids, blank, kind):
+        key = "doc_id" if kind == "corpus" else "query_id"
+        texts = [f"text {i}" for i in range(len(ids))]
+        path = tmp_path_factory.mktemp("ids") / "in.jsonl"
+        rows, at = [], []
+        for ident, text, skip in zip(ids, texts, blank):
+            rows += [""] * skip + [json.dumps({key: ident, "text": text})]
+            at.append(len(rows))
+        path.write_text("\n".join(rows) + "\n")
+
+        def outcome(build):
+            try:
+                return build()
+            except ParseError as exc:
+                return type(exc), str(exc), exc.line
+
+        want_loaded = outcome(lambda: index_ids_by_loop(key, ids, str(path), at))
+        want_direct = outcome(lambda: index_ids_by_loop(key, ids, None, None))
+        if kind == "corpus":
+            got_loaded = outcome(lambda: load_corpus(path))
+            got_direct = outcome(lambda: Corpus(map(Document, ids, texts)))
+        else:
+            got_loaded = outcome(lambda: load_queries(path))
+            got_direct = outcome(lambda: QuerySet(zip(ids, texts)))
+        for want, got in ((want_loaded, got_loaded), (want_direct, got_direct)):
+            if not isinstance(want, dict):
+                assert got == want
+            elif kind == "corpus":
+                assert list(got) == [Document(i, t) for i, t in zip(ids, texts)]
+                assert [got.text(i) for i in ids] == [texts[want[i]] for i in ids]
+            else:
+                assert list(got) == list(zip(ids, texts))
+
+    TEXT = st.text(st.one_of(st.sampled_from("ab_X1 .é"), st.characters(
+        exclude_categories=["Cs"])), max_size=16)
+
+    @settings(deadline=None, max_examples=60)
+    @given(records=st.lists(st.tuples(TEXT, TEXT), min_size=1, max_size=6))
+    @example(records=[("d\u00e9", "café naïve İDfoo"), ("d1", "plain ascii text"),
+                      ("日本", "Straße ΣΊΣΥΦΟΣ snake_Case")])
+    def test_loaded_and_built_corpora_give_the_same_index(self, tmp_path_factory, records):
+        records = [(f"d{i}-{ident}", text) for i, (ident, text) in enumerate(records)]
+        path = tmp_path_factory.mktemp("columns") / "corpus.jsonl"
+        path.write_text("".join(json.dumps({"doc_id": d, "text": t}) + "\n" for d, t in records),
+                        encoding="utf-8")
+        built = Corpus([Document(d, t) for d, t in records])
+        loaded = load_corpus(path)
+        assert list(loaded) == list(built) and loaded.texts == built.texts
+
+        def dumped(build, corpus, mode):
+            try:
+                return dumps_index(build(corpus, mode))
+            except BuildError as exc:
+                return str(exc)
+
+        for mode in TokenizerMode:
+            for build in (build_index, build_dph_index):
+                assert dumped(build, loaded, mode) == dumped(build, built, mode)
 
 
 class TestAtomicWrites:
@@ -373,6 +475,36 @@ class TestIndexSerialization:
         corrupted = blob[:start] + struct.pack("<Q", len(raw)) + raw + blob[start + 8 + size:]
         with pytest.raises(IndexFormatError, match="JSON block"):
             loads_index(corrupted)
+
+    @staticmethod
+    def _with_block(blob: bytes, block: int, raw: bytes) -> bytes:
+        """``blob`` with JSON block ``block`` (0 the vocabulary, 1 the doc ids) set to ``raw``."""
+        end = len(_MAGIC) + storage._FIXED.size
+        for _ in range(block + 1):
+            start = end
+            (size,) = struct.unpack("<Q", blob[start:start + 8])
+            end = start + 8 + size
+        return blob[:start] + struct.pack("<Q", len(raw)) + raw + blob[end:]
+
+    # A lone surrogate in a block loads into a str that UTF-8 cannot encode,
+    # so neither the index nor a run of it could be written again.
+    # (block, a lone surrogate, the same block with it in a valid escaped pair)
+    @pytest.mark.parametrize("block, lone, paired", [
+        (0, rb'["alpha", "b\udc00", "delta", "gamma"]',
+         rb'["alpha", "b\ud83d\udc00", "delta", "gamma"]'),
+        (1, rb'["d\ud800", "dB", "d2"]', rb'["d\ud800\udc00", "dB", "d2"]'),
+    ], ids=["vocab", "doc_ids"])
+    def test_lone_surrogate_in_a_block_is_corrupt_error(self, index, block, lone, paired):
+        blob = dumps_index(index)
+        loaded = loads_index(self._with_block(blob, block, paired))
+        assert dumps_index(loads_index(dumps_index(loaded))) == dumps_index(loaded)
+        with pytest.raises(IndexFormatError, match="JSON block"):
+            loads_index(self._with_block(blob, block, lone))
+
+    @pytest.mark.parametrize("block", [0, 1], ids=["vocab", "doc_ids"])
+    def test_too_deeply_nested_block_is_corrupt_error(self, index, block):
+        with pytest.raises(IndexFormatError, match="JSON block"):
+            loads_index(self._with_block(dumps_index(index), block, b"[" * 100_000))
 
     def test_every_bit_flip_is_rejected_or_well_formed(self, index):
         blob = dumps_index(index)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qlex import (BuildError, BuildParams, IndexHeader, RescaleStateError, build_dph_index,
-                  build_index, compute_corpus_stats, load_corpus)
+from qlex import (BuildError, BuildParams, Document, IndexHeader, RescaleStateError,
+                  build_dph_index, build_index, compute_corpus_stats, load_corpus)
 from qlex import index as index_module
 from qlex.index import count_tokens
 from qlex.storage import dumps_index, loads_index
@@ -20,7 +20,7 @@ from qlex.transforms import rescale_index
 from qlex.tokenizers import TokenizerMode, tokenize
 
 from conftest import (IMPOSSIBLE_HEADER_IDS, IMPOSSIBLE_HEADERS, column_slice, make_corpus,
-                      random_corpus)
+                      random_corpus, write_jsonl_corpus)
 from oracles import bm25_scores, corpus_stats_by_counters, csc_by_counters, lucene_idf
 
 # Stopwords, length-1 words, punctuation, camel/snake identifiers and
@@ -255,6 +255,23 @@ class TestCountsMemo:
         with pytest.raises(AttributeError):
             corpus.docs = ()
         assert len(corpus.docs) == len(_MEMO_TEXTS)
+        for column in ("ids", "texts"):
+            with pytest.raises(AttributeError):
+                setattr(corpus, column, ())
+        assert corpus.texts == tuple(_MEMO_TEXTS) and len(corpus.ids) == len(_MEMO_TEXTS)
+
+    def test_loading_and_counting_make_no_document(self, tmp_path, monkeypatch):
+        path = write_jsonl_corpus(tmp_path / "c.jsonl", make_corpus(_MEMO_TEXTS))
+
+        def refuse(self, *args):
+            raise AssertionError("a Document was built")
+
+        monkeypatch.setattr(Document, "__init__", refuse)
+        for mode in TokenizerMode:
+            corpus = load_corpus(path)
+            build_index(corpus, mode)
+            build_dph_index(corpus, mode)
+            compute_corpus_stats(corpus, mode)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
