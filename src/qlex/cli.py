@@ -179,7 +179,9 @@ def _cmd_occlusion(args: argparse.Namespace) -> int:
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels)
     bins = _parse_bins(args.bins) if args.bins else list(DEFAULT_DF_BINS)
-    rows = df_bin_occlusion(index, queries, qrels, bins, q=args.q)
+    if args.q is not None and index.header.applied_q != args.q:
+        rescale_index(index, args.q)  # an index already at q is used as it is
+    rows = df_bin_occlusion(index, queries, qrels, bins)
     lines = ["df_lo\tdf_hi\tmean_ndcg_loss"]
     for (lo, hi), loss in rows:
         lines.append(f"{lo}\t{hi if hi is not None else 'inf'}\t{loss:+.6f}")

@@ -259,21 +259,17 @@ def q_sweep(base_index_path: str | Path, queries: QuerySet, qrels: QrelSet,
     return SweepTable(rows=rows, q_opt=q_opt)
 
 
-def _bin_contains(lo: int, hi: int | None, df: int) -> bool:
-    return df >= lo and (hi is None or df <= hi)
-
-
 def df_bin_occlusion(index: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
-                     bins: Sequence[tuple[int, int | None]] = DEFAULT_DF_BINS,
-                     q: float | None = None) -> list[tuple[tuple[int, int | None], float]]:
+                     bins: Sequence[tuple[int, int | None]] = DEFAULT_DF_BINS
+                     ) -> list[tuple[tuple[int, int | None], float]]:
     """Mean NDCG@10 loss from removing each df bin's tokens from queries.
 
     ValueError unless ``bins`` are non-empty, ascending, disjoint inclusive
-    ranges from df 1 with only the last one open.  ``q`` moves a pristine
-    index to the requested operating point first (an index already there is
-    used as it is).  A query with no tokens in a bin contributes zero loss
-    for that bin.  Losses are not clamped: a negative mean means removing
-    that bin helped.
+    ranges from df 1 with only the last one open.  ``index`` is ranked as it
+    is and left unchanged; rescale it first to measure another operating
+    point.  A query with no tokens in a bin contributes zero loss for that
+    bin.  Losses are not clamped: a negative mean means removing that bin
+    helped.
     """
     ends = [0] + [hi for _, hi in bins]  # the end of the bin before each bin
     if not bins or not all(end is not None and end < lo and (hi is None or lo <= hi)
@@ -281,8 +277,6 @@ def df_bin_occlusion(index: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
         raise ValueError("df bins must be non-empty, ascending and disjoint from 1, with "
                          f"only the last one open; got {list(bins)}")
     judged = _judged(queries, qrels)
-    if q is not None and index.header.applied_q != q:
-        rescale_index(index, q)  # identity at q = 1.0
     mode = index.header.mode
     losses = {b: 0.0 for b in bins}
     for qid, text in judged:
@@ -290,7 +284,7 @@ def df_bin_occlusion(index: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
         full = ndcg_at_k(rank_tokens(index, tokens, NDCG_CUTOFF, qid), qrels, NDCG_CUTOFF)
         dfs = [index.df[index.vocab[t]] if t in index.vocab else 0 for t in tokens]
         for lo, hi in bins:
-            kept = [t for t, d in zip(tokens, dfs) if not (d and _bin_contains(lo, hi, d))]
+            kept = [t for t, d in zip(tokens, dfs) if not (lo <= d and (hi is None or d <= hi))]
             if len(kept) == len(tokens):
                 continue
             occluded = ndcg_at_k(rank_tokens(index, kept, NDCG_CUTOFF, qid), qrels,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import weakref
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,31 +47,30 @@ class BuildParams:
             raise ValueError(f"b must lie in [0, 1], got {self.b}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class IndexHeader:
     """Index state the arrays do not imply, and the one definition of a legal one.
 
-    Construction raises ValueError unless a BM25 header's k1 and b pass
-    :class:`BuildParams` and a DPH header's are NaN, avg_len is finite and
-    > 0, and at most one transform mark is set (None means not applied): a
+    None means not set.  Construction raises ValueError unless a BM25
+    header's k1 and b pass :class:`BuildParams` and a DPH header's are None,
+    avg_len is finite and > 0, and at most one transform mark is set: a
     finite ``applied_q`` or a finite ``applied_gamma`` > 0, on BM25 only.
-    Equality and hashing leave out a DPH header's k1 and b: they are always
-    NaN, and NaN never equals itself.
+    No legal header holds a NaN, so headers compare and hash by value.
     """
 
     mode: TokenizerMode
     scorer: str
-    k1: float
-    b: float
+    k1: float | None
+    b: float | None
     avg_len: float
     applied_q: float | None = None
     applied_gamma: float | None = None
 
     def __post_init__(self):
-        if self.scorer == SCORER_BM25:
+        if self.scorer == SCORER_BM25 and None not in (self.k1, self.b):
             BuildParams(k1=self.k1, b=self.b)
-        elif not (self.scorer == SCORER_DPH and math.isnan(self.k1) and math.isnan(self.b)):
-            raise ValueError(f"scorer {self.scorer!r} is neither bm25 nor dph with NaN k1 and b")
+        elif not (self.scorer == SCORER_DPH and self.k1 is None and self.b is None):
+            raise ValueError(f"scorer {self.scorer!r} needs k1 and b set (bm25) or neither (dph)")
         if not (math.isfinite(self.avg_len) and self.avg_len > 0):
             raise ValueError(f"avg_len must be finite and > 0, got {self.avg_len}")
         marks = [v for v in (self.applied_q, self.applied_gamma) if v is not None]
@@ -79,16 +78,6 @@ class IndexHeader:
                       or not (self.applied_gamma is None or self.applied_gamma > 0)):
             raise ValueError("a rescale sets one finite q or gamma > 0, on a BM25 index only; "
                              f"got q={self.applied_q}, gamma={self.applied_gamma}")
-
-    def _key(self) -> tuple:
-        params = (self.k1, self.b) if self.scorer == SCORER_BM25 else ()
-        return (self.mode, self.scorer, *params, self.avg_len, self.applied_q, self.applied_gamma)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, IndexHeader) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 @dataclass
@@ -110,8 +99,6 @@ class SparseScoreIndex:
     doc_ids: list[str]
     num_docs: int
     header: IndexHeader
-    # Available after an in-process build; not serialized (scoring never reads it).
-    doc_lens: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def nnz(self) -> int:
@@ -140,7 +127,6 @@ class SparseScoreIndex:
             doc_ids=list(counts.doc_ids),
             num_docs=counts.num_docs,
             header=header,
-            doc_lens=counts.doc_lens,
         )
 
     def check_invariants(self) -> None:

@@ -6,8 +6,8 @@ Layout (little-endian, version 1):
 bytes 0..7            magic ``b"QLEXIDX1"``
 fixed header          ``<IBBddddQdQQ``: version, tokenizer mode ordinal,
                       scorer ordinal, k1, b, applied_q, applied_gamma
-                      (NaN encodes "not applied"), N, avg_len, vocab size,
-                      nnz
+                      (NaN encodes not set, None in memory), N, avg_len,
+                      vocab size, nnz
 vocab block           u64 byte length + UTF-8 JSON array of terms (id order)
 doc-id block          u64 byte length + UTF-8 JSON array of doc ids
 col_ptr               (V + 1) int64
@@ -34,6 +34,7 @@ import json
 import math
 import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -49,18 +50,17 @@ _MAGIC = b"QLEXIDX1"
 _FIXED = struct.Struct("<IBBddddQdQQ")
 _MODES = [TokenizerMode.T0, TokenizerMode.T1, TokenizerMode.T2, TokenizerMode.T3]
 _SCORERS = [SCORER_BM25, SCORER_DPH]
+_OPTIONAL = ("k1", "b", "applied_q", "applied_gamma")  # not set: None in memory, NaN on disk
 
 
 def dumps_index(index: SparseScoreIndex) -> bytes:
     header = index.header
+    optional = [getattr(header, name) for name in _OPTIONAL]
     fixed = _FIXED.pack(
         INDEX_FORMAT_VERSION,
         _MODES.index(header.mode),
         _SCORERS.index(header.scorer),
-        header.k1,
-        header.b,
-        math.nan if header.applied_q is None else header.applied_q,
-        math.nan if header.applied_gamma is None else header.applied_gamma,
+        *(math.nan if v is None else v for v in optional),
         index.num_docs,
         header.avg_len,
         index.vocab_size,
@@ -82,11 +82,11 @@ def dumps_index(index: SparseScoreIndex) -> bytes:
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically: a temporary file beside ``path``
-    is renamed over it, so a failed write leaves an existing file as it was
-    and no temporary file behind."""
+    """Write ``data`` to ``path`` atomically: a temporary file beside ``path``, named
+    for this process and thread, is renamed over it, so a failed write leaves an
+    existing file as it was and no temporary file behind."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
@@ -136,7 +136,7 @@ def loads_index(data: bytes) -> SparseScoreIndex:
     reader = _Reader(data)
     if reader.take(len(_MAGIC)) != _MAGIC:
         raise IndexFormatError("not a qlex index file (bad magic)")
-    (version, mode_ord, scorer_ord, k1, b, applied_q, applied_gamma,
+    (version, mode_ord, scorer_ord, *optional,
      num_docs, avg_len, vocab_size, nnz) = _FIXED.unpack(reader.take(_FIXED.size))
     if version != INDEX_FORMAT_VERSION:
         raise IndexFormatError(f"unsupported index format version {version}, "
@@ -145,9 +145,8 @@ def loads_index(data: bytes) -> SparseScoreIndex:
         raise IndexFormatError("corrupt header: unknown mode or scorer ordinal")
     try:
         header = IndexHeader(
-            mode=_MODES[mode_ord], scorer=_SCORERS[scorer_ord], k1=k1, b=b, avg_len=avg_len,
-            applied_q=None if math.isnan(applied_q) else applied_q,
-            applied_gamma=None if math.isnan(applied_gamma) else applied_gamma)
+            mode=_MODES[mode_ord], scorer=_SCORERS[scorer_ord], avg_len=avg_len,
+            **{name: None if math.isnan(v) else v for name, v in zip(_OPTIONAL, optional)})
     except ValueError as exc:
         raise IndexFormatError(f"corrupt header: {exc}") from None
 

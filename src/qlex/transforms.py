@@ -13,6 +13,8 @@ ordinary log IDF; for q > 1 it saturates at 1/(q - 1).
 Because a built index stores ``lucene_idf * tf_factor`` per entry, moving
 an index to a different exponent q is a pure column rescale: every entry of
 column t is multiplied by ``idf_qlog(n_t, N, q) / idf_lucene(n_t, N)``.
+Each side of that ratio has one numpy body (:func:`ln_q`, :func:`qlex.index.rsj_idf`), so
+for a float n_t the ratio equals the factor the rescale applies, bit for bit.
 The gamma sharpening ``idf ** gamma`` is the same rescale with column factor
 ``idf ** (gamma - 1)``; both run through one all-or-nothing path,
 :func:`_rescale`.  The rescale is destructive and single-shot; the index
@@ -43,44 +45,43 @@ __all__ = [
 LNQ_GUARD_EPS = 1e-9
 
 
-def ln_q(x: float, q: float) -> float:
-    """q-logarithm of ``x`` (> 0). Continuous in q through q = 1."""
-    if not (x > 0):
+def ln_q(x: float | np.ndarray, q: float) -> float | np.ndarray:
+    """q-logarithm of ``x`` > 0, a float or an array elementwise; continuous in q at q = 1."""
+    x = np.asarray(x, dtype=np.float64)
+    if not (x > 0).all():
         raise ValueError(f"ln_q domain is x > 0, got {x}")
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q}")
     if abs(q - 1.0) < LNQ_GUARD_EPS:
-        return math.log(x)
-    return (x ** (1.0 - q) - 1.0) / (1.0 - q)
+        y = np.log(x)
+    else:
+        y = (np.power(x, 1.0 - q) - 1.0) / (1.0 - q)
+    return y if y.ndim else float(y)
 
 
-def _ln_q_vec(x: np.ndarray, q: float) -> np.ndarray:
-    if abs(q - 1.0) < LNQ_GUARD_EPS:
-        return np.log(x)
-    return (np.power(x, 1.0 - q) - 1.0) / (1.0 - q)
-
-
-def rsj_odds(n_t: int, num_docs: int) -> float:
-    """Smoothed RSJ odds ``(N - n_t + 0.5) / (n_t + 0.5)``.
+def rsj_odds(n_t: int | np.ndarray, num_docs: int) -> float | np.ndarray:
+    """Smoothed RSJ odds ``(N - n_t + 0.5) / (n_t + 0.5)``, elementwise.
 
     Falls below 1 when the term occurs in more than half the corpus; the
     sign convention of the downstream log is kept deliberately.
     """
-    if not 0 <= n_t <= num_docs:
+    n_t = np.asarray(n_t)
+    if not ((0 <= n_t) & (n_t <= num_docs)).all():
         raise ValueError(f"n_t must lie in [0, N], got n_t={n_t}, N={num_docs}")
-    return float(rsj_idf(n_t, num_docs)[0])
+    odds = rsj_idf(n_t, num_docs)[0]
+    return odds if odds.ndim else float(odds)
 
 
-def idf_qlog(n_t: int, num_docs: int, q: float) -> float:
+def idf_qlog(n_t: int | np.ndarray, num_docs: int, q: float) -> float | np.ndarray:
     """q-log IDF: ``ln_q`` of the smoothed RSJ odds."""
     return ln_q(rsj_odds(n_t, num_docs), q)
 
 
 def idf_lucene(n_t: int, num_docs: int) -> float:
-    """Shifted log IDF ``log(1 + odds)``; strictly positive for df >= 1."""
+    """The baked IDF, shifted log ``log(1 + odds)``; strictly positive for df >= 1."""
     if not 1 <= n_t <= num_docs:
         raise ValueError(f"n_t must lie in [1, N], got n_t={n_t}, N={num_docs}")
-    return math.log(1.0 + rsj_odds(n_t, num_docs))
+    return float(rsj_idf(n_t, num_docs)[1])
 
 
 def _rescale(index: SparseScoreIndex, name: str, value: float,
@@ -127,7 +128,7 @@ def rescale_index(index: SparseScoreIndex, q: float) -> SparseScoreIndex:
     A second rescale is a state error; a non-finite q, or one whose scores
     overflow float32, is a ValueError that leaves the index untouched.
     """
-    return _rescale(index, "q", q, lambda odds, idf: _ln_q_vec(odds, q) / idf)
+    return _rescale(index, "q", q, lambda odds, idf: ln_q(odds, q) / idf)
 
 
 def rescale_index_gamma(index: SparseScoreIndex, gamma: float) -> SparseScoreIndex:
@@ -159,5 +160,5 @@ def build_dph_index(corpus: Corpus, mode: TokenizerMode) -> SparseScoreIndex:
     norm = (1.0 - f) ** 2 / (tfs + 1.0)
     info = tfs * np.log2((tfs * avg_len / dl) * (num_docs / coll_freq))
     weights = norm * (info + 0.5 * np.log2(2.0 * math.pi * tfs * (1.0 - f)))
-    header = IndexHeader(mode=mode, scorer=SCORER_DPH, k1=math.nan, b=math.nan, avg_len=avg_len)
+    header = IndexHeader(mode=mode, scorer=SCORER_DPH, k1=None, b=None, avg_len=avg_len)
     return SparseScoreIndex.from_counts(counts, weights, header)

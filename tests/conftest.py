@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -40,6 +41,18 @@ IMPOSSIBLE_HEADERS = [
 IMPOSSIBLE_HEADER_IDS = ["k1_nan", "k1_zero", "b_7", "b_nan", "avg_len_negative", "avg_len_inf",
                          "q_and_gamma", "q_inf", "gamma_inf", "gamma_negative", "dph_k1",
                          "dph_b", "dph_avg_len_zero", "dph_rescaled"]
+# Two more that only an in-memory header can hold: a file writes "not set" as
+# NaN, so on disk the first is k1_nan above and the second a legal DPH header.
+IN_MEMORY_IMPOSSIBLE_HEADERS = [("bm25", {"k1": None}), ("dph", {"k1": float("nan")})]
+IN_MEMORY_IMPOSSIBLE_HEADER_IDS = ["bm25_k1_none", "dph_k1_nan"]
+
+
+# The benchmark's input generator, read-only, so tests also run on
+# benchmark-shaped text at smoke size.
+_GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+_gen_spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN_PATH)
+perfbench_gen = importlib.util.module_from_spec(_gen_spec)
+_gen_spec.loader.exec_module(perfbench_gen)
 
 
 def column_slice(index, term_id: int) -> tuple[np.ndarray, np.ndarray]:

@@ -159,7 +159,7 @@ def test_criterion_05_dense_oracle_equivalence():
 def test_criterion_06_monotonicity_and_saturation():
     n_docs = 100_000
     for q in (0.05, 0.5, 1.0, 1.5):
-        values = np.array([idf_qlog(n_t, n_docs, q) for n_t in range(1, n_docs + 1)])
+        values = idf_qlog(np.arange(1, n_docs + 1), n_docs, q)
         assert np.all(np.diff(values) < 0.0), f"non-monotone at q={q}"
     for x in np.logspace(0.1, 12, 40):
         assert ln_q(float(x), 1.5) < 2.0
@@ -186,7 +186,7 @@ def test_criterion_08_synthetic_mechanism(tmp_path):
     assert table.q_opt <= 0.5
     assert means[table.q_opt] - means[1.00] >= 0.2
 
-    rows = df_bin_occlusion(base, queries, qrels, q=table.q_opt)
+    rows = df_bin_occlusion(rescale_index(base, table.q_opt), queries, qrels)
     losses = {bin_: loss for bin_, loss in rows}
     assert max(losses, key=losses.get) == (1, 1)
     assert losses[(1, 1)] > 0.0

@@ -227,6 +227,20 @@ class TestAnalysisCommands:
         hapax_loss = float(lines[1].split("\t")[2])
         assert hapax_loss > 0.9
 
+    def test_mismatched_operating_point_rejected(self, mech, capsys):
+        # occlusion --q rescales the loaded index unless it is already at q.
+        judged = ["--queries", mech / "queries.jsonl", "--qrels", mech / "qrels.tsv"]
+        run("rescale", "--index", mech / "base.qlx", "--q", "0.5", "--out", mech / "q05.qlx")
+        capsys.readouterr()
+        assert run("occlusion", "--index", mech / "base.qlx", *judged, "--q", "0.5") == 0
+        from_base = capsys.readouterr().out
+        assert run("occlusion", "--index", mech / "q05.qlx", *judged, "--q", "0.5") == 0
+        assert capsys.readouterr().out == from_base
+        rc = run("occlusion", "--index", mech / "q05.qlx", *judged, "--q", "0.1")
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "already rescaled" in captured.err and captured.out == ""
+
     def test_bench_smoke(self, workdir, capsys):
         rc = run("bench", "--corpus", workdir / "corpus.jsonl",
                  "--queries", workdir / "queries.jsonl", "--mode", "t1",

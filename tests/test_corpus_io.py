@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from qlex import (BuildError, Corpus, Document, DuplicateIdError, IndexFormatErr
                   top_k, write_trec_run)
 from qlex import storage
 from qlex.cli import _write_or_print
-from qlex.storage import INDEX_FORMAT_VERSION, _MAGIC
+from qlex.storage import INDEX_FORMAT_VERSION, _MAGIC, write_atomic
 from qlex.tokenizers import TokenizerMode
 
 from conftest import (IMPOSSIBLE_HEADER_IDS, IMPOSSIBLE_HEADERS, make_corpus,
@@ -534,6 +535,31 @@ class TestIndexSerialization:
             save_index(index, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["i.qlx"]
+
+    def test_concurrent_writes_to_one_path_leave_one_whole_file(self, tmp_path):
+        # Threads of one process (more than the cores of a small CI host): each
+        # must write through its own temporary file.
+        path = tmp_path / "out.bin"
+        payloads = [b"a" * 3_000_000, b"b" * 2_000_000, b"c" * 1_000_000]
+        for _ in range(30):
+            barrier, errors = threading.Barrier(len(payloads)), []
+
+            def write(data):
+                try:
+                    barrier.wait(timeout=30)
+                    write_atomic(path, data)
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=write, args=(p,)) for p in payloads]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert path.read_bytes() in payloads
+            assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
     def test_bad_magic_rejected(self, index):
         blob = b"NOTANIDX" + dumps_index(index)[8:]

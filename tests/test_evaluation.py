@@ -270,8 +270,8 @@ class TestOcclusion:
     def test_hapax_bin_carries_the_gain(self, tmp_path):
         corpus, queries, qrels = hapax_mechanism_corpus(
             n_docs=400, group_size=100, mids_per_group=16, n_queries=30)
-        index = build_index(corpus, TokenizerMode.T0)
-        rows = df_bin_occlusion(index, queries, qrels, q=0.1)
+        index = rescale_index(build_index(corpus, TokenizerMode.T0), 0.1)
+        rows = df_bin_occlusion(index, queries, qrels)
         by_bin = {b: loss for b, loss in rows}
         assert index.header.applied_q == 0.1
         hapax_loss = by_bin[(1, 1)]
@@ -279,13 +279,6 @@ class TestOcclusion:
         assert hapax_loss > 0.9
         # Bins with no query tokens contribute exactly zero.
         assert by_bin[(1001, 5000)] == 0.0
-
-    def test_mismatched_operating_point_rejected(self):
-        corpus, queries, qrels = hapax_mechanism_corpus(100, 10, 4, 10)
-        index = build_index(corpus, TokenizerMode.T0)
-        rescale_index(index, 0.5)
-        with pytest.raises(RescaleStateError):
-            df_bin_occlusion(index, queries, qrels, q=0.1)
 
     def test_losses_not_clamped(self):
         # "rare" drags the gold doc d1 below d0; occluding the df=1 bin
@@ -330,14 +323,14 @@ class TestOcclusion:
         corpus, queries, qrels = hapax_mechanism_corpus(100, 10, 4, 10)
         index = build_index(corpus, TokenizerMode.T0)
         with pytest.raises(ValueError, match="df bins"):
-            df_bin_occlusion(index, queries, qrels, bins=bins, q=0.3)
+            df_bin_occlusion(index, queries, qrels, bins=bins)
         assert index.header.applied_q is None
 
     def test_no_judged_query_rejected(self):
         corpus, queries, _ = hapax_mechanism_corpus(100, 10, 4, 10)
         index = build_index(corpus, TokenizerMode.T0)
         with pytest.raises(ValueError, match="no query has a positively judged document"):
-            df_bin_occlusion(index, queries, qrels_of(absent={"d0": 1}), q=0.3)
+            df_bin_occlusion(index, queries, qrels_of(absent={"d0": 1}))
         assert index.header.applied_q is None
 
     def test_gapped_and_single_open_bins_accepted(self):

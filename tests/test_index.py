@@ -2,10 +2,8 @@
 
 import dataclasses
 import gc
-import importlib.util
 import math
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +14,11 @@ from qlex import (BuildError, BuildParams, Document, IndexHeader, RescaleStateEr
 from qlex import index as index_module
 from qlex.index import count_tokens
 from qlex.storage import dumps_index, loads_index
-from qlex.transforms import rescale_index
+from qlex.transforms import rescale_index, rescale_index_gamma
 from qlex.tokenizers import TokenizerMode, tokenize
 
-from conftest import (IMPOSSIBLE_HEADER_IDS, IMPOSSIBLE_HEADERS, column_slice, make_corpus,
+from conftest import (IMPOSSIBLE_HEADER_IDS, IMPOSSIBLE_HEADERS, IN_MEMORY_IMPOSSIBLE_HEADER_IDS,
+                      IN_MEMORY_IMPOSSIBLE_HEADERS, column_slice, make_corpus, perfbench_gen,
                       random_corpus, write_jsonl_corpus)
 from oracles import bm25_scores, corpus_stats_by_counters, csc_by_counters, lucene_idf
 
@@ -31,12 +30,6 @@ from oracles import bm25_scores, corpus_stats_by_counters, csc_by_counters, luce
 _WORDS = ["the", "of", "and", "a", "x", "ab", "aa0", "parseHTTPServer", "snake_case_id",
           "get2Value", "naïveÜber", "日本語", "ÆgirSøk", "..", "--", "İDfoo", "The", "OF",
           "__init__", "x__y", "fooBar.bazQux"]
-# The benchmark's input generator, read-only: the identity gate also runs on
-# benchmark-shaped text at smoke size.
-_GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-_gen_spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN_PATH)
-perfbench_gen = importlib.util.module_from_spec(_gen_spec)
-_gen_spec.loader.exec_module(perfbench_gen)
 
 _TEXTS = st.lists(st.lists(st.sampled_from(_WORDS), max_size=8).map(" ".join),
                   min_size=1, max_size=8)
@@ -72,7 +65,7 @@ class TestHandValues:
         # Stopwords and length-1 tokens do not count toward |d| under T0.
         corpus = make_corpus(["the a of parser", "parser state machine"])
         index = build_index(corpus, TokenizerMode.T0)
-        assert index.doc_lens.tolist() == [1, 3]
+        assert count_tokens(corpus, TokenizerMode.T0).doc_lens.tolist() == [1, 3]
         assert index.header.avg_len == 2.0
 
 
@@ -156,11 +149,11 @@ class TestSharedPass:
         terms, col_ptr, row_idx, tfs, doc_lens = csc_by_counters(doc_tokens)
         counts = count_tokens(corpus, mode)
         assert counts.tfs.tolist() == tfs
+        assert counts.doc_lens.tolist() == doc_lens
         for index in (build_index(corpus, mode), build_dph_index(corpus, mode)):
             assert index.terms == terms
             assert index.col_ptr.tolist() == col_ptr
             assert index.row_idx.tolist() == row_idx
-            assert index.doc_lens.tolist() == doc_lens
             index.check_invariants()
         assert compute_corpus_stats(corpus, mode) == corpus_stats_by_counters(doc_tokens)
 
@@ -239,7 +232,8 @@ class TestCountsMemo:
         for build in (build_index, build_dph_index):
             expected = dumps_index(build(corpus, TokenizerMode.T0))
             index = build(corpus, TokenizerMode.T0)
-            for array in (index.col_ptr, index.row_idx, index.df, index.doc_lens):
+            for array in (index.col_ptr, index.row_idx, index.df,
+                          count_tokens(corpus, TokenizerMode.T0).doc_lens):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] += 1
             index.terms[0] = "mutated"
@@ -283,7 +277,7 @@ def _legal_headers(draw):
     mode = draw(st.sampled_from(list(TokenizerMode)))
     avg_len = draw(_POSITIVE)
     if draw(st.booleans()):
-        return IndexHeader(mode=mode, scorer="dph", k1=math.nan, b=math.nan, avg_len=avg_len)
+        return IndexHeader(mode=mode, scorer="dph", k1=None, b=None, avg_len=avg_len)
     mark = draw(st.one_of(st.just({}), st.fixed_dictionaries({"applied_q": _FINITE}),
                           st.fixed_dictionaries({"applied_gamma": _POSITIVE})))
     return IndexHeader(mode=mode, scorer="bm25", k1=draw(_POSITIVE),
@@ -293,7 +287,8 @@ def _legal_headers(draw):
 class TestIndexHeader:
     """IndexHeader is the one definition of a legal index state."""
 
-    @pytest.mark.parametrize("scorer, fields", IMPOSSIBLE_HEADERS, ids=IMPOSSIBLE_HEADER_IDS)
+    @pytest.mark.parametrize("scorer, fields", IMPOSSIBLE_HEADERS + IN_MEMORY_IMPOSSIBLE_HEADERS,
+                             ids=IMPOSSIBLE_HEADER_IDS + IN_MEMORY_IMPOSSIBLE_HEADER_IDS)
     def test_impossible_state_refused_at_construction(self, scorer, fields):
         corpus = make_corpus(["alpha beta gamma", "beta gamma delta"])
         header = (build_index if scorer == "bm25" else build_dph_index)(
@@ -318,7 +313,7 @@ class TestIndexHeader:
         corpus = make_corpus(["alpha beta", "beta gamma"])
         dph = build_dph_index(corpus, TokenizerMode.T0)
         loaded = loads_index(dumps_index(dph)).header
-        assert math.isnan(loaded.k1) and math.isnan(loaded.b)
+        assert loaded.k1 is None and loaded.b is None
         assert loaded == dph.header and len({loaded, dph.header}) == 1
         bm25 = build_index(corpus, TokenizerMode.T0).header
         others = [bm25, dataclasses.replace(dph.header, avg_len=dph.header.avg_len + 1),
@@ -345,6 +340,28 @@ class TestIndexHeader:
         dph = build_dph_index(make_corpus(["alpha beta", "beta gamma"]), TokenizerMode.T0)
         with pytest.raises(RescaleStateError):
             rescale_index(dph, math.nan)
+
+
+class TestBuiltIndexEqualsItsFile:
+    """A build fills in no field that its file does not hold."""
+
+    @pytest.mark.parametrize("make", [
+        lambda corpus: build_index(corpus, TokenizerMode.T0),
+        lambda corpus: rescale_index(build_index(corpus, TokenizerMode.T0), 0.3),
+        lambda corpus: rescale_index_gamma(build_index(corpus, TokenizerMode.T0), 2.0),
+        lambda corpus: build_dph_index(corpus, TokenizerMode.T0),
+    ], ids=["bm25", "q_rescaled", "gamma_rescaled", "dph"])
+    def test_every_field_survives_a_round_trip(self, make):
+        index = make(make_corpus(_MEMO_TEXTS))
+        loaded = loads_index(dumps_index(index))
+        for name in (f.name for f in dataclasses.fields(index)):
+            built, read = getattr(index, name), getattr(loaded, name)
+            if isinstance(built, np.ndarray):
+                assert isinstance(read, np.ndarray) and read.dtype == built.dtype, name
+                assert np.array_equal(read, built), name
+            else:
+                assert read == built, name
+        assert hash(loaded.header) == hash(index.header)
 
 
 class TestBenchmarkText:

@@ -1,5 +1,6 @@
 """q-logarithm, RSJ odds, IDF transforms, and the in-place rescales."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qlex import (RescaleStateError, build_dph_index, build_index, idf_lucene,
-                  idf_qlog, ln_q, rescale_index, rescale_index_gamma, rsj_odds)
+                  idf_qlog, ln_q, load_corpus, rescale_index, rescale_index_gamma, rsj_odds)
+from qlex.index import rsj_idf
 from qlex.tokenizers import TokenizerMode, tokenize
 from qlex.query import score_query
 
-from conftest import column_slice, make_corpus, random_corpus
+from conftest import column_slice, make_corpus, perfbench_gen, random_corpus
 from oracles import dph_scores, qlog_bm25_scores
 
 
@@ -93,7 +95,7 @@ class TestIdf:
     def test_qlog_idf_monotone_decreasing_in_df(self):
         n = 100_000
         for q in [0.05, 0.5, 1.0, 1.5]:
-            vals = np.array([idf_qlog(nt, n, q) for nt in range(1, n + 1)])
+            vals = idf_qlog(np.arange(1, n + 1), n, q)
             assert np.all(np.diff(vals) < 0), f"not strictly decreasing at q={q}"
 
     def test_lucene_strictly_positive_and_decreasing(self):
@@ -108,6 +110,31 @@ class TestIdf:
 
     def test_known_value(self):
         assert idf_lucene(1, 182440) == pytest.approx(11.7086, abs=5e-4)
+
+
+class TestOneBody:
+    """ln_q is one numpy body: its float calls, its array call, the scalar IDF
+    ratio and the factor a rescale applies agree bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def index(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("eval_hapax")
+        perfbench_gen.generate("eval_hapax", 7, out, smoke=True)
+        return build_index(load_corpus(out / "corpus.jsonl"), TokenizerMode.T0)
+
+    @pytest.mark.parametrize("q", [0.1, 0.7, 1.0 - 1e-12, 1.0 + 1e-12, 1.5])
+    def test_float_calls_equal_the_array_call_and_the_rescale(self, index, q):
+        n, df = index.num_docs, index.df
+        odds, idf = rsj_idf(df, n)
+        by_array = ln_q(odds, q)
+        by_float = [ln_q(float(x), q) for x in odds]
+        assert all(type(v) is float for v in by_float)
+        assert np.array(by_float).tobytes() == by_array.tobytes()
+        ratio = np.array([idf_qlog(int(d), n, q) / idf_lucene(int(d), n) for d in df])
+        assert ratio.tobytes() == (by_array / idf).tobytes()
+        expected = (index.scores.astype(np.float64) * np.repeat(ratio, df)).astype(np.float32)
+        rescaled = rescale_index(dataclasses.replace(index, scores=index.scores.copy()), q)
+        assert rescaled.scores.tobytes() == expected.tobytes()
 
 
 class TestRescale:
