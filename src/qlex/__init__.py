@@ -18,8 +18,7 @@ from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, DEFAULT_TOKEN_BUDGETS,
                          report_to_json, report_to_tsv, sweep_to_csv,
                          whitespace_token_counter)
 from .index import BuildParams, IndexHeader, SparseScoreIndex, build_index
-from .query import (RankedList, batch_retrieve, format_trec_run, score_query,
-                    top_k, write_trec_run)
+from .query import RankedList, batch_retrieve, format_trec_run, score_query, top_k
 from .stats import (DEFAULT_PREDICTOR, CorpusStats, PredictorModel,
                     compute_corpus_stats, fit_coefficient, predict_q, recovery)
 from .storage import INDEX_FORMAT_VERSION, dumps_index, load_index, loads_index, save_index

@@ -24,7 +24,7 @@ from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, NDCG_CUTOFF, _judged,
                          report_to_json, report_to_tsv, sweep_to_csv,
                          whitespace_token_counter)
 from .index import BuildParams, build_index
-from .query import batch_retrieve, top_k, write_trec_run
+from .query import batch_retrieve, format_trec_run, top_k
 from .stats import compute_corpus_stats, predict_q
 from .storage import dumps_index, load_index, save_index, write_atomic
 from .tokenizers import TokenizerMode
@@ -37,7 +37,7 @@ def _echo_config(args: argparse.Namespace) -> None:
 
 
 def _mode(args: argparse.Namespace) -> TokenizerMode:
-    return TokenizerMode.from_string(args.mode)
+    return TokenizerMode(args.mode)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -105,10 +105,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     index = load_index(args.index)
     queries = load_queries(args.queries)
     rankings = batch_retrieve(index, queries, index.header.mode, args.k)
-    if args.out:
-        write_trec_run(rankings, args.out)
-    else:
-        write_trec_run(rankings, sys.stdout)
+    _write_or_print(format_trec_run(rankings), args.out)
     return 0
 
 

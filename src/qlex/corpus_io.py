@@ -1,13 +1,14 @@
 """Loading and validation of corpora, query sets, and relevance judgments.
 
 Corpora and query sets are JSON Lines files (one object per line) with
-``doc_id``/``text`` and ``query_id``/``text`` fields; a :class:`Corpus` stores
-its ids and texts as two tuples of ``str`` and builds a :class:`Document`
-only when one is asked for.  Qrels are whitespace-separated triples
-``query_id  doc_id  relevance`` with non-negative integer relevance.  Every
-file is UTF-8; an undecodable byte is a ParseError naming the file and line
-that holds it, and so is a field that a JSON escape leaves holding a lone
-surrogate, which UTF-8 cannot encode.
+``doc_id``/``text`` and ``query_id``/``text`` fields.  A query set is a corpus
+of queries: :class:`QuerySet` is a :class:`Corpus` whose ids are query ids.
+Both store their ids and texts as two tuples of ``str``, load through one
+reader, and yield ``(id, text)`` :class:`Document` records when iterated.
+Qrels are whitespace-separated triples ``query_id  doc_id  relevance`` with
+non-negative integer relevance.  Every file is UTF-8; an undecodable byte is
+a ParseError naming the file and line that holds it, and so is a field that
+a JSON escape leaves holding a lone surrogate, which UTF-8 cannot encode.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import logging
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DuplicateIdError, ParseError
 
@@ -29,8 +30,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
+    """One record of a corpus or a query set; it unpacks as ``(id, text)``."""
+
     doc_id: str
     text: str
 
@@ -57,26 +59,30 @@ def _index_ids(kind: str, ids: Sequence[str], path: str | None,
 
 
 class Corpus:
-    """An ordered collection of documents with unique, non-empty ids.
+    """An ordered collection of (id, text) records with unique, non-empty ids.
 
-    ``path`` (kept as an attribute) and ``lines`` (one 1-based source line per document)
-    locate an invalid id in the error message.  :attr:`ids`, :attr:`texts` and ``docs`` are
-    read-only, so what :func:`qlex.index.count_tokens` keeps per corpus object stays true.
+    Ids and texts are stored as two tuples of ``str``; iteration yields a
+    :class:`Document` per record.  ``id_key`` names the id in error messages
+    and in the JSONL field the loader reads.  ``path`` (kept as an attribute)
+    and ``lines`` (one 1-based source line per record) locate an invalid id in
+    the error message.  :attr:`ids` and :attr:`texts` are read-only, so what
+    :func:`qlex.index.count_tokens` keeps per corpus object stays true.
     """
 
-    def __init__(self, documents: Iterable[Document], *, path: str | None = None,
+    id_key = "doc_id"
+
+    def __init__(self, records: Iterable[tuple[str, str]], *, path: str | None = None,
                  lines: Sequence[int] | None = None):
-        docs = tuple(documents)
-        self._set_columns(tuple(d.doc_id for d in docs), tuple(d.text for d in docs), lines, path)
+        pairs = tuple(records)
+        self._set_columns(tuple(i for i, _ in pairs), tuple(t for _, t in pairs), lines, path)
 
     def _set_columns(self, ids: tuple[str, ...], texts: tuple[str, ...],
                      lines: Sequence[int] | None, path: str | None) -> None:
         self._ids, self._texts, self.path = ids, texts, path
-        self._by_id = _index_ids("doc_id", ids, path, lines)
+        self._by_id = _index_ids(self.id_key, ids, path, lines)
 
-    ids = property(attrgetter("_ids"), doc="The document ids, a tuple of str.")
-    texts = property(attrgetter("_texts"), doc="The document texts, a tuple of str.")
-    docs = property(tuple, doc="The documents, a tuple of Document built on each access.")
+    ids = property(attrgetter("_ids"), doc="The record ids, a tuple of str.")
+    texts = property(attrgetter("_texts"), doc="The record texts, a tuple of str.")
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -87,26 +93,11 @@ class Corpus:
     def text(self, doc_id: str) -> str:
         return self._texts[self._by_id[doc_id]]
 
-    def doc_ids(self) -> list[str]:
-        return list(self._ids)
 
+class QuerySet(Corpus):
+    """A corpus of queries: its ids are query ids."""
 
-class QuerySet:
-    """An ordered list of (query_id, text) pairs with unique, non-empty ids.
-
-    ``path`` and ``lines`` locate an invalid id as in :class:`Corpus`.
-    """
-
-    def __init__(self, entries: Iterable[tuple[str, str]], *, path: str | None = None,
-                 lines: Sequence[int] | None = None):
-        self.entries: tuple[tuple[str, str], ...] = tuple(entries)
-        _index_ids("query_id", [qid for qid, _ in self.entries], path, lines)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return iter(self.entries)
+    id_key = "query_id"
 
 
 @dataclass
@@ -195,19 +186,21 @@ def _read_columns(path: Path, id_key: str) -> tuple[tuple[str, ...], tuple[str, 
     return tuple(ids), tuple(texts), lines
 
 
+def _load(cls: type[Corpus], path: str | Path) -> Corpus:
+    path = Path(path)
+    records = cls.__new__(cls)
+    records._set_columns(*_read_columns(path, cls.id_key), str(path))
+    return records
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus from JSONL with doc_id/text fields."""
-    path = Path(path)
-    corpus = Corpus.__new__(Corpus)
-    corpus._set_columns(*_read_columns(path, "doc_id"), str(path))
-    return corpus
+    return _load(Corpus, path)
 
 
 def load_queries(path: str | Path) -> QuerySet:
     """Load a query set from JSONL with query_id/text fields."""
-    path = Path(path)
-    ids, texts, lines = _read_columns(path, "query_id")
-    return QuerySet(zip(ids, texts), path=str(path), lines=lines)
+    return _load(QuerySet, path)
 
 
 def load_qrels(path: str | Path) -> QrelSet:
@@ -215,7 +208,8 @@ def load_qrels(path: str | Path) -> QrelSet:
 
     Duplicate (query, doc) pairs keep the last value read; the number of
     replacements is recorded on the result and logged as a warning.
-    Negative relevance is a parse error.
+    Negative relevance and a leading UTF-8 BOM are parse errors, the BOM
+    as in the JSONL loaders.
     """
     path = Path(path)
     judgments: dict[str, dict[str, int]] = {}
@@ -225,6 +219,8 @@ def load_qrels(path: str | Path) -> QrelSet:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
+                if lineno == 1 and line.startswith("\ufeff"):  # else part of the first query id
+                    raise ParseError("unexpected UTF-8 BOM", path=str(path), line=lineno)
                 cols = line.split()
                 if len(cols) != 3:
                     raise ParseError(f"expected 3 columns, got {len(cols)}",

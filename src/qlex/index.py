@@ -130,10 +130,13 @@ class SparseScoreIndex:
         )
 
     def check_invariants(self) -> None:
-        """Raise IndexFormatError unless columns are non-empty extents that tile
-        the entry arrays, rows lie in [0, N) and strictly increase inside each
-        column, every score is finite and every term is unique."""
+        """Raise IndexFormatError unless there is at least one column, columns are
+        non-empty extents that tile the entry arrays, rows lie in [0, N) and
+        strictly increase inside each column, every score is finite and every
+        term is unique.  So nnz >= 1 and N >= 1, as every build gives."""
         col_ptr, rows, nnz, n = self.col_ptr, self.row_idx, self.nnz, self.num_docs
+        if self.vocab_size < 1:
+            raise IndexFormatError("corrupt index: no vocabulary")
         if (col_ptr.shape != (self.vocab_size + 1,) or rows.shape != (nnz,)
                 or len(self.doc_ids) != n or col_ptr[0] != 0 or col_ptr[-1] != nnz
                 or col_ptr.min() < 0 or col_ptr.max() > nnz):

@@ -21,19 +21,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus_io import QuerySet
 from .errors import ModeMismatchError
 from .index import SparseScoreIndex
-from .storage import write_atomic
 from .tokenizers import TokenizerMode, tokenize
 
-__all__ = ["RankedList", "score_query", "top_k", "batch_retrieve",
-           "format_trec_run", "write_trec_run"]
+__all__ = ["RankedList", "score_query", "top_k", "batch_retrieve", "format_trec_run"]
 
 
 @dataclass
@@ -190,11 +187,3 @@ def format_trec_run(rankings: Iterable[RankedList]) -> str:
         for rank, (doc_id, score) in enumerate(ranked.hits, start=1):
             lines.append(f"{ranked.query_id}\t{doc_id}\t{rank}\t{score:.6f}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_trec_run(rankings: Iterable[RankedList], out: str | Path | IO[str]) -> None:
-    text = format_trec_run(rankings)
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        write_atomic(out, text.encode("utf-8"))

@@ -59,14 +59,6 @@ class TokenizerMode(enum.Enum):
     T2 = "t2"
     T3 = "t3"
 
-    @classmethod
-    def from_string(cls, name: str) -> "TokenizerMode":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown tokenizer mode {name!r}; expected one of "
-                             f"{[m.value for m in cls]}") from None
-
 
 @lru_cache(maxsize=1)
 def default_stopwords() -> frozenset[str]:

@@ -21,7 +21,7 @@ def workdir(tmp_path):
     rng = np.random.default_rng(5)
     corpus = random_corpus(rng, n_docs=40, vocab=60, min_len=4, max_len=15)
     write_jsonl_corpus(tmp_path / "corpus.jsonl", corpus)
-    queries = [(f"q{i}", corpus.docs[i].text) for i in range(8)]
+    queries = [(f"q{i}", corpus.texts[i]) for i in range(8)]
     write_jsonl_queries(tmp_path / "queries.jsonl", queries)
     write_qrels(tmp_path / "qrels.tsv", [(f"q{i}", f"d{i}", 1) for i in range(8)])
     return tmp_path
@@ -100,6 +100,16 @@ class TestBuildRescaleSearch:
                  "--out", workdir / "run.txt")
         assert rc == 0
         assert len((workdir / "run.txt").read_text().splitlines()) == 8 * 3
+
+    def test_search_prints_the_bytes_it_writes(self, workdir, capsysbinary):
+        run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "idx.qlx")
+        search = ("search", "--index", workdir / "idx.qlx", "--queries", workdir / "queries.jsonl")
+        capsysbinary.readouterr()
+        assert run(*search) == 0
+        printed = capsysbinary.readouterr().out
+        assert run(*search, "--out", workdir / "run.tsv") == 0
+        assert capsysbinary.readouterr().out == b""
+        assert printed.count(b"\n") == 8 * 40 and printed == (workdir / "run.tsv").read_bytes()
 
 
 class TestAnalysisCommands:

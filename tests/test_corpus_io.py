@@ -11,9 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qlex import (BuildError, Corpus, Document, DuplicateIdError, IndexFormatError, ParseError,
-                  QlexError, QuerySet, RankedList, build_dph_index, build_index, load_corpus,
-                  load_qrels, load_queries, load_index, save_index, dumps_index, loads_index,
-                  top_k, write_trec_run)
+                  QlexError, QuerySet, build_dph_index, build_index, load_corpus, load_qrels,
+                  load_queries, load_index, save_index, dumps_index, loads_index, top_k)
 from qlex import storage
 from qlex.cli import _write_or_print
 from qlex.storage import INDEX_FORMAT_VERSION, _MAGIC, write_atomic
@@ -31,7 +30,7 @@ class TestCorpusLoading:
         corpus = load_corpus(path)
         assert len(corpus) == 2
         assert corpus.text("a") == "x y"
-        assert corpus.doc_ids() == ["a", "b"]
+        assert corpus.ids == ("a", "b")
 
     def test_duplicate_doc_id_names_id_and_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -215,7 +214,7 @@ class TestLoneSurrogates:
             index = build_index(corpus, mode)
             save_index(index, path.with_suffix(".qlx"))
             loaded = load_index(path.with_suffix(".qlx"))
-            assert loaded.doc_ids == corpus.doc_ids() and loaded.terms == index.terms
+            assert loaded.doc_ids == list(corpus.ids) and loaded.terms == index.terms
 
 
 class TestUntrustedLines:
@@ -325,8 +324,7 @@ class TestAtomicWrites:
     @pytest.mark.parametrize("write", [
         lambda path: save_index(build_index(make_corpus(["aa bb"]), TokenizerMode.T1), path),
         lambda path: _write_or_print("new text\n", str(path)),
-        lambda path: write_trec_run([RankedList("q1", [("d0", 1.0)])], path),
-    ], ids=["save_index", "cli_out", "trec_run"])
+    ], ids=["save_index", "cli_out"])
     def test_failed_rename_keeps_previous_file(self, tmp_path, monkeypatch, write):
         path = tmp_path / "out"
         path.write_bytes(b"previous\n")
@@ -383,6 +381,22 @@ class TestQrelsLoading:
         path.write_text("q1\td1\n")
         with pytest.raises(ParseError):
             load_qrels(path)
+
+    def test_leading_bom_is_parse_error(self, tmp_path):
+        # Else the first query is keyed "\ufeffq1", counted unjudged and skipped by eval.
+        path = tmp_path / "qrels.tsv"
+        path.write_bytes(b"\xef\xbb\xbfq1 d1 1\nq2 d2 1\n")
+        with pytest.raises(ParseError, match="BOM") as exc:
+            load_qrels(path)
+        assert (exc.value.path, exc.value.line) == (str(path), 1)
+
+
+def _drop_vocabulary(index, keep_docs):
+    """Empty ``index``'s vocabulary, and its documents too unless ``keep_docs``."""
+    index.terms, index.vocab, index.df, index.col_ptr = [], {}, index.df[:0], index.col_ptr[:1]
+    index.row_idx, index.scores = index.row_idx[:0], index.scores[:0]
+    if not keep_docs:
+        index.doc_ids, index.num_docs = [], 0
 
 
 class TestIndexSerialization:
@@ -442,8 +456,11 @@ class TestIndexSerialization:
         lambda ix: ix.scores.__setitem__(0, np.nan),
         lambda ix: ix.scores.__setitem__(-1, np.inf),
         lambda ix: ix.terms.__setitem__(1, ix.terms[0]),
+        lambda ix: _drop_vocabulary(ix, keep_docs=True),
+        lambda ix: _drop_vocabulary(ix, keep_docs=False),
     ], ids=["row_eq_n", "rows_descending", "empty_column", "col_ptr_past_end",
-            "col_ptr_descending", "nan_score", "inf_score", "duplicate_term"])
+            "col_ptr_descending", "nan_score", "inf_score", "duplicate_term",
+            "no_vocabulary", "no_vocabulary_no_documents"])
     def test_malformed_structure_is_corrupt_error(self, index, corrupt):
         # A loaded copy: a built index shares read-only arrays with its build.
         loaded = loads_index(dumps_index(index))

@@ -1,6 +1,5 @@
 """Query scoring, ranking determinism, and the run-file surface."""
 
-import io
 import math
 from types import SimpleNamespace
 
@@ -11,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from qlex import (ModeMismatchError, batch_retrieve, build_dph_index, build_index,
                   format_trec_run, rescale_index, rescale_index_gamma, score_query,
-                  top_k, write_trec_run, QuerySet)
+                  top_k, QuerySet)
 from qlex.query import RankedList, rank_from_scores
 from qlex.tokenizers import TokenizerMode, tokenize
 
@@ -330,12 +329,3 @@ class TestBatchAndRunFile:
         assert [l[0] for l in lines] == ["q1", "q1"]
         assert [l[2] for l in lines] == ["1", "2"]
         assert float(lines[0][3]) >= float(lines[1][3])
-
-    def test_write_to_file_and_stream(self, tmp_path):
-        index = build_index(make_corpus(["aa"]), TokenizerMode.T1)
-        rankings = batch_retrieve(index, QuerySet([("q1", "aa")]), TokenizerMode.T1, 1)
-        path = tmp_path / "run.tsv"
-        write_trec_run(rankings, path)
-        buf = io.StringIO()
-        write_trec_run(rankings, buf)
-        assert path.read_text() == buf.getvalue()
