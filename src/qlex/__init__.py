@@ -19,8 +19,7 @@ from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, DEFAULT_TOKEN_BUDGETS,
                          whitespace_token_counter)
 from .index import BuildParams, IndexHeader, SparseScoreIndex, build_index
 from .query import RankedList, batch_retrieve, format_trec_run, score_query, top_k
-from .stats import (DEFAULT_PREDICTOR, CorpusStats, PredictorModel,
-                    compute_corpus_stats, fit_coefficient, predict_q, recovery)
+from .stats import CorpusStats, compute_corpus_stats, fit_coefficient, predict_q, recovery
 from .storage import INDEX_FORMAT_VERSION, dumps_index, load_index, loads_index, save_index
 from .tokenizers import TokenizerMode, default_stopwords, split_identifier, tokenize
 from .transforms import (LNQ_GUARD_EPS, build_dph_index, idf_lucene, idf_qlog,

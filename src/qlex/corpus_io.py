@@ -63,18 +63,18 @@ class Corpus:
 
     Ids and texts are stored as two tuples of ``str``; iteration yields a
     :class:`Document` per record.  ``id_key`` names the id in error messages
-    and in the JSONL field the loader reads.  ``path`` (kept as an attribute)
-    and ``lines`` (one 1-based source line per record) locate an invalid id in
-    the error message.  :attr:`ids` and :attr:`texts` are read-only, so what
-    :func:`qlex.index.count_tokens` keeps per corpus object stays true.
+    and in the JSONL field the loader reads.  ``path`` is the file a loaded
+    corpus was read from, None for one built in memory; an invalid id is
+    reported at its source line when loaded, else at its position.  :attr:`ids`
+    and :attr:`texts` are read-only, so what :func:`qlex.index.count_tokens`
+    keeps per corpus object stays true.
     """
 
     id_key = "doc_id"
 
-    def __init__(self, records: Iterable[tuple[str, str]], *, path: str | None = None,
-                 lines: Sequence[int] | None = None):
+    def __init__(self, records: Iterable[tuple[str, str]]):
         pairs = tuple(records)
-        self._set_columns(tuple(i for i, _ in pairs), tuple(t for _, t in pairs), lines, path)
+        self._set_columns(tuple(i for i, _ in pairs), tuple(t for _, t in pairs), None, None)
 
     def _set_columns(self, ids: tuple[str, ...], texts: tuple[str, ...],
                      lines: Sequence[int] | None, path: str | None) -> None:

@@ -132,8 +132,9 @@ class SparseScoreIndex:
     def check_invariants(self) -> None:
         """Raise IndexFormatError unless there is at least one column, columns are
         non-empty extents that tile the entry arrays, rows lie in [0, N) and
-        strictly increase inside each column, every score is finite and every
-        term is unique.  So nnz >= 1 and N >= 1, as every build gives."""
+        strictly increase inside each column, every score is finite, every
+        term is unique and every doc id is unique and non-empty.  So nnz >= 1
+        and N >= 1, as every build gives."""
         col_ptr, rows, nnz, n = self.col_ptr, self.row_idx, self.nnz, self.num_docs
         if self.vocab_size < 1:
             raise IndexFormatError("corrupt index: no vocabulary")
@@ -151,6 +152,8 @@ class SparseScoreIndex:
                                    "and increase strictly inside each column")
         if not np.isfinite(self.scores).all() or len(self.vocab) != self.vocab_size:
             raise IndexFormatError("corrupt index: a non-finite score or a duplicate term")
+        if len(set(self.doc_ids)) < n or not all(self.doc_ids):
+            raise IndexFormatError("corrupt index: a duplicate or empty doc id")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Corpus statistics and the label-free exponent predictor.
+"""The label-free exponent predictor, its inputs, recovery and fitting.
 
 The predictor maps one corpus statistic, the hapax token mass ``htok``
 (fraction of token occurrences whose type occurs exactly once in the whole
@@ -6,10 +6,11 @@ corpus), to a retrieval exponent::
 
     q_pred = clip(1 - c * htok, 0.01, 1.0)        c = 7.28
 
-Statistics are read from :func:`qlex.index.count_tokens`, the same
-tokenize-and-count pass that builds the index, so ``htok`` and the index
-agree on what a token is by construction, stopword removal included.  After
-a build from the same corpus object and mode they cost no second pass.
+Its inputs, the token count and the hapax-type count, are read from
+:func:`qlex.index.count_tokens`, the same tokenize-and-count pass that builds
+the index, so ``htok`` and the index agree on what a token is by construction,
+stopword removal included.  After a build from the same corpus object and mode
+they cost no second pass.
 """
 
 from __future__ import annotations
@@ -18,48 +19,36 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .corpus_io import Corpus
 from .index import count_tokens
 from .tokenizers import TokenizerMode
 
-__all__ = ["CorpusStats", "PredictorModel", "DEFAULT_PREDICTOR",
-           "compute_corpus_stats", "predict_q", "recovery", "fit_coefficient"]
+__all__ = ["CorpusStats", "compute_corpus_stats", "predict_q", "recovery", "fit_coefficient"]
+
+COEFFICIENT = 7.28
+CLIP_LO, CLIP_HI = 0.01, 1.0
 
 
 @dataclass(frozen=True)
 class CorpusStats:
-    """Token-level statistics of a corpus under one tokenizer mode.
+    """The predictor's inputs: a corpus's token count under one tokenizer mode,
+    and how many of its types occur exactly once.
 
     ``htok`` is occurrence mass, not a vocabulary fraction: each hapax type
     contributes exactly one occurrence, so ``htok = hapax_types / n_tok``.
-    ``median_df`` uses the lower median for even vocabulary sizes.
     """
 
     n_tok: int
-    vocab_size: int
-    htok: float
-    ttr: float
-    median_df: float
-    frac_df_le5: float
+    hapax_types: int
 
     def __post_init__(self):
-        if not (0.0 <= self.htok <= self.ttr <= 1.0):
-            raise ValueError(f"invalid stats: need 0 <= htok <= ttr <= 1, "
-                             f"got htok={self.htok}, ttr={self.ttr}")
-        if self.vocab_size > self.n_tok:
-            raise ValueError("vocab_size cannot exceed n_tok")
+        if not (self.n_tok >= 1 and 0 <= self.hapax_types <= self.n_tok):
+            raise ValueError(f"invalid stats: need n_tok >= 1 and 0 <= hapax_types <= n_tok, "
+                             f"got n_tok={self.n_tok}, hapax_types={self.hapax_types}")
 
-
-@dataclass(frozen=True)
-class PredictorModel:
-    coefficient: float = 7.28
-    clip_lo: float = 0.01
-    clip_hi: float = 1.0
-
-
-DEFAULT_PREDICTOR = PredictorModel()
+    @property
+    def htok(self) -> float:
+        return self.hapax_types / self.n_tok
 
 
 def compute_corpus_stats(corpus: Corpus, mode: TokenizerMode) -> CorpusStats:
@@ -69,24 +58,14 @@ def compute_corpus_stats(corpus: Corpus, mode: TokenizerMode) -> CorpusStats:
     mode.  Raises BuildError on an empty or token-free corpus.
     """
     counts = count_tokens(corpus, mode)
-    n_tok, vocab_size = counts.n_tok, len(counts.terms)
     # A type occurs once in the corpus when it is in one document, once.
     hapax_types = int(((counts.df == 1) & (counts.tfs[counts.col_ptr[:-1]] == 1)).sum())
-    df_sorted = np.sort(counts.df)
-    return CorpusStats(
-        n_tok=n_tok,
-        vocab_size=vocab_size,
-        htok=hapax_types / n_tok,
-        ttr=vocab_size / n_tok,
-        median_df=float(df_sorted[(vocab_size - 1) // 2]),
-        frac_df_le5=int((df_sorted <= 5).sum()) / vocab_size,
-    )
+    return CorpusStats(n_tok=counts.n_tok, hapax_types=hapax_types)
 
 
-def predict_q(stats: CorpusStats, model: PredictorModel = DEFAULT_PREDICTOR) -> float:
-    """Predicted exponent ``clip(1 - c * htok, lo, hi)``."""
-    raw = 1.0 - model.coefficient * stats.htok
-    return min(max(raw, model.clip_lo), model.clip_hi)
+def predict_q(stats: CorpusStats) -> float:
+    """Predicted exponent ``clip(1 - 7.28 * htok, 0.01, 1.0)``."""
+    return min(max(1.0 - COEFFICIENT * stats.htok, CLIP_LO), CLIP_HI)
 
 
 def recovery(ndcg_bm25: float, ndcg_pred: float, ndcg_opt: float) -> float | None:

@@ -121,23 +121,11 @@ def csc_by_counters(doc_tokens: list[list[str]]):
 def corpus_stats_by_counters(doc_tokens: list[list[str]]):
     """Reference ``CorpusStats`` from per-document ``Counter`` totals."""
     type_totals: Counter = Counter()
-    df: Counter = Counter()
     for toks in doc_tokens:
-        counts = Counter(toks)
-        type_totals.update(counts)
-        df.update(counts.keys())
+        type_totals.update(toks)
     n_tok = sum(len(toks) for toks in doc_tokens)
-    vocab_size = len(type_totals)
     hapax_types = sum(1 for c in type_totals.values() if c == 1)
-    df_sorted = sorted(df.values())
-    return CorpusStats(
-        n_tok=n_tok,
-        vocab_size=vocab_size,
-        htok=hapax_types / n_tok,
-        ttr=vocab_size / n_tok,
-        median_df=float(df_sorted[(vocab_size - 1) // 2]),
-        frac_df_le5=sum(1 for v in df_sorted if v <= 5) / vocab_size,
-    )
+    return CorpusStats(n_tok=n_tok, hapax_types=hapax_types)
 
 
 def rank_by_full_sort(scores: np.ndarray, k: int) -> np.ndarray:

@@ -51,9 +51,7 @@ def announce(request, capfd):
 
 
 def _stats_with_htok(htok: float) -> CorpusStats:
-    return CorpusStats(n_tok=1_000_000, vocab_size=100_000, htok=htok,
-                       ttr=min(1.0, 2.0 * htok + 0.01), median_df=2.0,
-                       frac_df_le5=0.9)
+    return CorpusStats(n_tok=1_000_000, hapax_types=round(htok * 1_000_000))
 
 
 def _synthetic_index(nnz: int, rows_per_col: int = 100,

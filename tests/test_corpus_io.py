@@ -125,14 +125,16 @@ class TestJsonlFastPath:
 
             def want():
                 entries, at = jsonl_entries_by_loads(path, "doc_id")
-                corpus = Corpus([Document(*e) for e in entries], path=str(path), lines=at)
+                index_ids_by_loop("doc_id", [i for i, _ in entries], str(path), at)
+                corpus = Corpus([Document(*e) for e in entries])
                 return [(d.doc_id, d.text) for d in corpus]
         else:
             got = self._outcome(lambda: list(load_queries(path)))
 
             def want():
                 entries, at = jsonl_entries_by_loads(path, "query_id")
-                return list(QuerySet(entries, path=str(path), lines=at))
+                index_ids_by_loop("query_id", [i for i, _ in entries], str(path), at)
+                return list(QuerySet(entries))
         assert got == self._outcome(want)
 
 
@@ -458,9 +460,12 @@ class TestIndexSerialization:
         lambda ix: ix.terms.__setitem__(1, ix.terms[0]),
         lambda ix: _drop_vocabulary(ix, keep_docs=True),
         lambda ix: _drop_vocabulary(ix, keep_docs=False),
+        lambda ix: ix.doc_ids.__setitem__(1, ix.doc_ids[0]),
+        lambda ix: ix.doc_ids.__setitem__(1, ""),
     ], ids=["row_eq_n", "rows_descending", "empty_column", "col_ptr_past_end",
             "col_ptr_descending", "nan_score", "inf_score", "duplicate_term",
-            "no_vocabulary", "no_vocabulary_no_documents"])
+            "no_vocabulary", "no_vocabulary_no_documents", "duplicate_doc_id",
+            "empty_doc_id"])
     def test_malformed_structure_is_corrupt_error(self, index, corrupt):
         # A loaded copy: a built index shares read-only arrays with its build.
         loaded = loads_index(dumps_index(index))

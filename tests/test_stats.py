@@ -5,61 +5,46 @@ import math
 import numpy as np
 import pytest
 
-from qlex import (BuildError, CorpusStats, PredictorModel, compute_corpus_stats,
-                  fit_coefficient, predict_q, recovery)
+from qlex import (BuildError, CorpusStats, compute_corpus_stats, fit_coefficient, predict_q,
+                  recovery)
 from qlex.tokenizers import TokenizerMode
 
 from conftest import make_corpus
 
 
 def stats_with_htok(htok: float) -> CorpusStats:
-    return CorpusStats(n_tok=1000, vocab_size=500, htok=htok, ttr=0.5,
-                       median_df=2.0, frac_df_le5=0.9)
+    return CorpusStats(n_tok=1_000_000, hapax_types=round(htok * 1_000_000))
 
 
 class TestCorpusStats:
     def test_small_corpus_by_hand(self):
-        # Tokens: [a b b] + [c a]: T=5, V=3, hapaxes {b? no...}.
-        # a:2 b:2 c:1 -> one hapax type, htok=1/5, ttr=3/5.
+        # Tokens: [aa bb bb] + [cc aa]: aa:2 bb:2 cc:1 -> one hapax type, htok=1/5.
         corpus = make_corpus(["aa bb bb", "cc aa"])
         s = compute_corpus_stats(corpus, TokenizerMode.T1)
-        assert s.n_tok == 5
-        assert s.vocab_size == 3
+        assert (s.n_tok, s.hapax_types) == (5, 1)
         assert s.htok == pytest.approx(1 / 5)
-        assert s.ttr == pytest.approx(3 / 5)
 
     def test_all_unique_tokens_htok_equals_ttr_equals_1(self):
+        # Every type is a hapax, so hapax types, types and tokens are one count.
         corpus = make_corpus(["alpha beta", "gamma delta"])
         s = compute_corpus_stats(corpus, TokenizerMode.T1)
-        assert s.htok == 1.0 and s.ttr == 1.0
-
-    def test_df_fields(self):
-        # dfs: aa->2, bb->1, cc->1; lower median of [1,1,2] is 1.
-        corpus = make_corpus(["aa bb", "aa cc"])
-        s = compute_corpus_stats(corpus, TokenizerMode.T1)
-        assert s.median_df == 1.0
-        assert s.frac_df_le5 == 1.0
-
-    def test_lower_median_for_even_vocab(self):
-        # dfs sorted: [1, 1, 2, 2] -> lower median 1.
-        corpus = make_corpus(["aa bb cc", "aa bb dd"])
-        s = compute_corpus_stats(corpus, TokenizerMode.T1)
-        assert s.median_df == 1.0
+        assert s.hapax_types == s.n_tok == 4 and s.htok == 1.0
 
     def test_stats_follow_index_token_stream(self):
         # Stopwords removed under T0 shrink n_tok accordingly.
         corpus = make_corpus(["the parser", "the state"])
         s = compute_corpus_stats(corpus, TokenizerMode.T0)
-        assert s.n_tok == 2 and s.vocab_size == 2
+        assert s.n_tok == 2 and s.hapax_types == 2
 
     def test_empty_stream_rejected(self):
         with pytest.raises(BuildError):
             compute_corpus_stats(make_corpus(["the of"]), TokenizerMode.T0)
 
     def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            CorpusStats(n_tok=10, vocab_size=5, htok=0.9, ttr=0.5,
-                        median_df=1.0, frac_df_le5=1.0)
+        # More hapax types than tokens, a negative count, no tokens.
+        for n_tok, hapax_types in [(10, 11), (10, -1), (0, 0)]:
+            with pytest.raises(ValueError):
+                CorpusStats(n_tok=n_tok, hapax_types=hapax_types)
 
 
 class TestPredictor:
@@ -78,11 +63,6 @@ class TestPredictor:
         # htok <= 0.0206 keeps the predicted exponent at or above 0.85.
         for htok in np.linspace(0.0, 0.0206, 50):
             assert predict_q(stats_with_htok(float(htok))) >= 0.85
-
-    def test_custom_model(self):
-        model = PredictorModel(coefficient=2.0, clip_lo=0.2, clip_hi=0.8)
-        assert predict_q(stats_with_htok(0.05), model) == pytest.approx(0.8)
-        assert predict_q(stats_with_htok(0.45), model) == pytest.approx(0.2)
 
 
 class TestRecovery:
