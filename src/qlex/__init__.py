@@ -15,9 +15,8 @@ from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, DEFAULT_TOKEN_BUDGETS,
                          BootstrapResult, EvalReport, SweepTable, df_bin_occlusion,
                          eval_mrr, eval_ndcg, eval_recall, mrr, ndcg_at_k,
                          paired_bootstrap, q_sweep, recall_at_k, recall_at_token_budget,
-                         report_to_json, report_to_tsv, sweep_to_csv,
-                         whitespace_token_counter)
-from .index import BuildParams, IndexHeader, SparseScoreIndex, build_index
+                         report_to_json, report_to_tsv, sweep_to_csv)
+from .index import IndexHeader, SparseScoreIndex, build_index
 from .query import RankedList, batch_retrieve, format_trec_run, score_query, top_k
 from .stats import CorpusStats, compute_corpus_stats, fit_coefficient, predict_q, recovery
 from .storage import INDEX_FORMAT_VERSION, dumps_index, load_index, loads_index, save_index

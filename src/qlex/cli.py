@@ -21,9 +21,8 @@ from .errors import QlexError
 from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, NDCG_CUTOFF, _judged,
                          df_bin_occlusion, eval_mrr, eval_ndcg, eval_recall,
                          paired_bootstrap, q_sweep, recall_at_token_budget,
-                         report_to_json, report_to_tsv, sweep_to_csv,
-                         whitespace_token_counter)
-from .index import BuildParams, build_index
+                         report_to_json, report_to_tsv, sweep_to_csv)
+from .index import build_index
 from .query import batch_retrieve, format_trec_run, top_k
 from .stats import compute_corpus_stats, predict_q
 from .storage import dumps_index, load_index, save_index, write_atomic
@@ -76,7 +75,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if args.dph:
         index = build_dph_index(corpus, mode)
     else:
-        index = build_index(corpus, mode, BuildParams(k1=args.k1, b=args.b))
+        index = build_index(corpus, mode, args.k1, args.b)
     save_index(index, args.index)
     print(f"built {index.header.scorer} index: N={index.num_docs} "
           f"V={index.vocab_size} nnz={index.nnz} -> {args.index}")
@@ -104,7 +103,7 @@ def _cmd_rescale(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     index = load_index(args.index)
     queries = load_queries(args.queries)
-    rankings = batch_retrieve(index, queries, index.header.mode, args.k)
+    rankings = batch_retrieve(index, queries, args.k)
     _write_or_print(format_trec_run(rankings), args.out)
     return 0
 
@@ -112,7 +111,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels)
-    grid = _parse_floats(args.grid) if args.grid else list(DEFAULT_Q_GRID)
+    grid = _parse_floats(args.grid) if args.grid is not None else list(DEFAULT_Q_GRID)
     table = q_sweep(args.index, queries, qrels, grid)
     _write_or_print(sweep_to_csv(table), args.out)
     print(f"q_opt={table.q_opt:.2f}", file=sys.stderr)
@@ -133,7 +132,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     qrels = load_qrels(args.qrels)
     _judged(queries, qrels)
     index = load_index(args.index)
-    rankings = batch_retrieve(index, queries, index.header.mode, max(args.k, 100))
+    rankings = batch_retrieve(index, queries, max(args.k, 100))
     ndcg = eval_ndcg(rankings, qrels, NDCG_CUTOFF)
     reports = {
         f"ndcg@{NDCG_CUTOFF}": ndcg,
@@ -143,16 +142,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     boot = None
     if args.compare_index:
         other = load_index(args.compare_index)
-        other_rankings = batch_retrieve(other, queries, other.header.mode, NDCG_CUTOFF)
+        other_rankings = batch_retrieve(other, queries, NDCG_CUTOFF)
         boot = paired_bootstrap(ndcg.per_query,
                                 eval_ndcg(other_rankings, qrels, NDCG_CUTOFF).per_query,
                                 resamples=args.resamples, seed=args.seed)
-    if args.budgets:
+    if args.budgets is not None:
         if not args.corpus:
             raise QlexError("--budgets needs --corpus for the token counter")
-        corpus = load_corpus(args.corpus)
-        budget_rows = recall_at_token_budget(
-            rankings, qrels, _parse_ints(args.budgets), whitespace_token_counter(corpus))
+        budget_rows = recall_at_token_budget(rankings, qrels, _parse_ints(args.budgets),
+                                             load_corpus(args.corpus))
         for budget, rec in budget_rows:
             print(f"recall@{budget}tok\t{rec:.4f}", file=sys.stderr)
 
@@ -175,7 +173,7 @@ def _cmd_occlusion(args: argparse.Namespace) -> int:
     index = load_index(args.index)
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels)
-    bins = _parse_bins(args.bins) if args.bins else list(DEFAULT_DF_BINS)
+    bins = _parse_bins(args.bins) if args.bins is not None else list(DEFAULT_DF_BINS)
     if args.q is not None and index.header.applied_q != args.q:
         rescale_index(index, args.q)  # an index already at q is used as it is
     rows = df_bin_occlusion(index, queries, qrels, bins)
@@ -199,7 +197,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     mode = _mode(args)
 
     t0 = time.perf_counter()
-    index = build_index(corpus, mode, BuildParams(k1=args.k1, b=args.b))
+    index = build_index(corpus, mode, args.k1, args.b)
     build_s = time.perf_counter() - t0
     size_bytes = len(dumps_index(index))
 

@@ -22,7 +22,7 @@ ranking is exact with ties by ascending doc index, so its first
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -45,7 +45,7 @@ __all__ = [
     "ndcg_at_k", "mrr", "recall_at_k",
     "eval_ndcg", "eval_mrr", "eval_recall",
     "paired_bootstrap", "q_sweep", "df_bin_occlusion",
-    "recall_at_token_budget", "whitespace_token_counter",
+    "recall_at_token_budget",
     "report_to_tsv", "report_to_json", "sweep_to_csv",
 ]
 
@@ -248,9 +248,10 @@ def q_sweep(base_index_path: str | Path, queries: QuerySet, qrels: QrelSet,
     base = load_index(base_index_path)
     rows: list[tuple[float, float]] = []
     for q in grid:
-        index = dataclasses.replace(base, scores=base.scores.copy())
+        index = copy.copy(base)  # not dataclasses.replace: it would rebuild vocab per point
+        index.scores = base.scores.copy()
         rescale_index(index, q)
-        rankings = batch_retrieve(index, queries, index.header.mode, NDCG_CUTOFF)
+        rankings = batch_retrieve(index, queries, NDCG_CUTOFF)
         rows.append((float(q), eval_ndcg(rankings, qrels, NDCG_CUTOFF).mean))
     q_opt, best = rows[0]
     for q, mean in rows[1:]:
@@ -293,29 +294,13 @@ def df_bin_occlusion(index: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
     return [((lo, hi), losses[(lo, hi)] / len(judged)) for lo, hi in bins]
 
 
-def whitespace_token_counter(corpus: Corpus) -> Callable[[str], int]:
-    """Default budget counter: whitespace-split token count per doc id, counted lazily."""
-    cache: dict[str, int] = {}
-
-    def count(doc_id: str) -> int:
-        if doc_id not in cache:
-            try:
-                text = corpus.text(doc_id)
-            except KeyError:
-                raise QlexError(f"ranked doc id {doc_id!r} is not in the budget corpus "
-                                f"{corpus.path or '(in memory)'}") from None
-            cache[doc_id] = len(text.split())
-        return cache[doc_id]
-
-    return count
-
-
 def recall_at_token_budget(rankings: Iterable[RankedList], qrels: QrelSet,
-                           budgets: Sequence[int],
-                           counter: Callable[[str], int]) -> list[tuple[int, float]]:
-    """Recall under a reading budget of K tokens.
+                           budgets: Sequence[int], corpus: Corpus) -> list[tuple[int, float]]:
+    """Recall under a reading budget of K whitespace-split tokens of ``corpus``.
 
-    Walk each ranking top-down accumulating ``counter(doc_id)``; a query is
+    Walk each ranking top-down accumulating each hit's token count,
+    ``len(corpus.text(doc_id).split())``, read only for the hits walked; a
+    ranked doc id missing from ``corpus`` is a QlexError.  A query is
     recalled at budget K when the cumulative count up to and including the
     first relevant document does not exceed K, so a relevant document below
     the ranking's depth is never recalled.  Budgets must be ascending;
@@ -333,7 +318,11 @@ def recall_at_token_budget(rankings: Iterable[RankedList], qrels: QrelSet,
         cumulative = 0
         cost = math.inf
         for doc_id, _ in ranked.hits:
-            cumulative += counter(doc_id)
+            try:
+                cumulative += len(corpus.text(doc_id).split())
+            except KeyError:
+                raise QlexError(f"ranked doc id {doc_id!r} is not in the budget corpus "
+                                f"{corpus.path or '(in memory)'}") from None
             if doc_id in rels:
                 cost = cumulative
                 break

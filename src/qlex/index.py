@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import weakref
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,25 +26,10 @@ from .corpus_io import Corpus
 from .errors import BuildError, IndexFormatError
 from .tokenizers import TokenizerMode, surface_tokens, tokenize, word_surfaces
 
-__all__ = ["BuildParams", "IndexHeader", "SparseScoreIndex", "TokenCounts", "build_index",
-           "count_tokens"]
+__all__ = ["IndexHeader", "SparseScoreIndex", "TokenCounts", "build_index", "count_tokens"]
 
 SCORER_BM25 = "bm25"
 SCORER_DPH = "dph"
-
-
-@dataclass(frozen=True)
-class BuildParams:
-    """BM25 hyperparameters."""
-
-    k1: float = 1.5
-    b: float = 0.75
-
-    def __post_init__(self):
-        if not (self.k1 > 0 and math.isfinite(self.k1)):
-            raise ValueError(f"k1 must be finite and > 0, got {self.k1}")
-        if not (0.0 <= self.b <= 1.0):
-            raise ValueError(f"b must lie in [0, 1], got {self.b}")
 
 
 @dataclass(frozen=True)
@@ -52,9 +37,10 @@ class IndexHeader:
     """Index state the arrays do not imply, and the one definition of a legal one.
 
     None means not set.  Construction raises ValueError unless a BM25
-    header's k1 and b pass :class:`BuildParams` and a DPH header's are None,
-    avg_len is finite and > 0, and at most one transform mark is set: a
-    finite ``applied_q`` or a finite ``applied_gamma`` > 0, on BM25 only.
+    header's k1 is finite and > 0 and its b lies in [0, 1], a DPH header's
+    k1 and b are None, avg_len is finite and > 0, and at most one transform
+    mark is set: a finite ``applied_q`` or a finite ``applied_gamma`` > 0,
+    on BM25 only.  These are the legal BM25 parameters of :func:`build_index`.
     No legal header holds a NaN, so headers compare and hash by value.
     """
 
@@ -68,7 +54,10 @@ class IndexHeader:
 
     def __post_init__(self):
         if self.scorer == SCORER_BM25 and None not in (self.k1, self.b):
-            BuildParams(k1=self.k1, b=self.b)
+            if not (self.k1 > 0 and math.isfinite(self.k1)):
+                raise ValueError(f"k1 must be finite and > 0, got {self.k1}")
+            if not (0.0 <= self.b <= 1.0):
+                raise ValueError(f"b must lie in [0, 1], got {self.b}")
         elif not (self.scorer == SCORER_DPH and self.k1 is None and self.b is None):
             raise ValueError(f"scorer {self.scorer!r} needs k1 and b set (bm25) or neither (dph)")
         if not (math.isfinite(self.avg_len) and self.avg_len > 0):
@@ -86,19 +75,26 @@ class SparseScoreIndex:
 
     ``col_ptr[t]:col_ptr[t+1]`` is the extent of column t inside
     ``row_idx`` (document indices, strictly increasing per column) and
-    ``scores`` (float32 baked scores).  ``df[t]`` equals the extent length.
-    Terms with zero document frequency are absent from the vocabulary.
+    ``scores`` (float32 baked scores).  Terms with zero document frequency
+    are absent from the vocabulary.  ``vocab`` (term to column), ``df`` (the
+    extent lengths) and ``num_docs`` (the number of doc ids) are derived
+    once, at construction, from ``terms``, ``col_ptr`` and ``doc_ids``.
     """
 
     col_ptr: np.ndarray
     row_idx: np.ndarray
     scores: np.ndarray
-    vocab: dict[str, int]
     terms: list[str]
-    df: np.ndarray
     doc_ids: list[str]
-    num_docs: int
     header: IndexHeader
+    vocab: dict[str, int] = field(init=False)
+    df: np.ndarray = field(init=False)
+    num_docs: int = field(init=False)
+
+    def __post_init__(self):
+        self.vocab = {t: i for i, t in enumerate(self.terms)}
+        self.df = np.diff(self.col_ptr)
+        self.num_docs = len(self.doc_ids)
 
     @property
     def nnz(self) -> int:
@@ -117,17 +113,9 @@ class SparseScoreIndex:
         ``terms`` and ``doc_ids`` lists, so it cannot change what a later
         build from the same counts reads.
         """
-        return cls(
-            col_ptr=counts.col_ptr,
-            row_idx=counts.rows,
-            scores=weights.astype(np.float32),
-            vocab={t: i for i, t in enumerate(counts.terms)},
-            terms=list(counts.terms),
-            df=counts.df,
-            doc_ids=list(counts.doc_ids),
-            num_docs=counts.num_docs,
-            header=header,
-        )
+        return cls(col_ptr=counts.col_ptr, row_idx=counts.rows,
+                   scores=weights.astype(np.float32), terms=list(counts.terms),
+                   doc_ids=list(counts.doc_ids), header=header)
 
     def check_invariants(self) -> None:
         """Raise IndexFormatError unless there is at least one column, columns are
@@ -139,11 +127,10 @@ class SparseScoreIndex:
         if self.vocab_size < 1:
             raise IndexFormatError("corrupt index: no vocabulary")
         if (col_ptr.shape != (self.vocab_size + 1,) or rows.shape != (nnz,)
-                or len(self.doc_ids) != n or col_ptr[0] != 0 or col_ptr[-1] != nnz
+                or col_ptr[0] != 0 or col_ptr[-1] != nnz
                 or col_ptr.min() < 0 or col_ptr.max() > nnz):
             raise IndexFormatError("corrupt index: col_ptr does not span the entry arrays")
-        extents = np.diff(col_ptr)
-        if not ((extents >= 1).all() and np.array_equal(self.df, extents)):
+        if not (self.df >= 1).all():
             raise IndexFormatError("corrupt index: col_ptr decreases or stores an empty column")
         increasing = np.diff(rows) > 0
         increasing[col_ptr[1:-1] - 1] = True  # a new column may restart at any row
@@ -268,19 +255,19 @@ def rsj_idf(df: np.ndarray | int, num_docs: int) -> tuple[np.ndarray, np.ndarray
     return odds, np.log(1.0 + odds)
 
 
-def build_index(corpus: Corpus, mode: TokenizerMode,
-                params: BuildParams | None = None) -> SparseScoreIndex:
+def build_index(corpus: Corpus, mode: TokenizerMode, k1: float = 1.5,
+                b: float = 0.75) -> SparseScoreIndex:
     """Build a baked BM25 score index over ``corpus`` under ``mode``.
 
     Document length is the post-tokenization token count of the same
     stream that defines term frequencies.  Raises BuildError on an empty
-    corpus or a corpus that tokenizes to nothing.
+    corpus or a corpus that tokenizes to nothing, and ValueError on a k1 or
+    b that :class:`IndexHeader` rejects.
     """
-    params = params or BuildParams()
     counts = count_tokens(corpus, mode)
-    tfs, k1, b = counts.tfs.astype(np.float64), params.k1, params.b
+    header = IndexHeader(mode=mode, scorer=SCORER_BM25, k1=k1, b=b, avg_len=counts.avg_len)
+    tfs = counts.tfs.astype(np.float64)
     idf = rsj_idf(counts.df, counts.num_docs)[1]
     length_norm = 1.0 - b + b * (counts.doc_lens[counts.rows] / counts.avg_len)
     weights = np.repeat(idf, counts.df) * (tfs * (k1 + 1.0) / (tfs + k1 * length_norm))
-    header = IndexHeader(mode=mode, scorer=SCORER_BM25, k1=k1, b=b, avg_len=counts.avg_len)
     return SparseScoreIndex.from_counts(counts, weights, header)

@@ -174,9 +174,9 @@ def top_k(index: SparseScoreIndex, query_text: str, mode: TokenizerMode,
     return rank_tokens(index, tokenize(query_text, mode), k, query_id)
 
 
-def batch_retrieve(index: SparseScoreIndex, queries: QuerySet,
-                   mode: TokenizerMode, k: int) -> list[RankedList]:
-    """Rank every query in order; one RankedList per query."""
+def batch_retrieve(index: SparseScoreIndex, queries: QuerySet, k: int) -> list[RankedList]:
+    """Rank every query in order under the index's own mode; one RankedList per query."""
+    mode = index.header.mode
     return [top_k(index, text, mode, k, query_id=qid) for qid, text in queries]
 
 

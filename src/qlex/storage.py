@@ -21,10 +21,10 @@ as its baseline.  ``df`` is not stored; it is recomputed from ``col_ptr``.
 
 A file is untrusted input: any malformed file raises IndexFormatError at
 load.  This module checks bytes only: magic, version, ordinals, lengths
-and trailing bytes.  Which header states are legal is defined once, by
-:class:`~qlex.index.IndexHeader`, whose ValueError becomes a "corrupt
-header" error here; a bad CSC structure is caught by
-``SparseScoreIndex.check_invariants``.
+(N against the doc-id block included) and trailing bytes.  Which header
+states are legal is defined once, by :class:`~qlex.index.IndexHeader`,
+whose ValueError becomes a "corrupt header" error here; a bad CSC
+structure is caught by ``SparseScoreIndex.check_invariants``.
 """
 
 from __future__ import annotations
@@ -157,18 +157,11 @@ def loads_index(data: bytes) -> SparseScoreIndex:
     scores = reader.array(np.float32, nnz)
     if reader.pos != len(data):
         raise IndexFormatError(f"{len(data) - reader.pos} trailing bytes after index payload")
+    if num_docs != len(doc_ids):
+        raise IndexFormatError(f"corrupt index: header N={num_docs} but {len(doc_ids)} doc ids")
 
-    index = SparseScoreIndex(
-        col_ptr=col_ptr,
-        row_idx=row_idx,
-        scores=scores,
-        vocab={t: i for i, t in enumerate(terms)},
-        terms=terms,
-        df=np.diff(col_ptr),
-        doc_ids=doc_ids,
-        num_docs=num_docs,
-        header=header,
-    )
+    index = SparseScoreIndex(col_ptr=col_ptr, row_idx=row_idx, scores=scores, terms=terms,
+                             doc_ids=doc_ids, header=header)
     index.check_invariants()
     return index
 

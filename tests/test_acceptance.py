@@ -66,11 +66,8 @@ def _synthetic_index(nnz: int, rows_per_col: int = 100,
         col_ptr=np.arange(v + 1, dtype=np.int64) * rows_per_col,
         row_idx=row_idx,
         scores=rng.uniform(0.1, 5.0, size=v * rows_per_col).astype(np.float32),
-        vocab={t: i for i, t in enumerate(terms)},
         terms=terms,
-        df=np.full(v, rows_per_col, dtype=np.int64),
         doc_ids=[f"d{i}" for i in range(num_docs)],
-        num_docs=num_docs,
         header=IndexHeader(mode=TokenizerMode.T1, scorer=SCORER_BM25, k1=1.5, b=0.75,
                            avg_len=float(rows_per_col)),
     )
@@ -298,8 +295,8 @@ def test_criterion_13_full_scale_optional(tmp_path):
     queries = load_queries(os.path.join(root, "queries.jsonl"))
     qrels = load_qrels(os.path.join(root, "qrels.tsv"))
     index = build_index(corpus, TokenizerMode.T0)
-    baseline = eval_ndcg(batch_retrieve(index, queries, TokenizerMode.T0, 100), qrels, 10)
+    baseline = eval_ndcg(batch_retrieve(index, queries, 100), qrels, 10)
     assert baseline.mean == pytest.approx(0.2575, abs=0.01)
     rescale_index(index, 0.05)
-    low_q = eval_ndcg(batch_retrieve(index, queries, TokenizerMode.T0, 100), qrels, 10)
+    low_q = eval_ndcg(batch_retrieve(index, queries, 100), qrels, 10)
     assert low_q.mean == pytest.approx(0.4874, abs=0.01)

@@ -179,10 +179,10 @@ class TestAnalysisCommands:
         # The report is exactly the library's metrics over both indexes.
         queries, qrels = load_queries(mech / "queries.jsonl"), load_qrels(mech / "qrels.tsv")
         base, other = (load_index(mech / name) for name in ("base.qlx", "q01.qlx"))
-        ranked = batch_retrieve(base, queries, base.header.mode, 100)
+        ranked = batch_retrieve(base, queries, 100)
         reports = {"ndcg@10": eval_ndcg(ranked, qrels, 10), "mrr": eval_mrr(ranked, qrels),
                    "recall@10": eval_recall(ranked, qrels, 10)}
-        other_ndcg = eval_ndcg(batch_retrieve(other, queries, other.header.mode, 100), qrels, 10)
+        other_ndcg = eval_ndcg(batch_retrieve(other, queries, 100), qrels, 10)
         expected = paired_bootstrap(eval_ndcg(ranked, qrels, 10).per_query,
                                     other_ndcg.per_query, resamples=500, seed=7)
         assert out == report_to_json(reports, expected)
@@ -325,6 +325,38 @@ class TestErrorsAndParsing:
 
     def test_parse_bins(self):
         assert _parse_bins("1,5,20") == [(1, 1), (2, 5), (6, 20), (21, None)]
+
+    @pytest.mark.parametrize("command, flag, message", [
+        ("sweep", "--grid", "sweep grid must be non-empty"),
+        ("eval", "--budgets", "budgets must be positive"),
+    ])
+    def test_an_explicit_empty_list_is_not_the_default(self, workdir, capsys, command, flag,
+                                                       message):
+        run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "base.qlx")
+        capsys.readouterr()
+        corpus = ["--corpus", workdir / "corpus.jsonl"] if command == "eval" else []
+        rc = run(command, "--index", workdir / "base.qlx", "--queries",
+                 workdir / "queries.jsonl", "--qrels", workdir / "qrels.tsv", flag, "", *corpus)
+        out = capsys.readouterr()
+        assert rc == 1 and out.out == ""
+        assert message in out.err and "recall@" not in out.err
+
+    def test_empty_bins_are_one_open_bin(self, workdir, capsys):
+        run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "base.qlx")
+        capsys.readouterr()
+        rc = run("occlusion", "--index", workdir / "base.qlx", "--queries",
+                 workdir / "queries.jsonl", "--qrels", workdir / "qrels.tsv", "--bins", "")
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert len(lines) == 2 and lines[1].startswith("1\tinf\t")
+
+    @pytest.mark.parametrize("flag, value", [("--k1", "-1"), ("--b", "1.5")])
+    def test_build_rejects_illegal_bm25_parameters(self, workdir, capsys, flag, value):
+        rc = run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "bad.qlx",
+                 flag, value)
+        assert rc == 1
+        assert f"{flag[2:]} must" in capsys.readouterr().err
+        assert not (workdir / "bad.qlx").exists()
 
     @pytest.mark.parametrize("edges", ["5,5", "0,5", "9,3"])
     def test_occlusion_rejects_bad_bin_edges(self, workdir, capsys, edges):

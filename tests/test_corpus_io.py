@@ -395,10 +395,11 @@ class TestQrelsLoading:
 
 def _drop_vocabulary(index, keep_docs):
     """Empty ``index``'s vocabulary, and its documents too unless ``keep_docs``."""
-    index.terms, index.vocab, index.df, index.col_ptr = [], {}, index.df[:0], index.col_ptr[:1]
+    index.terms, index.col_ptr = [], index.col_ptr[:1]
     index.row_idx, index.scores = index.row_idx[:0], index.scores[:0]
     if not keep_docs:
-        index.doc_ids, index.num_docs = [], 0
+        index.doc_ids = []
+    index.__post_init__()  # re-derive vocab, df and num_docs
 
 
 class TestIndexSerialization:
@@ -462,10 +463,11 @@ class TestIndexSerialization:
         lambda ix: _drop_vocabulary(ix, keep_docs=False),
         lambda ix: ix.doc_ids.__setitem__(1, ix.doc_ids[0]),
         lambda ix: ix.doc_ids.__setitem__(1, ""),
+        lambda ix: setattr(ix, "num_docs", ix.num_docs + 1),
     ], ids=["row_eq_n", "rows_descending", "empty_column", "col_ptr_past_end",
             "col_ptr_descending", "nan_score", "inf_score", "duplicate_term",
             "no_vocabulary", "no_vocabulary_no_documents", "duplicate_doc_id",
-            "empty_doc_id"])
+            "empty_doc_id", "num_docs_mismatch"])
     def test_malformed_structure_is_corrupt_error(self, index, corrupt):
         # A loaded copy: a built index shares read-only arrays with its build.
         loaded = loads_index(dumps_index(index))

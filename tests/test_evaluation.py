@@ -11,7 +11,7 @@ from qlex import (QrelSet, QuerySet, RankedList, RescaleStateError, batch_retrie
                   eval_mrr, eval_ndcg, eval_recall, mrr, ndcg_at_k, paired_bootstrap,
                   q_sweep, recall_at_k, recall_at_token_budget, rescale_index,
                   rescale_index_gamma, save_index, sweep_to_csv, report_to_tsv, report_to_json,
-                  tokenize, whitespace_token_counter)
+                  tokenize)
 from qlex.evaluation import DEFAULT_DF_BINS, DEFAULT_Q_GRID
 from qlex.query import rank_tokens
 from qlex.tokenizers import TokenizerMode
@@ -247,7 +247,7 @@ class TestSweep:
         reference = []
         for q in grid:
             index = rescale_index(load_index(path), q)
-            rankings = batch_retrieve(index, queries, index.header.mode, 50)
+            rankings = batch_retrieve(index, queries, 50)
             reference.append((q, eval_ndcg(rankings, qrels, 10).mean))
         assert len({mean for _, mean in reference}) > 1
 
@@ -353,14 +353,13 @@ class TestTokenBudgetRecall:
         corpus = make_corpus(["gold gold gold shared", "shared b c d e f", "tiny doc"])
         index = build_index(corpus, TokenizerMode.T1)
         queries = QuerySet([("q1", "gold shared")])
-        rankings = batch_retrieve(index, queries, TokenizerMode.T1, depth)
+        rankings = batch_retrieve(index, queries, depth)
         return corpus, rankings
 
     def test_budget_must_cover_gold_prefix(self):
         corpus, rankings = self.build()
         qrels = qrels_of(q1={"d1": 1})  # gold at rank 2, behind d0's 4 tokens
-        counter = whitespace_token_counter(corpus)
-        rows = recall_at_token_budget(rankings, qrels, [4, 9, 10, 16], counter)
+        rows = recall_at_token_budget(rankings, qrels, [4, 9, 10, 16], corpus)
         assert rows == [(4, 0.0), (9, 0.0), (10, 1.0), (16, 1.0)]
 
     def test_monotone_in_budget(self):
@@ -369,27 +368,24 @@ class TestTokenBudgetRecall:
         index = build_index(corpus, TokenizerMode.T1)
         queries = QuerySet([(f"q{i}", f"w{i} w{i+1}") for i in range(10)])
         qrels = QrelSet(judgments={f"q{i}": {f"d{i}": 1} for i in range(10)})
-        counter = whitespace_token_counter(corpus)
-        rankings = batch_retrieve(index, queries, TokenizerMode.T1, 100)
-        rows = recall_at_token_budget(rankings, qrels, [8, 32, 128, 512], counter)
+        rankings = batch_retrieve(index, queries, 100)
+        rows = recall_at_token_budget(rankings, qrels, [8, 32, 128, 512], corpus)
         values = [r for _, r in rows]
         assert values == sorted(values)
 
     def test_unrecalled_when_gold_missing_from_ranking(self):
         corpus, rankings = self.build(depth=2)
         qrels = qrels_of(q1={"d2": 1})  # d2 never matches the query
-        counter = whitespace_token_counter(corpus)
-        rows = recall_at_token_budget(rankings, qrels, [10_000], counter)
+        rows = recall_at_token_budget(rankings, qrels, [10_000], corpus)
         assert rows == [(10_000, 0.0)]
 
     def test_budgets_validated(self):
         corpus, rankings = self.build()
-        counter = whitespace_token_counter(corpus)
         qrels = qrels_of(q1={"d0": 1})
         with pytest.raises(ValueError):
-            recall_at_token_budget(rankings, qrels, [16, 8], counter)
+            recall_at_token_budget(rankings, qrels, [16, 8], corpus)
         with pytest.raises(ValueError):
-            recall_at_token_budget(rankings, qrels, [], counter)
+            recall_at_token_budget(rankings, qrels, [], corpus)
 
 
 class TestReportWriters:

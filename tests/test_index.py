@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qlex import (BuildError, BuildParams, Document, IndexHeader, RescaleStateError,
+from qlex import (BuildError, Document, IndexHeader, RescaleStateError,
                   build_dph_index, build_index, compute_corpus_stats, load_corpus)
 from qlex import index as index_module
 from qlex.index import count_tokens
@@ -92,12 +92,13 @@ class TestStructure:
             build_index(make_corpus(["the of a", ". .."]), TokenizerMode.T0)
 
     def test_params_validated(self):
+        corpus = make_corpus(["x y", "y z"])
         with pytest.raises(ValueError):
-            BuildParams(k1=-1.0)
+            build_index(corpus, TokenizerMode.T1, k1=-1.0)
         with pytest.raises(ValueError):
-            BuildParams(b=1.5)
+            build_index(corpus, TokenizerMode.T1, b=1.5)
         with pytest.raises(TypeError):  # the RSJ smoothing constant is fixed at 0.5
-            BuildParams(delta=0.4)
+            build_index(corpus, TokenizerMode.T1, delta=0.4)
 
     def test_scores_float32_colptr_int64(self):
         index = build_index(make_corpus(["x y", "y z"]), TokenizerMode.T1)
@@ -232,10 +233,11 @@ class TestCountsMemo:
         for build in (build_index, build_dph_index):
             expected = dumps_index(build(corpus, TokenizerMode.T0))
             index = build(corpus, TokenizerMode.T0)
-            for array in (index.col_ptr, index.row_idx, index.df,
+            for array in (index.col_ptr, index.row_idx,
                           count_tokens(corpus, TokenizerMode.T0).doc_lens):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] += 1
+            index.df[0] += 1  # derived per index, not shared with the counts
             index.terms[0] = "mutated"
             index.doc_ids.reverse()
             index.scores[:] = 0.0

@@ -279,7 +279,7 @@ class TestRankFromScores:
                 order = rank_by_full_sort(scores, 100)
                 oracle.append(RankedList(qid, [(index.doc_ids[i], float(scores[i]))
                                                for i in order]))
-            got = batch_retrieve(index, queries, TokenizerMode.T0, 100)
+            got = batch_retrieve(index, queries, 100)
             assert format_trec_run(got) == format_trec_run(oracle)
 
 
@@ -311,19 +311,18 @@ class TestBatchAndRunFile:
         matched = [np.count_nonzero(score_query(index, tokenize(t, TokenizerMode.T1)) != 0)
                    for _, t in queries]
         assert sum(m < k for m in matched) > len(matched) / 2
-        got = format_trec_run(batch_retrieve(index, queries, TokenizerMode.T1, k))
+        got = format_trec_run(batch_retrieve(index, queries, k))
         assert got == _run_by_full_sort(index, queries, TokenizerMode.T1, k)
 
     def test_batch_preserves_query_order(self):
         index = build_index(make_corpus(["aa bb", "bb cc"]), TokenizerMode.T1)
         queries = QuerySet([("q2", "bb"), ("q1", "aa")])
-        rankings = batch_retrieve(index, queries, TokenizerMode.T1, 2)
+        rankings = batch_retrieve(index, queries, 2)
         assert [r.query_id for r in rankings] == ["q2", "q1"]
 
     def test_trec_run_format(self):
         index = build_index(make_corpus(["aa bb", "bb cc"]), TokenizerMode.T1)
-        rankings = batch_retrieve(index, QuerySet([("q1", "bb aa")]),
-                                  TokenizerMode.T1, 2)
+        rankings = batch_retrieve(index, QuerySet([("q1", "bb aa")]), 2)
         text = format_trec_run(rankings)
         lines = [l.split("\t") for l in text.strip().split("\n")]
         assert [l[0] for l in lines] == ["q1", "q1"]
