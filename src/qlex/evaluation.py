@@ -17,7 +17,11 @@ rescale is destructive), document-frequency-bin occlusion, and recall
 under a retrieval token budget.  Sweep and occlusion report only NDCG at
 ``NDCG_CUTOFF``, so they rank each query to that depth and no deeper: the
 ranking is exact with ties by ascending doc index, so its first
-``NDCG_CUTOFF`` hits are those of any deeper ranking.
+``NDCG_CUTOFF`` hits are those of any deeper ranking.  Both tokenize each
+query and resolve it to its matched columns once: the sweep scores those
+columns against every grid point's rescaled copy, which shares the
+baseline's columns, and the occlusion drops a bin's columns, reading a
+column's df as its extent.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ import numpy as np
 from .corpus_io import Corpus, QuerySet, QrelSet
 from .errors import QlexError
 from .index import SparseScoreIndex
-from .query import RankedList, batch_retrieve, rank_tokens
+from .query import RankedList, _columns, _score, rank_from_scores
+from .query import batch_retrieve, rank_tokens  # noqa: F401  perfbench traces them here
 from .storage import load_index
 from .tokenizers import tokenize
 from .transforms import rescale_index
@@ -244,14 +249,15 @@ def q_sweep(base_index_path: str | Path, queries: QuerySet, qrels: QrelSet,
     """
     if not grid:
         raise ValueError("sweep grid must be non-empty")
-    _judged(queries, qrels)
+    judged = _judged(queries, qrels)
     base = load_index(base_index_path)
+    resolved = [(qid, _columns(base, tokenize(text, base.header.mode))) for qid, text in judged]
     rows: list[tuple[float, float]] = []
     for q in grid:
         index = copy.copy(base)  # not dataclasses.replace: it would rebuild vocab per point
         index.scores = base.scores.copy()
         rescale_index(index, q)
-        rankings = batch_retrieve(index, queries, NDCG_CUTOFF)
+        rankings = [_rank(index, columns, qid) for qid, columns in resolved]
         rows.append((float(q), eval_ndcg(rankings, qrels, NDCG_CUTOFF).mean))
     q_opt, best = rows[0]
     for q, mean in rows[1:]:
@@ -278,20 +284,23 @@ def df_bin_occlusion(index: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
         raise ValueError("df bins must be non-empty, ascending and disjoint from 1, with "
                          f"only the last one open; got {list(bins)}")
     judged = _judged(queries, qrels)
-    mode = index.header.mode
     losses = {b: 0.0 for b in bins}
     for qid, text in judged:
-        tokens = tokenize(text, mode)
-        full = ndcg_at_k(rank_tokens(index, tokens, NDCG_CUTOFF, qid), qrels, NDCG_CUTOFF)
-        dfs = [index.df[index.vocab[t]] if t in index.vocab else 0 for t in tokens]
+        columns = _columns(index, tokenize(text, index.header.mode))
+        full = ndcg_at_k(_rank(index, columns, qid), qrels, NDCG_CUTOFF)
+        dfs = [end - start for start, end, _ in columns]
         for lo, hi in bins:
-            kept = [t for t, d in zip(tokens, dfs) if not (lo <= d and (hi is None or d <= hi))]
-            if len(kept) == len(tokens):
+            kept = [column for column, df in zip(columns, dfs)
+                    if not (lo <= df and (hi is None or df <= hi))]
+            if len(kept) == len(columns):
                 continue
-            occluded = ndcg_at_k(rank_tokens(index, kept, NDCG_CUTOFF, qid), qrels,
-                                 NDCG_CUTOFF)
-            losses[(lo, hi)] += full - occluded
+            losses[(lo, hi)] += full - ndcg_at_k(_rank(index, kept, qid), qrels, NDCG_CUTOFF)
     return [((lo, hi), losses[(lo, hi)] / len(judged)) for lo, hi in bins]
+
+
+def _rank(index: SparseScoreIndex, columns: list, query_id: str) -> RankedList:
+    """The first ``NDCG_CUTOFF`` documents of ``index`` for resolved ``columns``."""
+    return rank_from_scores(index, _score(index, columns), NDCG_CUTOFF, query_id)
 
 
 def recall_at_token_budget(rankings: Iterable[RankedList], qrels: QrelSet,

@@ -78,7 +78,9 @@ class SparseScoreIndex:
     ``scores`` (float32 baked scores).  Terms with zero document frequency
     are absent from the vocabulary.  ``vocab`` (term to column), ``df`` (the
     extent lengths) and ``num_docs`` (the number of doc ids) are derived
-    once, at construction, from ``terms``, ``col_ptr`` and ``doc_ids``.
+    once, at construction, from ``terms``, ``col_ptr`` and ``doc_ids``, so
+    none of those six can be reassigned after it (AttributeError).  Only
+    ``scores`` and ``header`` can, which is how a rescale marks its result.
     """
 
     col_ptr: np.ndarray
@@ -95,6 +97,14 @@ class SparseScoreIndex:
         self.vocab = {t: i for i, t in enumerate(self.terms)}
         self.df = np.diff(self.col_ptr)
         self.num_docs = len(self.doc_ids)
+
+    def __setattr__(self, name, value):
+        # hasattr, not self.__dict__: reading __dict__ would make every later
+        # attribute load on this index slower.
+        if name not in ("scores", "header") and hasattr(self, name):
+            raise AttributeError(f"SparseScoreIndex.{name} is fixed at construction; "
+                                 "build a new index instead")
+        object.__setattr__(self, name, value)
 
     @property
     def nnz(self) -> int:
@@ -150,25 +160,39 @@ class TokenCounts:
     Column t (term ``terms[t]``, sorted) holds entries
     ``col_ptr[t]:col_ptr[t+1]``: document ``rows[j]`` contains the term
     ``tfs[j]`` times (both int32).  A per-column value reaches its entries as
-    ``np.repeat(value, df)``.  ``doc_lens`` are post-tokenization lengths.
-    Every field is read-only, because :func:`count_tokens` hands the same
-    object to every consumer of its corpus and mode.
+    ``np.repeat(value, df)``.  ``doc_lens`` are post-tokenization lengths;
+    ``num_docs``, ``n_tok``, ``avg_len`` and ``df`` are derived from
+    ``doc_ids``, ``doc_lens`` and ``col_ptr``.  Every field is read-only,
+    because :func:`count_tokens` hands the same object to every consumer of
+    its corpus and mode.
     """
 
     terms: tuple[str, ...]
     doc_ids: tuple[str, ...]
-    num_docs: int
-    n_tok: int
-    avg_len: float
     rows: np.ndarray
     tfs: np.ndarray
-    df: np.ndarray
     col_ptr: np.ndarray
     doc_lens: np.ndarray
 
     def __post_init__(self):
-        for array in (self.rows, self.tfs, self.df, self.col_ptr, self.doc_lens):
+        for array in (self.rows, self.tfs, self.col_ptr, self.doc_lens):
             array.flags.writeable = False
+
+    @property
+    def num_docs(self) -> int:
+        return len(self.doc_ids)
+
+    @property
+    def n_tok(self) -> int:
+        return int(self.doc_lens.sum())
+
+    @property
+    def avg_len(self) -> float:
+        return self.n_tok / self.num_docs
+
+    @property
+    def df(self) -> np.ndarray:
+        return np.diff(self.col_ptr)
 
 
 # One TokenCounts per (corpus, mode); an entry lives as long as its corpus.
@@ -219,8 +243,7 @@ def _count(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
             toks = tokenize(text, mode)
             doc_lens.append(len(toks))
             token_ids.extend(map(first_seen.__getitem__, toks))
-    n_tok = len(token_ids)
-    if not n_tok:  # also an empty corpus
+    if not token_ids:  # also an empty corpus
         raise BuildError(f"corpus of {num_docs} documents has no tokens under mode {mode.value}")
 
     terms = sorted(first_seen)
@@ -238,8 +261,7 @@ def _count(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
     keys %= num_docs
     rows, tfs = keys.astype(np.int32), tfs.astype(np.int32)
     del keys
-    return TokenCounts(terms=tuple(terms), doc_ids=corpus.ids, num_docs=num_docs,
-                       n_tok=n_tok, avg_len=n_tok / num_docs, rows=rows, tfs=tfs, df=df,
+    return TokenCounts(terms=tuple(terms), doc_ids=corpus.ids, rows=rows, tfs=tfs,
                        col_ptr=np.concatenate(([0], np.cumsum(df))),
                        doc_lens=np.array(doc_lens, dtype=np.int64))
 

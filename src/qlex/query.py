@@ -1,11 +1,14 @@
 """Query-time scoring over baked score matrices.
 
 One code path serves every index flavor (plain BM25, q-rescaled, gamma
-sharpened, DPH): tokens select columns, and one ``np.bincount`` sums the
-float32 column slices per document, in query-token order from 0.0 (the
-summation-order contract of ``score_query``), widening them once inside the
-concatenation that feeds it.  No float64 copy of the scores is kept: it
-would take twice their memory for the index's lifetime to save one pass.
+sharpened, DPH): tokens resolve to the matched columns (``_columns``), and
+one ``np.bincount`` sums their float32 slices per document (``_score``), in
+query-token order from 0.0 (the summation-order contract of
+``score_query``), widening them once inside the concatenation that feeds
+it.  A column list holds for every index that shares the structure it was
+resolved on, so the sweep and the occlusion resolve each query once.  No
+float64 copy of the scores is kept: it would take twice their memory for
+the index's lifetime to save one pass.
 Ties break by ascending internal document index, so rankings are fully
 deterministic.
 
@@ -19,7 +22,6 @@ The result equals a stable descending sort of all N scores.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -56,24 +58,44 @@ def score_query(index: SparseScoreIndex, tokens: Sequence[str]) -> np.ndarray:
     from 0.0, of its entries over the matched columns in first-occurrence
     order of the query tokens.  One ``np.bincount`` adds exactly in that
     order, so the scores are the bytes a column-by-column scatter-add gives.
-    Its intp rows and float64 weights are concatenated straight from views
-    into the index, so each posting is copied once, by exact casts.
     """
-    col_ptr, row_idx, data = index.col_ptr, index.row_idx, index.scores
-    rows, weights = [], []
-    for term, mult in Counter(tokens).items():
-        tid = index.vocab.get(term)
-        if tid is None:
-            continue
-        start, end = col_ptr[tid], col_ptr[tid + 1]
-        rows.append(row_idx[start:end])
-        weights.append(data[start:end] if mult == 1
-                       else data[start:end].astype(np.float64) * mult)
-    if not rows:
+    return _score(index, _columns(index, tokens))
+
+
+def _columns(index: SparseScoreIndex, tokens: Sequence[str]) -> list[tuple]:
+    """Each matched column's ``(start, end, multiplicity)``, in first-occurrence
+    order of its term in ``tokens``; tokens outside the vocabulary are dropped.
+    It reads only ``col_ptr`` and ``vocab``, which a rescaled copy shares."""
+    counts: dict[str, int] = {}  # a Counter costs more than this on a short query
+    for term in tokens:
+        counts[term] = counts.get(term, 0) + 1
+    col_ptr, vocab = index.col_ptr, index.vocab
+    columns = []
+    for term, mult in counts.items():
+        tid = vocab.get(term)
+        if tid is not None:
+            columns.append((col_ptr[tid], col_ptr[tid + 1], mult))
+    return columns
+
+
+def _score(index: SparseScoreIndex, columns: Sequence[tuple]) -> np.ndarray:
+    """The :func:`score_query` vector of resolved ``columns``.
+
+    Its intp rows and float64 weights are concatenated straight from views
+    into the index, so each posting is copied once, by exact casts; then a
+    repeated column's segment of the weights is multiplied in place.
+    """
+    if not columns:
         return np.zeros(index.num_docs, dtype=np.float64)
-    return np.bincount(np.concatenate(rows, dtype=np.intp),
-                       weights=np.concatenate(weights, dtype=np.float64),
-                       minlength=index.num_docs)
+    row_idx, data = index.row_idx, index.scores
+    rows = np.concatenate([row_idx[start:end] for start, end, _ in columns], dtype=np.intp)
+    weights = np.concatenate([data[start:end] for start, end, _ in columns], dtype=np.float64)
+    at = 0
+    for start, end, mult in columns:
+        if mult != 1:
+            weights[at:at + end - start] *= mult
+        at += end - start
+    return np.bincount(rows, weights=weights, minlength=index.num_docs)
 
 
 # Score classes in the order a stable sort of -scores visits them; ``tied``

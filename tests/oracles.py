@@ -8,6 +8,7 @@ float64 accumulation, mirroring the documented storage contract.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import re
@@ -17,8 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from qlex.errors import DuplicateIdError, ParseError
+from qlex.evaluation import eval_ndcg, ndcg_at_k
+from qlex.query import batch_retrieve, rank_tokens
 from qlex.stats import CorpusStats
-from qlex.tokenizers import _CAMEL_RE, _SEP_RE, TokenizerMode, default_stopwords, surface_tokens
+from qlex.storage import load_index
+from qlex.tokenizers import (_CAMEL_RE, _SEP_RE, TokenizerMode, default_stopwords,
+                             surface_tokens, tokenize)
+from qlex.transforms import rescale_index
 
 
 def lucene_idf(df: int, n_docs: int) -> float:
@@ -238,3 +244,41 @@ def ndcg_by_hand(ranked_doc_ids: list[str], rels: dict[str, int], k: int) -> flo
     ideal = sorted((r for r in rels.values() if r > 0), reverse=True)[:k]
     idcg = sum(r / math.log2(i + 2) for i, r in enumerate(ideal))
     return dcg / idcg
+
+
+def sweep_by_batch_retrieve(base_index_path, queries, qrels, grid):
+    """Sweep rows and q_opt by re-ranking every query through ``batch_retrieve``
+    at depth 10 on a rescaled copy of the loaded baseline at each grid point;
+    ties on the mean prefer the larger q.  ``qlex.evaluation.q_sweep`` must
+    give the same rows and q_opt exactly."""
+    base = load_index(base_index_path)
+    rows = []
+    for q in grid:
+        index = copy.copy(base)
+        index.scores = base.scores.copy()
+        rescale_index(index, q)
+        rows.append((float(q), eval_ndcg(batch_retrieve(index, queries, 10), qrels, 10).mean))
+    q_opt, best = rows[0]
+    for q, mean in rows[1:]:
+        if mean > best or (mean == best and q > q_opt):
+            q_opt, best = q, mean
+    return rows, q_opt
+
+
+def occlusion_by_tokens(index, queries, qrels, bins):
+    """Mean NDCG@10 loss per df bin by dropping the bin's query tokens, each
+    token's df looked up on its own, and ranking the kept tokens again with
+    ``rank_tokens``; a query with no token in a bin adds no loss.
+    ``qlex.evaluation.df_bin_occlusion`` must give the same rows exactly."""
+    judged = [(qid, text) for qid, text in queries if qrels.has_relevant(qid)]
+    losses = {b: 0.0 for b in bins}
+    for qid, text in judged:
+        tokens = tokenize(text, index.header.mode)
+        full = ndcg_at_k(rank_tokens(index, tokens, 10, qid), qrels, 10)
+        dfs = [index.df[index.vocab[t]] if t in index.vocab else 0 for t in tokens]
+        for lo, hi in bins:
+            kept = [t for t, d in zip(tokens, dfs) if not (lo <= d and (hi is None or d <= hi))]
+            if len(kept) == len(tokens):
+                continue
+            losses[(lo, hi)] += full - ndcg_at_k(rank_tokens(index, kept, 10, qid), qrels, 10)
+    return [((lo, hi), losses[(lo, hi)] / len(judged)) for lo, hi in bins]

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qlex import (BuildError, Corpus, Document, DuplicateIdError, IndexFormatError, ParseError,
-                  QlexError, QuerySet, build_dph_index, build_index, load_corpus, load_qrels,
-                  load_queries, load_index, save_index, dumps_index, loads_index, top_k)
+                  QlexError, QuerySet, SparseScoreIndex, build_dph_index, build_index,
+                  load_corpus, load_qrels, load_queries, load_index, save_index, dumps_index,
+                  loads_index, top_k)
 from qlex import storage
 from qlex.cli import _write_or_print
 from qlex.storage import INDEX_FORMAT_VERSION, _MAGIC, write_atomic
@@ -394,12 +395,10 @@ class TestQrelsLoading:
 
 
 def _drop_vocabulary(index, keep_docs):
-    """Empty ``index``'s vocabulary, and its documents too unless ``keep_docs``."""
-    index.terms, index.col_ptr = [], index.col_ptr[:1]
-    index.row_idx, index.scores = index.row_idx[:0], index.scores[:0]
-    if not keep_docs:
-        index.doc_ids = []
-    index.__post_init__()  # re-derive vocab, df and num_docs
+    """A copy of ``index`` with no vocabulary, and no documents either unless ``keep_docs``."""
+    return SparseScoreIndex(col_ptr=index.col_ptr[:1], row_idx=index.row_idx[:0],
+                            scores=index.scores[:0], terms=[],
+                            doc_ids=index.doc_ids if keep_docs else [], header=index.header)
 
 
 class TestIndexSerialization:
@@ -463,7 +462,8 @@ class TestIndexSerialization:
         lambda ix: _drop_vocabulary(ix, keep_docs=False),
         lambda ix: ix.doc_ids.__setitem__(1, ix.doc_ids[0]),
         lambda ix: ix.doc_ids.__setitem__(1, ""),
-        lambda ix: setattr(ix, "num_docs", ix.num_docs + 1),
+        # num_docs is derived from doc_ids; force a stale one to write a wrong N.
+        lambda ix: object.__setattr__(ix, "num_docs", ix.num_docs + 1),
     ], ids=["row_eq_n", "rows_descending", "empty_column", "col_ptr_past_end",
             "col_ptr_descending", "nan_score", "inf_score", "duplicate_term",
             "no_vocabulary", "no_vocabulary_no_documents", "duplicate_doc_id",
@@ -471,7 +471,7 @@ class TestIndexSerialization:
     def test_malformed_structure_is_corrupt_error(self, index, corrupt):
         # A loaded copy: a built index shares read-only arrays with its build.
         loaded = loads_index(dumps_index(index))
-        corrupt(loaded)
+        loaded = corrupt(loaded) or loaded  # in place, or a new index
         with pytest.raises(IndexFormatError, match="corrupt index"):
             loads_index(dumps_index(loaded))
 

@@ -1,10 +1,13 @@
 """Metrics, bootstrap, sweep, occlusion, and budget recall."""
 
 import math
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlex import (QrelSet, QuerySet, RankedList, RescaleStateError, batch_retrieve,
                   build_dph_index, build_index, df_bin_occlusion, evaluation, load_index,
@@ -17,7 +20,7 @@ from qlex.query import rank_tokens
 from qlex.tokenizers import TokenizerMode
 
 from conftest import hapax_mechanism_corpus, make_corpus, random_corpus
-from oracles import ndcg_by_hand
+from oracles import ndcg_by_hand, occlusion_by_tokens, sweep_by_batch_retrieve
 
 
 def ranked(qid, doc_ids):
@@ -345,6 +348,69 @@ class TestOcclusion:
         assert lows[0] == 1 and his[-1] is None
         for (lo, hi), (lo2, _) in zip(DEFAULT_DF_BINS, DEFAULT_DF_BINS[1:]):
             assert lo2 == hi + 1
+
+
+# Word wK is drawn with probability 2^(K-13), so document frequencies spread
+# over the low df bins; hK is document K's own word, a hapax.
+_WORD = st.integers(1, 2**12 - 1).map(lambda x: f"w{x.bit_length()}")
+
+
+@st.composite
+def _judged_collection(draw):
+    """A corpus, queries and qrels.  Queries repeat tokens, mix in hapaxes and
+    an out-of-vocabulary word, and always include an empty query and an
+    OOV-only one; every query is judged, the first positively."""
+    n_docs = draw(st.integers(2, 30))
+    texts = []
+    for i in range(n_docs):
+        words = draw(st.lists(_WORD, min_size=1, max_size=8))
+        texts.append(" ".join(words + [f"h{i}"] * draw(st.integers(0, 2))))
+    query_word = st.one_of(_WORD, st.integers(0, n_docs - 1).map(lambda i: f"h{i}"),
+                           st.just("zzoov"))
+    drawn = draw(st.lists(st.lists(st.tuples(query_word, st.integers(1, 3)), max_size=8),
+                          min_size=1, max_size=8))
+    texts_q = [" ".join(w for w, mult in pairs for _ in range(mult)) for pairs in drawn]
+    texts_q += ["", "zzoov zzoov"]
+    queries = QuerySet([(f"q{j}", text) for j, text in enumerate(texts_q)])
+    judgments = {}
+    for j in range(len(texts_q)):
+        docs = draw(st.lists(st.integers(0, n_docs - 1), min_size=1, max_size=3, unique=True))
+        judgments[f"q{j}"] = {f"d{d}": draw(st.integers(int(j == 0), 2)) for d in docs}
+    return make_corpus(texts), queries, QrelSet(judgments=judgments)
+
+
+class TestAgainstTheTokenBodies:
+    """The sweep and the occlusion equal the bodies that re-tokenized per grid
+    point and per bin (``tests/oracles.py``), exactly."""
+
+    @settings(deadline=None, max_examples=200)  # the deep profile's 2,000 take 2 minutes
+    @given(data=_judged_collection(), mode=st.sampled_from([TokenizerMode.T0, TokenizerMode.T1]),
+           grid=st.lists(st.sampled_from([0.05, 0.3, 0.7, 1.0, 2.0]), min_size=1, max_size=4))
+    def test_sweep_equals_batch_retrieve_per_point(self, data, mode, grid):
+        corpus, queries, qrels = data
+        grid = grid + [1.5]  # every grid has a q > 1
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "base.qlx"
+            save_index(build_index(corpus, mode), path)
+            table = q_sweep(path, queries, qrels, grid)
+            rows, q_opt = sweep_by_batch_retrieve(path, queries, qrels, grid)
+        assert table.rows == rows
+        assert table.q_opt == q_opt
+
+    @settings(deadline=None, max_examples=200)  # the deep profile's 2,000 take 2 minutes
+    @given(data=_judged_collection(), mode=st.sampled_from([TokenizerMode.T0, TokenizerMode.T1]),
+           make=st.sampled_from(["bm25", "q0.3", "q1.5", "dph"]),
+           bins=st.sampled_from([DEFAULT_DF_BINS, ((1, 1), (2, None)), ((2, 3), (6, None))]))
+    def test_occlusion_equals_the_token_filter(self, data, mode, make, bins):
+        corpus, queries, qrels = data
+        if make == "dph":
+            index = build_dph_index(corpus, mode)
+        else:
+            index = build_index(corpus, mode)
+            if make != "bm25":
+                rescale_index(index, float(make[1:]))
+        assert (df_bin_occlusion(index, queries, qrels, bins)
+                == occlusion_by_tokens(index, queries, qrels, bins))
 
 
 class TestTokenBudgetRecall:

@@ -1,5 +1,6 @@
 """Index construction against hand arithmetic and a dense oracle."""
 
+import copy
 import dataclasses
 import gc
 import math
@@ -151,6 +152,9 @@ class TestSharedPass:
         counts = count_tokens(corpus, mode)
         assert counts.tfs.tolist() == tfs
         assert counts.doc_lens.tolist() == doc_lens
+        assert (counts.num_docs, counts.n_tok) == (len(texts), sum(doc_lens))
+        assert counts.avg_len == sum(doc_lens) / len(texts)
+        assert counts.df.dtype == np.int64 and counts.df.tolist() == np.diff(col_ptr).tolist()
         for index in (build_index(corpus, mode), build_dph_index(corpus, mode)):
             assert index.terms == terms
             assert index.col_ptr.tolist() == col_ptr
@@ -361,6 +365,32 @@ class TestBuiltIndexEqualsItsFile:
             else:
                 assert read == built, name
         assert hash(loaded.header) == hash(index.header)
+
+
+class TestFixedFacts:
+    """An index's arrays and the facts derived from them cannot drift apart."""
+
+    @pytest.mark.parametrize("name", ["col_ptr", "row_idx", "terms", "doc_ids",
+                                      "vocab", "df", "num_docs"])
+    def test_reassignment_is_refused(self, name):
+        index = build_index(make_corpus(_MEMO_TEXTS), TokenizerMode.T0)
+        blob = dumps_index(index)
+        value = getattr(index, name)
+        shorter = value[:1] if isinstance(value, (list, np.ndarray)) else value
+        with pytest.raises(AttributeError, match=name):
+            setattr(index, name, shorter)
+        assert getattr(index, name) is value
+        assert dumps_index(index) == blob
+
+    def test_a_copy_takes_new_scores_and_header(self):
+        index = build_index(make_corpus(_MEMO_TEXTS), TokenizerMode.T0)
+        blob = dumps_index(index)
+        twin = copy.copy(index)
+        twin.scores = index.scores * np.float32(2.0)
+        twin.header = dataclasses.replace(index.header, applied_q=0.5)
+        assert twin.vocab is index.vocab and twin.col_ptr is index.col_ptr
+        assert dumps_index(index) == blob
+        assert loads_index(dumps_index(twin)).header.applied_q == 0.5
 
 
 class TestBenchmarkText:

@@ -132,6 +132,9 @@ class TestScoreQueryByteIdentity:
         _assert_scores_match_scatter(index, tokenize(" ".join(query), mode))
         # Raw vocabulary terms in the drawn order, repeats included.
         _assert_scores_match_scatter(index, [index.terms[i % index.vocab_size] for i in picks])
+        # Most terms repeated, up to 4 times, so repeated columns sit between single ones.
+        _assert_scores_match_scatter(index, [index.terms[i % index.vocab_size]
+                                             for i in picks for _ in range(1 + i % 4)])
 
     @settings(deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(0, 30))
