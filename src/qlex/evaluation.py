@@ -15,13 +15,14 @@ direction).  With zero reversals out of R resamples the harness reports
 Diagnostics: exponent sweeps over copies of one loaded baseline (the
 rescale is destructive), document-frequency-bin occlusion, and recall
 under a retrieval token budget.  Sweep and occlusion report only NDCG at
-``NDCG_CUTOFF``, so they rank each query to that depth and no deeper: the
-ranking is exact with ties by ascending doc index, so its first
-``NDCG_CUTOFF`` hits are those of any deeper ranking.  Both tokenize each
-query and resolve it to its matched columns once: the sweep scores those
-columns against every grid point's rescaled copy, which shares the
-baseline's columns, and the occlusion drops a bin's columns, reading a
-column's df as its extent.
+``NDCG_CUTOFF``, so they build no ranking: they read each judged
+document's place in the ranking order from the scores
+(``query._position``) and feed those places to the one NDCG body that
+:func:`ndcg_at_k` feeds with the places of a ranking's hits.  Both
+tokenize each query and resolve it to its matched columns once: the sweep
+scores those columns against every grid point's rescaled copy, which
+shares the baseline's columns, and the occlusion drops a bin's columns,
+reading a column's df as its extent.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from .corpus_io import Corpus, QuerySet, QrelSet
 from .errors import QlexError
 from .index import SparseScoreIndex
-from .query import RankedList, _columns, _score, rank_from_scores
+from .query import RankedList, _columns, _position, _score
 from .query import batch_retrieve, rank_tokens  # noqa: F401  perfbench traces them here
 from .storage import load_index
 from .tokenizers import tokenize
@@ -143,11 +144,18 @@ def ndcg_at_k(ranked: RankedList, qrels: QrelSet, k: int = NDCG_CUTOFF) -> float
     """NDCG@k with linear gains; the ideal ranking sorts judged relevance."""
     _check_cutoff(k)
     rels = _gains(qrels, ranked.query_id)
+    return _ndcg(((i, rels.get(doc_id, 0)) for i, (doc_id, _) in enumerate(ranked.hits[:k])),
+                 rels, k)
+
+
+def _ndcg(placed: Iterable[tuple[int, int]], rels: Mapping[str, int], k: int) -> float:
+    """The one NDCG body: the DCG of ``placed``, (0-based place, relevance)
+    pairs in ascending place order with every place below ``k``, over the
+    ideal DCG of the positive gains ``rels``."""
     dcg = 0.0
-    for i, (doc_id, _) in enumerate(ranked.hits[:k]):
-        rel = rels.get(doc_id, 0)
+    for place, rel in placed:
         if rel:
-            dcg += rel / math.log2(i + 2)
+            dcg += rel / math.log2(place + 2)
     idcg = sum(rel / math.log2(i + 2)
                for i, rel in enumerate(sorted(rels.values(), reverse=True)[:k]))
     return dcg / idcg
@@ -251,14 +259,15 @@ def q_sweep(base_index_path: str | Path, queries: QuerySet, qrels: QrelSet,
         raise ValueError("sweep grid must be non-empty")
     judged = _judged(queries, qrels)
     base = load_index(base_index_path)
-    resolved = [(qid, _columns(base, tokenize(text, base.header.mode))) for qid, text in judged]
+    resolved = [(_columns(base, tokenize(text, base.header.mode)), docs)
+                for (_, text), docs in zip(judged, _judged_docs(base, qrels, judged))]
     rows: list[tuple[float, float]] = []
     for q in grid:
         index = copy.copy(base)  # not dataclasses.replace: it would rebuild vocab per point
         index.scores = base.scores.copy()
         rescale_index(index, q)
-        rankings = [_rank(index, columns, qid) for qid, columns in resolved]
-        rows.append((float(q), eval_ndcg(rankings, qrels, NDCG_CUTOFF).mean))
+        ndcgs = [_ndcg_of_scores(_score(index, columns), docs) for columns, docs in resolved]
+        rows.append((float(q), float(np.mean(ndcgs))))
     q_opt, best = rows[0]
     for q, mean in rows[1:]:
         if mean > best or (mean == best and q > q_opt):
@@ -285,22 +294,48 @@ def df_bin_occlusion(index: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
                          f"only the last one open; got {list(bins)}")
     judged = _judged(queries, qrels)
     losses = {b: 0.0 for b in bins}
-    for qid, text in judged:
+    for (_, text), docs in zip(judged, _judged_docs(index, qrels, judged)):
         columns = _columns(index, tokenize(text, index.header.mode))
-        full = ndcg_at_k(_rank(index, columns, qid), qrels, NDCG_CUTOFF)
+        full = _ndcg_of_scores(_score(index, columns), docs)
         dfs = [end - start for start, end, _ in columns]
         for lo, hi in bins:
             kept = [column for column, df in zip(columns, dfs)
                     if not (lo <= df and (hi is None or df <= hi))]
             if len(kept) == len(columns):
                 continue
-            losses[(lo, hi)] += full - ndcg_at_k(_rank(index, kept, qid), qrels, NDCG_CUTOFF)
+            losses[(lo, hi)] += full - _ndcg_of_scores(_score(index, kept), docs)
     return [((lo, hi), losses[(lo, hi)] / len(judged)) for lo, hi in bins]
 
 
-def _rank(index: SparseScoreIndex, columns: list, query_id: str) -> RankedList:
-    """The first ``NDCG_CUTOFF`` documents of ``index`` for resolved ``columns``."""
-    return rank_from_scores(index, _score(index, columns), NDCG_CUTOFF, query_id)
+def _judged_docs(index: SparseScoreIndex, qrels: QrelSet,
+                 judged: Sequence[tuple[str, str]]) -> list[tuple]:
+    """Per judged (query_id, text) pair, in order: its positive gains, and the
+    doc indices and gains of those of its judged documents that ``index``
+    holds.  Only the judged doc ids are mapped to indices, in one pass."""
+    gains = [_gains(qrels, qid) for qid, _ in judged]
+    wanted = set().union(*gains)
+    at = {doc_id: i for i, doc_id in enumerate(index.doc_ids) if doc_id in wanted}
+    out = []
+    for rels in gains:
+        held = [(at[doc_id], rel) for doc_id, rel in rels.items() if doc_id in at]
+        out.append((rels, np.array([i for i, _ in held], dtype=np.intp), [r for _, r in held]))
+    return out
+
+
+def _ndcg_of_scores(scores: np.ndarray, docs: tuple) -> float:
+    """NDCG@``NDCG_CUTOFF`` of the ranking of ``scores``, read from the places
+    of the judged documents (``docs``, from :func:`_judged_docs`) and not from
+    a ranking: they are visited in ranking order, so the walk stops at the
+    first whose place is not below the cutoff, after at most
+    ``NDCG_CUTOFF + 1`` counting passes over ``scores``."""
+    rels, held, gains = docs
+    placed = []
+    for j in np.lexsort((held, -scores[held])).tolist():
+        place = _position(scores, held[j])
+        if place >= NDCG_CUTOFF:
+            break
+        placed.append((place, gains[j]))
+    return _ndcg(placed, rels, NDCG_CUTOFF)
 
 
 def recall_at_token_budget(rankings: Iterable[RankedList], qrels: QrelSet,

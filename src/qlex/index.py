@@ -79,21 +79,25 @@ class SparseScoreIndex:
     are absent from the vocabulary.  ``vocab`` (term to column), ``df`` (the
     extent lengths) and ``num_docs`` (the number of doc ids) are derived
     once, at construction, from ``terms``, ``col_ptr`` and ``doc_ids``, so
-    none of those six can be reassigned after it (AttributeError).  Only
-    ``scores`` and ``header`` can, which is how a rescale marks its result.
+    none of those six can be reassigned after it (AttributeError), and
+    ``terms`` and ``doc_ids`` are stored as tuples, which cannot be edited
+    in place either.  Only ``scores`` and ``header`` can be reassigned,
+    which is how a rescale marks its result.
     """
 
     col_ptr: np.ndarray
     row_idx: np.ndarray
     scores: np.ndarray
-    terms: list[str]
-    doc_ids: list[str]
+    terms: tuple[str, ...]
+    doc_ids: tuple[str, ...]
     header: IndexHeader
     vocab: dict[str, int] = field(init=False)
     df: np.ndarray = field(init=False)
     num_docs: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))  # a tuple is kept, not copied
+        object.__setattr__(self, "doc_ids", tuple(self.doc_ids))
         self.vocab = {t: i for i, t in enumerate(self.terms)}
         self.df = np.diff(self.col_ptr)
         self.num_docs = len(self.doc_ids)
@@ -119,13 +123,13 @@ class SparseScoreIndex:
                     header: IndexHeader) -> "SparseScoreIndex":
         """Store float64 per-entry ``weights`` (aligned with ``counts.tfs``) as float32.
 
-        The index shares the read-only arrays of ``counts`` and gets its own
-        ``terms`` and ``doc_ids`` lists, so it cannot change what a later
+        The index shares the read-only arrays and the ``terms`` and
+        ``doc_ids`` tuples of ``counts``, so it cannot change what a later
         build from the same counts reads.
         """
         return cls(col_ptr=counts.col_ptr, row_idx=counts.rows,
-                   scores=weights.astype(np.float32), terms=list(counts.terms),
-                   doc_ids=list(counts.doc_ids), header=header)
+                   scores=weights.astype(np.float32), terms=counts.terms,
+                   doc_ids=counts.doc_ids, header=header)
 
     def check_invariants(self) -> None:
         """Raise IndexFormatError unless there is at least one column, columns are

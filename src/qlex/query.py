@@ -17,7 +17,10 @@ query touches few documents (a near-unique identifier carries the score at
 q < 1), so only the documents with a positive score are partitioned and
 sorted; when they cannot fill k, the tied zero and NaN scores come from a
 prefix of the vector that grows only as far as it must, not from all N.
-The result equals a stable descending sort of all N scores.
+The result equals a stable descending sort of all N scores.  That order
+has a second reader, ``_position``, which counts one document's place in
+it without ranking, for metrics that need only the judged documents'
+places.
 """
 
 from __future__ import annotations
@@ -175,6 +178,19 @@ def rank_from_scores(index: SparseScoreIndex, scores: np.ndarray, k: int,
     order = parts[0] if len(parts) == 1 else np.concatenate(parts)
     hits = zip([index.doc_ids[i] for i in order.tolist()], scores[order].tolist())
     return RankedList(query_id, list(hits))
+
+
+def _position(scores: np.ndarray, i: int) -> int:
+    """The 0-based place of document ``i`` in the order :func:`rank_from_scores`
+    ranks by, a stable sort of ``-scores``: the two functions read one order,
+    and a change to it changes both.  A number is preceded by every larger
+    score and by its ties (``-0.0 == 0.0``) at a lower index; NaN by every
+    number and by the NaNs at a lower index."""
+    s = scores[i]
+    if s != s:
+        nan = np.isnan(scores)
+        return scores.size - int(np.count_nonzero(nan)) + int(np.count_nonzero(nan[:i]))
+    return int(np.count_nonzero(scores > s)) + int(np.count_nonzero(scores[:i] == s))
 
 
 def rank_tokens(index: SparseScoreIndex, tokens: Sequence[str], k: int,

@@ -1,5 +1,6 @@
 """File loading, validation, and index serialization surfaces."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -217,7 +218,7 @@ class TestLoneSurrogates:
             index = build_index(corpus, mode)
             save_index(index, path.with_suffix(".qlx"))
             loaded = load_index(path.with_suffix(".qlx"))
-            assert loaded.doc_ids == list(corpus.ids) and loaded.terms == index.terms
+            assert loaded.doc_ids == corpus.ids and loaded.terms == index.terms
 
 
 class TestUntrustedLines:
@@ -457,11 +458,11 @@ class TestIndexSerialization:
         lambda ix: ix.col_ptr.__setitem__(slice(1, -1), ix.col_ptr[-2:0:-1].copy()),
         lambda ix: ix.scores.__setitem__(0, np.nan),
         lambda ix: ix.scores.__setitem__(-1, np.inf),
-        lambda ix: ix.terms.__setitem__(1, ix.terms[0]),
+        lambda ix: dataclasses.replace(ix, terms=ix.terms[:1] * 2 + ix.terms[2:]),
         lambda ix: _drop_vocabulary(ix, keep_docs=True),
         lambda ix: _drop_vocabulary(ix, keep_docs=False),
-        lambda ix: ix.doc_ids.__setitem__(1, ix.doc_ids[0]),
-        lambda ix: ix.doc_ids.__setitem__(1, ""),
+        lambda ix: dataclasses.replace(ix, doc_ids=ix.doc_ids[:1] * 2 + ix.doc_ids[2:]),
+        lambda ix: dataclasses.replace(ix, doc_ids=ix.doc_ids[:1] + ("",) + ix.doc_ids[2:]),
         # num_docs is derived from doc_ids; force a stale one to write a wrong N.
         lambda ix: object.__setattr__(ix, "num_docs", ix.num_docs + 1),
     ], ids=["row_eq_n", "rows_descending", "empty_column", "col_ptr_past_end",

@@ -359,7 +359,9 @@ _WORD = st.integers(1, 2**12 - 1).map(lambda x: f"w{x.bit_length()}")
 def _judged_collection(draw):
     """A corpus, queries and qrels.  Queries repeat tokens, mix in hapaxes and
     an out-of-vocabulary word, and always include an empty query and an
-    OOV-only one; every query is judged, the first positively."""
+    OOV-only one; every query is judged, the first positively.  A query
+    judges up to 15 documents, more than NDCG_CUTOFF, with grade 0 mixed
+    among the positive grades, and some judged ids are not in the corpus."""
     n_docs = draw(st.integers(2, 30))
     texts = []
     for i in range(n_docs):
@@ -374,7 +376,7 @@ def _judged_collection(draw):
     queries = QuerySet([(f"q{j}", text) for j, text in enumerate(texts_q)])
     judgments = {}
     for j in range(len(texts_q)):
-        docs = draw(st.lists(st.integers(0, n_docs - 1), min_size=1, max_size=3, unique=True))
+        docs = draw(st.lists(st.integers(0, n_docs + 2), min_size=1, max_size=15, unique=True))
         judgments[f"q{j}"] = {f"d{d}": draw(st.integers(int(j == 0), 2)) for d in docs}
     return make_corpus(texts), queries, QrelSet(judgments=judgments)
 

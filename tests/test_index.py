@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from qlex import (BuildError, Document, IndexHeader, RescaleStateError,
                   build_dph_index, build_index, compute_corpus_stats, load_corpus)
 from qlex import index as index_module
-from qlex.index import count_tokens
+from qlex.index import SparseScoreIndex, count_tokens
 from qlex.storage import dumps_index, loads_index
 from qlex.transforms import rescale_index, rescale_index_gamma
 from qlex.tokenizers import TokenizerMode, tokenize
@@ -156,7 +156,7 @@ class TestSharedPass:
         assert counts.avg_len == sum(doc_lens) / len(texts)
         assert counts.df.dtype == np.int64 and counts.df.tolist() == np.diff(col_ptr).tolist()
         for index in (build_index(corpus, mode), build_dph_index(corpus, mode)):
-            assert index.terms == terms
+            assert index.terms == tuple(terms)
             assert index.col_ptr.tolist() == col_ptr
             assert index.row_idx.tolist() == row_idx
             index.check_invariants()
@@ -242,8 +242,10 @@ class TestCountsMemo:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] += 1
             index.df[0] += 1  # derived per index, not shared with the counts
-            index.terms[0] = "mutated"
-            index.doc_ids.reverse()
+            with pytest.raises(TypeError):
+                index.terms[0] = "mutated"  # a tuple, shared with the counts
+            with pytest.raises(AttributeError):
+                index.doc_ids.reverse()
             index.scores[:] = 0.0
             assert dumps_index(build(corpus, TokenizerMode.T0)) == expected
         rescale_index(build_index(corpus, TokenizerMode.T0), 0.3)
@@ -376,10 +378,32 @@ class TestFixedFacts:
         index = build_index(make_corpus(_MEMO_TEXTS), TokenizerMode.T0)
         blob = dumps_index(index)
         value = getattr(index, name)
-        shorter = value[:1] if isinstance(value, (list, np.ndarray)) else value
+        shorter = value[:1] if isinstance(value, (tuple, np.ndarray)) else value
         with pytest.raises(AttributeError, match=name):
             setattr(index, name, shorter)
         assert getattr(index, name) is value
+        assert dumps_index(index) == blob
+
+    @pytest.mark.parametrize("make", ["built", "loaded", "from_lists"])
+    def test_terms_and_doc_ids_cannot_be_edited_in_place(self, make):
+        corpus = make_corpus(_MEMO_TEXTS)
+        index = build_index(corpus, TokenizerMode.T0)
+        if make == "loaded":
+            index = loads_index(dumps_index(index))
+        elif make == "from_lists":
+            index = SparseScoreIndex(col_ptr=index.col_ptr, row_idx=index.row_idx,
+                                     scores=index.scores, terms=list(index.terms),
+                                     doc_ids=list(index.doc_ids), header=index.header)
+        else:  # a build shares the tuples of its counts
+            counts = count_tokens(corpus, TokenizerMode.T0)
+            assert index.terms is counts.terms and index.doc_ids is counts.doc_ids
+        blob = dumps_index(index)
+        with pytest.raises(TypeError):
+            index.terms[0] = "zz"
+        with pytest.raises(AttributeError):
+            index.doc_ids.append("d9")
+        assert type(index.terms) is tuple and type(index.doc_ids) is tuple
+        assert index.vocab == {t: i for i, t in enumerate(index.terms)}
         assert dumps_index(index) == blob
 
     def test_a_copy_takes_new_scores_and_header(self):

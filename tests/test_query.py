@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from qlex import (ModeMismatchError, batch_retrieve, build_dph_index, build_index,
                   format_trec_run, rescale_index, rescale_index_gamma, score_query,
                   top_k, QuerySet)
-from qlex.query import RankedList, rank_from_scores
+from qlex.query import RankedList, _position, rank_from_scores
 from qlex.tokenizers import TokenizerMode, tokenize
 
 from conftest import hapax_mechanism_corpus, make_corpus, random_corpus
@@ -199,20 +199,30 @@ _SCORES = hnp.arrays(
                        st.floats(allow_nan=True, allow_infinity=True)))
 
 
+
+@st.composite
+def _mass_ties(draw):
+    """Mostly-zero vectors with a few tied levels either side of zero."""
+    n, n_pos, n_neg = (draw(st.integers(lo, 300)) for lo in (1, 0, 0))
+    levels = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = np.zeros(n)
+    scores[rng.integers(0, n, n_pos)] = rng.integers(1, levels + 1, n_pos)
+    scores[rng.integers(0, n, n_neg)] = -rng.integers(1, levels + 1, n_neg)
+    return scores
+
+
+_MASS_TIES = _mass_ties()
+
+
 class TestRankFromScores:
     @given(scores=_SCORES, k=st.integers(1, 70))
     def test_matches_stable_full_sort(self, scores, k):
         _assert_matches_full_sort(_docs(scores.size), scores, k)
 
-    @given(n=st.integers(1, 300), n_pos=st.integers(0, 300), n_neg=st.integers(0, 300),
-           levels=st.integers(1, 3), k=st.integers(1, 310), seed=st.integers(0, 2**32 - 1))
-    def test_mass_ties_at_the_kth_value(self, n, n_pos, n_neg, levels, k, seed):
-        # Mostly-zero vectors with a few tied levels either side of zero.
-        rng = np.random.default_rng(seed)
-        scores = np.zeros(n)
-        scores[rng.integers(0, n, n_pos)] = rng.integers(1, levels + 1, n_pos)
-        scores[rng.integers(0, n, n_neg)] = -rng.integers(1, levels + 1, n_neg)
-        _assert_matches_full_sort(_docs(n), scores, k)
+    @given(scores=_MASS_TIES, k=st.integers(1, 310))
+    def test_mass_ties_at_the_kth_value(self, scores, k):
+        _assert_matches_full_sort(_docs(scores.size), scores, k)
 
     @pytest.mark.parametrize("k", [1, 7, 10, 11, 100])
     @pytest.mark.parametrize("scores", [
@@ -294,6 +304,25 @@ def _run_by_full_sort(index, queries: QuerySet, mode: TokenizerMode, k: int) -> 
         rankings.append(RankedList(qid, [(index.doc_ids[i], float(scores[i]))
                                          for i in rank_by_full_sort(scores, k)]))
     return format_trec_run(rankings)
+
+
+class TestPosition:
+    """``_position`` reads the order ``rank_from_scores`` ranks by: every
+    document's place in a stable sort of all N negated scores."""
+
+    @staticmethod
+    def _assert_places(scores):
+        places = np.empty(scores.size, dtype=np.intp)
+        places[rank_by_full_sort(scores, scores.size)] = np.arange(scores.size)
+        assert [_position(scores, i) for i in range(scores.size)] == places.tolist()
+
+    @given(scores=_SCORES)
+    def test_matches_stable_full_sort(self, scores):
+        self._assert_places(scores)
+
+    @given(scores=_MASS_TIES)
+    def test_mass_ties(self, scores):
+        self._assert_places(scores)
 
 
 class TestBatchAndRunFile:
