@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .corpus_io import load_corpus, load_queries, load_qrels
 from .errors import QlexError
-from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, NDCG_CUTOFF, _judged,
+from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, NDCG_CUTOFF, _judged, _q_text,
                          df_bin_occlusion, eval_mrr, eval_ndcg, eval_recall,
                          paired_bootstrap, q_sweep, recall_at_token_budget,
                          report_to_json, report_to_tsv, sweep_to_csv)
@@ -114,7 +114,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = _parse_floats(args.grid) if args.grid is not None else list(DEFAULT_Q_GRID)
     table = q_sweep(args.index, queries, qrels, grid)
     _write_or_print(sweep_to_csv(table), args.out)
-    print(f"q_opt={table.q_opt:.2f}", file=sys.stderr)
+    print(f"q_opt={_q_text(table.q_opt)}", file=sys.stderr)
     return 0
 
 

@@ -19,10 +19,11 @@ under a retrieval token budget.  Sweep and occlusion report only NDCG at
 document's place in the ranking order from the scores
 (``query._position``) and feed those places to the one NDCG body that
 :func:`ndcg_at_k` feeds with the places of a ranking's hits.  Both
-tokenize each query and resolve it to its matched columns once: the sweep
-scores those columns against every grid point's rescaled copy, which
-shares the baseline's columns, and the occlusion drops a bin's columns,
-reading a column's df as its extent.
+resolve each judged query once, in one step, to its matched columns and
+its judged documents' doc indices.  The columns stay valid because an
+index's structure never changes: the sweep scores them against every grid
+point's rescaled copy, which shares the baseline's structure, and the
+occlusion drops a bin's columns, reading a column's df as its extent.
 """
 
 from __future__ import annotations
@@ -259,8 +260,7 @@ def q_sweep(base_index_path: str | Path, queries: QuerySet, qrels: QrelSet,
         raise ValueError("sweep grid must be non-empty")
     judged = _judged(queries, qrels)
     base = load_index(base_index_path)
-    resolved = [(_columns(base, tokenize(text, base.header.mode)), docs)
-                for (_, text), docs in zip(judged, _judged_docs(base, qrels, judged))]
+    resolved = _resolve(base, qrels, judged)
     rows: list[tuple[float, float]] = []
     for q in grid:
         index = copy.copy(base)  # not dataclasses.replace: it would rebuild vocab per point
@@ -294,8 +294,7 @@ def df_bin_occlusion(index: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
                          f"only the last one open; got {list(bins)}")
     judged = _judged(queries, qrels)
     losses = {b: 0.0 for b in bins}
-    for (_, text), docs in zip(judged, _judged_docs(index, qrels, judged)):
-        columns = _columns(index, tokenize(text, index.header.mode))
+    for columns, docs in _resolve(index, qrels, judged):
         full = _ndcg_of_scores(_score(index, columns), docs)
         dfs = [end - start for start, end, _ in columns]
         for lo, hi in bins:
@@ -307,24 +306,27 @@ def df_bin_occlusion(index: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
     return [((lo, hi), losses[(lo, hi)] / len(judged)) for lo, hi in bins]
 
 
-def _judged_docs(index: SparseScoreIndex, qrels: QrelSet,
-                 judged: Sequence[tuple[str, str]]) -> list[tuple]:
-    """Per judged (query_id, text) pair, in order: its positive gains, and the
-    doc indices and gains of those of its judged documents that ``index``
-    holds.  Only the judged doc ids are mapped to indices, in one pass."""
+def _resolve(index: SparseScoreIndex, qrels: QrelSet,
+             judged: Sequence[tuple[str, str]]) -> list[tuple]:
+    """The one resolution of judged (query_id, text) pairs against ``index``,
+    per pair in order: its ``query._columns`` under the index's mode, and its
+    positive gains with the doc indices and gains of those judged documents
+    that ``index`` holds.  Only the judged doc ids are mapped, in one pass."""
     gains = [_gains(qrels, qid) for qid, _ in judged]
     wanted = set().union(*gains)
     at = {doc_id: i for i, doc_id in enumerate(index.doc_ids) if doc_id in wanted}
+    mode = index.header.mode
     out = []
-    for rels in gains:
+    for (_, text), rels in zip(judged, gains):
         held = [(at[doc_id], rel) for doc_id, rel in rels.items() if doc_id in at]
-        out.append((rels, np.array([i for i, _ in held], dtype=np.intp), [r for _, r in held]))
+        out.append((_columns(index, tokenize(text, mode)),
+                    (rels, np.array([i for i, _ in held], dtype=np.intp), [r for _, r in held])))
     return out
 
 
 def _ndcg_of_scores(scores: np.ndarray, docs: tuple) -> float:
     """NDCG@``NDCG_CUTOFF`` of the ranking of ``scores``, read from the places
-    of the judged documents (``docs``, from :func:`_judged_docs`) and not from
+    of the judged documents (``docs``, from :func:`_resolve`) and not from
     a ranking: they are visited in ranking order, so the walk stops at the
     first whose place is not below the cutoff, after at most
     ``NDCG_CUTOFF + 1`` counting passes over ``scores``."""
@@ -414,7 +416,14 @@ def report_to_json(reports: Mapping[str, EvalReport],
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _q_text(q: float) -> str:
+    """A swept q as the CSV and ``q_opt=`` print it: ``.2f`` if that reads
+    back to q, else the shortest text that does."""
+    text = f"{q:.2f}"
+    return text if float(text) == q else repr(float(q))
+
+
 def sweep_to_csv(table: SweepTable) -> str:
     lines = ["q,mean_ndcg"]
-    lines.extend(f"{q:.2f},{mean:.6f}" for q, mean in table.rows)
+    lines.extend(f"{_q_text(q)},{mean:.6f}" for q, mean in table.rows)
     return "\n".join(lines) + "\n"

@@ -78,11 +78,14 @@ class SparseScoreIndex:
     ``scores`` (float32 baked scores).  Terms with zero document frequency
     are absent from the vocabulary.  ``vocab`` (term to column), ``df`` (the
     extent lengths) and ``num_docs`` (the number of doc ids) are derived
-    once, at construction, from ``terms``, ``col_ptr`` and ``doc_ids``, so
-    none of those six can be reassigned after it (AttributeError), and
-    ``terms`` and ``doc_ids`` are stored as tuples, which cannot be edited
-    in place either.  Only ``scores`` and ``header`` can be reassigned,
-    which is how a rescale marks its result.
+    once, at construction, from ``terms``, ``col_ptr`` and ``doc_ids``.
+
+    Every index, built, loaded or constructed, keeps one rule: its structure
+    and derived facts never change.  None of those six can be reassigned
+    (AttributeError); ``terms`` and ``doc_ids`` are tuples, and ``col_ptr``,
+    ``row_idx`` and ``df`` read-only arrays.  ``vocab`` stays a plain dict,
+    as a read-only mapping would slow every query's lookup.  Only ``scores``
+    and ``header`` change, through a rescale.
     """
 
     col_ptr: np.ndarray
@@ -101,6 +104,8 @@ class SparseScoreIndex:
         self.vocab = {t: i for i, t in enumerate(self.terms)}
         self.df = np.diff(self.col_ptr)
         self.num_docs = len(self.doc_ids)
+        for array in (self.col_ptr, self.row_idx, self.df):
+            array.flags.writeable = False
 
     def __setattr__(self, name, value):
         # hasattr, not self.__dict__: reading __dict__ would make every later
@@ -123,8 +128,8 @@ class SparseScoreIndex:
                     header: IndexHeader) -> "SparseScoreIndex":
         """Store float64 per-entry ``weights`` (aligned with ``counts.tfs``) as float32.
 
-        The index shares the read-only arrays and the ``terms`` and
-        ``doc_ids`` tuples of ``counts``, so it cannot change what a later
+        The index shares the read-only structure of ``counts``; its
+        ``scores`` are its own, so a rescale cannot change what a later
         build from the same counts reads.
         """
         return cls(col_ptr=counts.col_ptr, row_idx=counts.rows,

@@ -195,7 +195,7 @@ def _position(scores: np.ndarray, i: int) -> int:
 
 def rank_tokens(index: SparseScoreIndex, tokens: Sequence[str], k: int,
                 query_id: str = "") -> RankedList:
-    """Rank pre-tokenized query tokens. Used by diagnostics that edit tokens."""
+    """Rank pre-tokenized query tokens: the scoring and ranking step of :func:`top_k`."""
     return rank_from_scores(index, score_query(index, tokens), k, query_id)
 
 

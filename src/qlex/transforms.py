@@ -109,7 +109,7 @@ def _rescale(index: SparseScoreIndex, name: str, value: float,
     odds, idf = rsj_idf(index.df, index.num_docs)
     with np.errstate(over="ignore", invalid="ignore"):
         rescaled = index.scores.astype(np.float64)
-        rescaled *= np.repeat(factors(odds, idf), np.diff(index.col_ptr))
+        rescaled *= np.repeat(factors(odds, idf), index.df)
         narrowed = rescaled.astype(np.float32)
     if not np.isfinite(narrowed).all():
         raise ValueError(f"rescale to {name}={value} gives non-finite float32 scores; "

@@ -395,6 +395,14 @@ class TestQrelsLoading:
         assert (exc.value.path, exc.value.line) == (str(path), 1)
 
 
+def _edited(index, name, key, value):
+    """A copy of ``index`` whose structure array ``name`` holds ``value`` at ``key``;
+    the arrays of an index are read-only, so the edit goes into a copy."""
+    array = getattr(index, name).copy()
+    array[key] = value
+    return dataclasses.replace(index, **{name: array})
+
+
 def _drop_vocabulary(index, keep_docs):
     """A copy of ``index`` with no vocabulary, and no documents either unless ``keep_docs``."""
     return SparseScoreIndex(col_ptr=index.col_ptr[:1], row_idx=index.row_idx[:0],
@@ -451,11 +459,11 @@ class TestIndexSerialization:
             loads_index(bytes(blob))
 
     @pytest.mark.parametrize("corrupt", [
-        lambda ix: ix.row_idx.__setitem__(0, ix.num_docs),
-        lambda ix: ix.row_idx.__setitem__(slice(None), ix.row_idx[::-1].copy()),
-        lambda ix: ix.col_ptr.__setitem__(1, 0),
-        lambda ix: ix.col_ptr.__setitem__(1, ix.nnz + 1),
-        lambda ix: ix.col_ptr.__setitem__(slice(1, -1), ix.col_ptr[-2:0:-1].copy()),
+        lambda ix: _edited(ix, "row_idx", 0, ix.num_docs),
+        lambda ix: _edited(ix, "row_idx", slice(None), ix.row_idx[::-1]),
+        lambda ix: _edited(ix, "col_ptr", 1, 0),
+        lambda ix: _edited(ix, "col_ptr", 1, ix.nnz + 1),
+        lambda ix: _edited(ix, "col_ptr", slice(1, -1), ix.col_ptr[-2:0:-1]),
         lambda ix: ix.scores.__setitem__(0, np.nan),
         lambda ix: ix.scores.__setitem__(-1, np.inf),
         lambda ix: dataclasses.replace(ix, terms=ix.terms[:1] * 2 + ix.terms[2:]),
@@ -470,9 +478,8 @@ class TestIndexSerialization:
             "no_vocabulary", "no_vocabulary_no_documents", "duplicate_doc_id",
             "empty_doc_id", "num_docs_mismatch"])
     def test_malformed_structure_is_corrupt_error(self, index, corrupt):
-        # A loaded copy: a built index shares read-only arrays with its build.
         loaded = loads_index(dumps_index(index))
-        loaded = corrupt(loaded) or loaded  # in place, or a new index
+        loaded = corrupt(loaded) or loaded  # scores and num_docs in place, else a new index
         with pytest.raises(IndexFormatError, match="corrupt index"):
             loads_index(dumps_index(loaded))
 

@@ -15,7 +15,7 @@ from qlex import (QrelSet, QuerySet, RankedList, RescaleStateError, batch_retrie
                   q_sweep, recall_at_k, recall_at_token_budget, rescale_index,
                   rescale_index_gamma, save_index, sweep_to_csv, report_to_tsv, report_to_json,
                   tokenize)
-from qlex.evaluation import DEFAULT_DF_BINS, DEFAULT_Q_GRID
+from qlex.evaluation import DEFAULT_DF_BINS, DEFAULT_Q_GRID, SweepTable
 from qlex.query import rank_tokens
 from qlex.tokenizers import TokenizerMode
 
@@ -267,6 +267,14 @@ class TestSweep:
         lines = csv.strip().split("\n")
         assert lines[0] == "q,mean_ndcg"
         assert len(lines) == 3
+
+    def test_csv_prints_each_q_as_swept(self):
+        # .2f text is kept where it reads back to q; elsewhere it named another q.
+        grid = [0.05, 0.125, 0.375, 0.385, 1.0, 2.0, 1e-5]
+        table = SweepTable(rows=[(q, 0.5) for q in grid], q_opt=0.125)
+        texts = [line.split(",")[0] for line in sweep_to_csv(table).splitlines()[1:]]
+        assert texts == ["0.05", "0.125", "0.375", "0.385", "1.00", "2.00", "1e-05"]
+        assert [float(text) for text in texts] == grid
 
 
 class TestOcclusion:

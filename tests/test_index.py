@@ -241,7 +241,8 @@ class TestCountsMemo:
                           count_tokens(corpus, TokenizerMode.T0).doc_lens):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] += 1
-            index.df[0] += 1  # derived per index, not shared with the counts
+            with pytest.raises(ValueError, match="read-only"):
+                index.df[0] += 1  # derived per index, and read-only like the structure
             with pytest.raises(TypeError):
                 index.terms[0] = "mutated"  # a tuple, shared with the counts
             with pytest.raises(AttributeError):
@@ -405,6 +406,25 @@ class TestFixedFacts:
         assert type(index.terms) is tuple and type(index.doc_ids) is tuple
         assert index.vocab == {t: i for i, t in enumerate(index.terms)}
         assert dumps_index(index) == blob
+
+    @pytest.mark.parametrize("make", ["built", "loaded", "from_lists"])
+    def test_structure_is_read_only_and_scores_are_not(self, make):
+        index = build_index(make_corpus(_MEMO_TEXTS), TokenizerMode.T0)
+        if make == "loaded":
+            index = loads_index(dumps_index(index))
+        elif make == "from_lists":  # writeable arrays of its own
+            index = SparseScoreIndex(col_ptr=index.col_ptr.copy(), row_idx=index.row_idx.copy(),
+                                     scores=index.scores.copy(), terms=list(index.terms),
+                                     doc_ids=list(index.doc_ids), header=index.header)
+        blob = dumps_index(index)
+        for array in (index.col_ptr, index.row_idx, index.df):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] += 1
+        assert dumps_index(index) == blob
+        assert np.array_equal(index.df, np.diff(index.col_ptr))
+        assert index.scores.flags.writeable  # a rescale writes its result into them
+        index.scores[0] += 1.0
 
     def test_a_copy_takes_new_scores_and_header(self):
         index = build_index(make_corpus(_MEMO_TEXTS), TokenizerMode.T0)
