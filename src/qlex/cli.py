@@ -89,8 +89,8 @@ def _cmd_rescale(args: argparse.Namespace) -> int:
         name, value, transform = "q", args.q, rescale_index
     else:
         name, value, transform = "gamma", args.gamma, rescale_index_gamma
-    header = transform(index, value).header
-    if header.applied_q is None and header.applied_gamma is None:  # the identity gate
+    index = transform(index, value)
+    if index.header.applied_q is None and index.header.applied_gamma is None:  # the identity gate
         print(f"rescale skipped (bit-identity gate at {name}={value})")
         if out == args.index:
             return 0
@@ -131,6 +131,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels)
     _judged(queries, qrels)
+    budgets = None if args.budgets is None else _parse_ints(args.budgets)
+    if budgets is not None and not args.corpus:
+        raise QlexError("--budgets needs --corpus for the token counter")
     index = load_index(args.index)
     rankings = batch_retrieve(index, queries, max(args.k, 100))
     ndcg = eval_ndcg(rankings, qrels, NDCG_CUTOFF)
@@ -146,11 +149,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         boot = paired_bootstrap(ndcg.per_query,
                                 eval_ndcg(other_rankings, qrels, NDCG_CUTOFF).per_query,
                                 resamples=args.resamples, seed=args.seed)
-    if args.budgets is not None:
-        if not args.corpus:
-            raise QlexError("--budgets needs --corpus for the token counter")
-        budget_rows = recall_at_token_budget(rankings, qrels, _parse_ints(args.budgets),
-                                             load_corpus(args.corpus))
+    if budgets is not None:
+        budget_rows = recall_at_token_budget(rankings, qrels, budgets, load_corpus(args.corpus))
         for budget, rec in budget_rows:
             print(f"recall@{budget}tok\t{rec:.4f}", file=sys.stderr)
 
@@ -170,12 +170,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_occlusion(args: argparse.Namespace) -> int:
-    index = load_index(args.index)
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels)
+    _judged(queries, qrels)
     bins = _parse_bins(args.bins) if args.bins is not None else list(DEFAULT_DF_BINS)
+    index = load_index(args.index)
     if args.q is not None and index.header.applied_q != args.q:
-        rescale_index(index, args.q)  # an index already at q is used as it is
+        index = rescale_index(index, args.q)  # an index already at q is used as it is
     rows = df_bin_occlusion(index, queries, qrels, bins)
     lines = ["df_lo\tdf_hi\tmean_ndcg_loss"]
     for (lo, hi), loss in rows:
@@ -204,7 +205,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     rescale_ms = None
     if args.q is not None and args.q != 1.0:
         t0 = time.perf_counter()
-        rescale_index(index, args.q)
+        index = rescale_index(index, args.q)
         rescale_ms = (time.perf_counter() - t0) * 1e3
 
     queries = load_queries(args.queries)

@@ -12,17 +12,16 @@ value is at least as extreme as the observed mean in the opposing
 direction).  With zero reversals out of R resamples the harness reports
 ``p <= 1/R`` and never prints a p below the empirical resolution 1e-4.
 
-Diagnostics: exponent sweeps over copies of one loaded baseline (the
-rescale is destructive), document-frequency-bin occlusion, and recall
-under a retrieval token budget.  Sweep and occlusion report only NDCG at
-``NDCG_CUTOFF``, so they build no ranking: they read each judged
-document's place in the ranking order from the scores
+Diagnostics: exponent sweeps over one loaded baseline, document-frequency
+bin occlusion, and recall under a retrieval token budget.  Sweep and
+occlusion report only NDCG at ``NDCG_CUTOFF``, so they build no ranking:
+they read each judged document's place in the ranking order from the scores
 (``query._position``) and feed those places to the one NDCG body that
 :func:`ndcg_at_k` feeds with the places of a ranking's hits.  Both
 resolve each judged query once, in one step, to its matched columns and
 its judged documents' doc indices.  The columns stay valid because an
 index's structure never changes: the sweep scores them against every grid
-point's rescaled copy, which shares the baseline's structure, and the
+point's rescaled scores, which share the baseline's structure, and the
 occlusion drops a bin's columns, reading a column's df as its extent.
 """
 
@@ -44,7 +43,7 @@ from .query import RankedList, _columns, _position, _score
 from .query import batch_retrieve, rank_tokens  # noqa: F401  perfbench traces them here
 from .storage import load_index
 from .tokenizers import tokenize
-from .transforms import rescale_index
+from .transforms import _rescaled, rescale_index  # noqa: F401  perfbench traces rescale_index
 
 __all__ = [
     "EvalReport", "BootstrapResult", "SweepTable",
@@ -250,11 +249,12 @@ def q_sweep(base_index_path: str | Path, queries: QuerySet, qrels: QrelSet,
             grid: Sequence[float] = DEFAULT_Q_GRID) -> SweepTable:
     """Mean NDCG@10 across an exponent grid.
 
-    The baseline is loaded once; since the rescale is in place, each grid
-    point rescales a copy with its own scores, and :func:`rescale_index`
-    refuses a DPH or already-rescaled baseline.  Ties on the mean prefer the
-    larger exponent (the one closer to plain BM25).  ValueError, before any
-    load, when no query has a positively judged document.
+    The baseline is loaded once and never written: each grid point scores a
+    view of it that holds that point's rescaled scores and header, and a DPH
+    or already-rescaled baseline is refused as :func:`rescale_index` refuses
+    it.  Ties on the mean prefer the larger exponent (the one closer to plain
+    BM25).  ValueError, before any load, when no query has a positively
+    judged document.
     """
     if not grid:
         raise ValueError("sweep grid must be non-empty")
@@ -262,10 +262,9 @@ def q_sweep(base_index_path: str | Path, queries: QuerySet, qrels: QrelSet,
     base = load_index(base_index_path)
     resolved = _resolve(base, qrels, judged)
     rows: list[tuple[float, float]] = []
+    index = copy.copy(base)  # not dataclasses.replace: it would rebuild vocab
     for q in grid:
-        index = copy.copy(base)  # not dataclasses.replace: it would rebuild vocab per point
-        index.scores = base.scores.copy()
-        rescale_index(index, q)
+        index.scores, index.header = _rescaled(base, "q", q) or (base.scores, base.header)
         ndcgs = [_ndcg_of_scores(_score(index, columns), docs) for columns, docs in resolved]
         rows.append((float(q), float(np.mean(ndcgs))))
     q_opt, best = rows[0]

@@ -16,16 +16,17 @@ column t is multiplied by ``idf_qlog(n_t, N, q) / idf_lucene(n_t, N)``.
 Each side of that ratio has one numpy body (:func:`ln_q`, :func:`qlex.index.rsj_idf`), so
 for a float n_t the ratio equals the factor the rescale applies, bit for bit.
 The gamma sharpening ``idf ** gamma`` is the same rescale with column factor
-``idf ** (gamma - 1)``; both run through one all-or-nothing path,
-:func:`_rescale`.  The rescale is destructive and single-shot; the index
-header records it.
+``idf ** (gamma - 1)``.  One step, :func:`_rescaled`, computes either
+rescale's new scores and marked header and writes nothing; the public
+rescales write that result into the index they are given, all or nothing,
+and return it, and callers use the returned index.  A rescale is
+single-shot; the index header records it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -84,16 +85,18 @@ def idf_lucene(n_t: int, num_docs: int) -> float:
     return float(rsj_idf(n_t, num_docs)[1])
 
 
-def _rescale(index: SparseScoreIndex, name: str, value: float,
-             factors: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> SparseScoreIndex:
-    """Multiply each entry of column t by ``factors(odds, idf)[t]``, all or nothing.
+def _rescaled(index: SparseScoreIndex, name: str,
+              value: float) -> tuple[np.ndarray, IndexHeader] | None:
+    """The scores and header of ``index`` rescaled to ``name`` = ``value``; writes nothing.
 
-    Refuses a DPH or rescaled index (RescaleStateError), then a value the
-    marked :class:`~qlex.index.IndexHeader` refuses (ValueError); ``value ==
-    1.0`` is the untouched, unmarked identity.  ``odds`` and ``idf`` are the
-    build's (:func:`qlex.index.rsj_idf`).  The float64 products are written
-    back as float32, and the marked header replaces the old one, only if
-    every narrowed score is finite; otherwise ValueError changes nothing.
+    ``name`` is "q" (column factor ``ln_q(odds, q) / idf``) or "gamma"
+    (``idf ** (gamma - 1)``), with ``odds`` and ``idf`` the build's
+    (:func:`qlex.index.rsj_idf`).  Refuses a DPH or rescaled index
+    (RescaleStateError), then a value the marked
+    :class:`~qlex.index.IndexHeader` refuses (ValueError); ``value == 1.0``
+    is the identity, None.  Otherwise returns the float64 products narrowed
+    to a new float32 array, and the marked header, or raises ValueError if
+    a narrowed score is not finite.
     """
     header = index.header
     if header.scorer != SCORER_BM25:
@@ -105,17 +108,23 @@ def _rescale(index: SparseScoreIndex, name: str, value: float,
                                     f"at {done}={applied}")
     marked = dataclasses.replace(header, **{f"applied_{name}": value})
     if value == 1.0:
-        return index
+        return None
     odds, idf = rsj_idf(index.df, index.num_docs)
     with np.errstate(over="ignore", invalid="ignore"):
+        factors = ln_q(odds, value) / idf if name == "q" else np.power(idf, value - 1.0)
         rescaled = index.scores.astype(np.float64)
-        rescaled *= np.repeat(factors(odds, idf), index.df)
+        rescaled *= np.repeat(factors, index.df)
         narrowed = rescaled.astype(np.float32)
     if not np.isfinite(narrowed).all():
         raise ValueError(f"rescale to {name}={value} gives non-finite float32 scores; "
                          "index left unchanged")
-    index.scores[...] = narrowed
-    index.header = marked
+    return narrowed, marked
+
+
+def _rescale(index: SparseScoreIndex, name: str, value: float) -> SparseScoreIndex:
+    """Write :func:`_rescaled`'s scores and header into ``index``, all or nothing."""
+    if (rescaled := _rescaled(index, name, value)) is not None:
+        index.scores[...], index.header = rescaled  # the one write into a score array
     return index
 
 
@@ -128,7 +137,7 @@ def rescale_index(index: SparseScoreIndex, q: float) -> SparseScoreIndex:
     A second rescale is a state error; a non-finite q, or one whose scores
     overflow float32, is a ValueError that leaves the index untouched.
     """
-    return _rescale(index, "q", q, lambda odds, idf: ln_q(odds, q) / idf)
+    return _rescale(index, "q", q)
 
 
 def rescale_index_gamma(index: SparseScoreIndex, gamma: float) -> SparseScoreIndex:
@@ -137,7 +146,7 @@ def rescale_index_gamma(index: SparseScoreIndex, gamma: float) -> SparseScoreInd
     gamma = 1.0 exactly is the untouched identity; a non-finite or non-positive
     gamma is a domain error.  Same state and overflow rules as :func:`rescale_index`.
     """
-    return _rescale(index, "gamma", gamma, lambda odds, idf: np.power(idf, gamma - 1.0))
+    return _rescale(index, "gamma", gamma)
 
 
 def build_dph_index(corpus: Corpus, mode: TokenizerMode) -> SparseScoreIndex:

@@ -256,7 +256,7 @@ def sweep_by_batch_retrieve(base_index_path, queries, qrels, grid):
     for q in grid:
         index = copy.copy(base)
         index.scores = base.scores.copy()
-        rescale_index(index, q)
+        index = rescale_index(index, q)
         rows.append((float(q), eval_ndcg(batch_retrieve(index, queries, 10), qrels, 10).mean))
     q_opt, best = rows[0]
     for q, mean in rows[1:]:

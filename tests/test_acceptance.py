@@ -85,7 +85,7 @@ def test_criterion_01_bit_identity_gate():
                for _ in range(100)]
     before_top = [top_k(index, q, TokenizerMode.T1, 10).doc_ids() for q in queries]
 
-    rescale_index(index, 1.0)
+    index = rescale_index(index, 1.0)
 
     diff = np.abs(index.scores.astype(np.float64) - before_scores.astype(np.float64))
     assert float(diff.max()) == 0.0
@@ -211,7 +211,7 @@ def test_criterion_10_gamma_gate():
     corpus = random_corpus(rng, 60, 80)
     index = build_index(corpus, TokenizerMode.T1)
     before = dumps_index(index)
-    rescale_index_gamma(index, 1.0)
+    index = rescale_index_gamma(index, 1.0)
     assert dumps_index(index) == before
     assert index.header.applied_gamma is None
 
@@ -246,7 +246,7 @@ def test_criterion_12_systems_overhead_shape():
             index.scores[...] = pristine
             index.header = pristine_header
             t0 = time.perf_counter()
-            rescale_index(index, 0.5)
+            index = rescale_index(index, 0.5)
             best = min(best, time.perf_counter() - t0)
         times.append(best)
     x = np.array(sizes, dtype=np.float64)
@@ -260,7 +260,7 @@ def test_criterion_12_systems_overhead_shape():
     # Same code path on both sides: only the stored values differ.
     plain = _synthetic_index(1_000_000, seed=7)
     transformed = _synthetic_index(1_000_000, seed=7)
-    rescale_index(transformed, 0.5)
+    transformed = rescale_index(transformed, 0.5)
     rng = np.random.default_rng(12)
     queries = [list(rng.choice(plain.terms, size=20, replace=False))
                for _ in range(50)]
@@ -297,6 +297,6 @@ def test_criterion_13_full_scale_optional(tmp_path):
     index = build_index(corpus, TokenizerMode.T0)
     baseline = eval_ndcg(batch_retrieve(index, queries, 100), qrels, 10)
     assert baseline.mean == pytest.approx(0.2575, abs=0.01)
-    rescale_index(index, 0.05)
+    index = rescale_index(index, 0.05)
     low_q = eval_ndcg(batch_retrieve(index, queries, 100), qrels, 10)
     assert low_q.mean == pytest.approx(0.4874, abs=0.01)

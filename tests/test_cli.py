@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qlex import load_index, load_qrels, load_queries, query
+from qlex import cli, load_index, load_qrels, load_queries, query
 from qlex.cli import _parse_bins, main
 from qlex.evaluation import (eval_mrr, eval_ndcg, eval_recall, paired_bootstrap,
                              report_to_json)
@@ -391,6 +391,23 @@ class TestErrorsAndParsing:
         captured = capsys.readouterr()
         assert "error: no query has a positively judged document" in captured.err
         assert "q_opt" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command, qrels, extra, message", [
+        ("eval", "qrels.tsv", ["--budgets", "16"], "--budgets needs --corpus"),
+        ("occlusion", "other.tsv", ["--q", "0.3"], "no query has a positively judged document"),
+    ], ids=["eval_budgets_without_corpus", "occlusion_no_judged_query"])
+    def test_refused_before_any_index_load(self, workdir, capsys, monkeypatch, command, qrels,
+                                           extra, message):
+        run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "base.qlx")
+        write_qrels(workdir / "other.tsv", [("absent", "d0", 1)])
+        capsys.readouterr()
+        loads = []
+        monkeypatch.setattr(cli, "load_index", lambda path: loads.append(path) or load_index(path))
+        rc = run(command, "--index", workdir / "base.qlx", "--queries",
+                 workdir / "queries.jsonl", "--qrels", workdir / qrels, *extra)
+        captured = capsys.readouterr()
+        assert rc == 1 and message in captured.err and captured.out == ""
+        assert loads == []
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -604,8 +604,8 @@ class TestIndexSerialization:
         save_index(index, path_base)
         a = load_index(path_base)
         b = load_index(path_base)
-        rescale_index(a, 1.0)
-        rescale_index(b, 0.1)
+        a = rescale_index(a, 1.0)
+        b = rescale_index(b, 0.1)
         save_index(a, tmp_path / "a.qlx")
         save_index(b, tmp_path / "b.qlx")
         assert (tmp_path / "a.qlx").stat().st_size == (tmp_path / "b.qlx").stat().st_size

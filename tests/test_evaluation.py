@@ -178,6 +178,15 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             paired_bootstrap({"a": 1.0}, {"b": 1.0})
 
+    @pytest.mark.parametrize("resamples", [0, -5])
+    def test_resamples_below_one_rejected(self, resamples):
+        with pytest.raises(ValueError, match="resamples must be >= 1"):
+            paired_bootstrap({"a": 0.0}, {"a": 1.0}, resamples=resamples)
+
+    def test_empty_mappings_rejected(self):
+        with pytest.raises(ValueError, match="at least one query"):
+            paired_bootstrap({}, {})
+
     def test_p_never_printed_below_resolution(self):
         a = {f"q{i}": 0.0 for i in range(5)}
         b = {f"q{i}": 1.0 for i in range(5)}
@@ -418,7 +427,7 @@ class TestAgainstTheTokenBodies:
         else:
             index = build_index(corpus, mode)
             if make != "bm25":
-                rescale_index(index, float(make[1:]))
+                index = rescale_index(index, float(make[1:]))
         assert (df_bin_occlusion(index, queries, qrels, bins)
                 == occlusion_by_tokens(index, queries, qrels, bins))
 

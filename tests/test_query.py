@@ -48,9 +48,9 @@ class TestScoreQuery:
         corpus = random_corpus(np.random.default_rng(8), 20, 15)
         plain = build_index(corpus, TokenizerMode.T1)
         qlog = build_index(corpus, TokenizerMode.T1)
-        rescale_index(qlog, 0.3)
+        qlog = rescale_index(qlog, 0.3)
         gamma = build_index(corpus, TokenizerMode.T1)
-        rescale_index_gamma(gamma, 2.0)
+        gamma = rescale_index_gamma(gamma, 2.0)
         dph = build_dph_index(corpus, TokenizerMode.T1)
         for index in (plain, qlog, gamma, dph):
             scores = score_query(index, ["w0", "w1"])
@@ -271,7 +271,7 @@ class TestRankFromScores:
         texts = [("common " if i < 30 else "") + " ".join(rng.choice(["a", "b", "c", "d"], 3))
                  for i in range(40)]
         index = build_index(make_corpus(texts), TokenizerMode.T1)
-        rescale_index(index, 2.0)
+        index = rescale_index(index, 2.0)
         for query in (["common"], ["common", "a"], ["common", "b", "b"], ["zz"]):
             _assert_scores_match_scatter(index, query)
             scores = score_query(index, query)
@@ -285,7 +285,7 @@ class TestRankFromScores:
         for q in (None, 0.3):
             index = build_index(corpus, TokenizerMode.T0)
             if q is not None:
-                rescale_index(index, q)
+                index = rescale_index(index, q)
             oracle = []
             for qid, text in queries:
                 scores = score_query(index, tokenize(text, TokenizerMode.T0))

@@ -1,13 +1,16 @@
 """q-logarithm, RSJ odds, IDF transforms, and the in-place rescales."""
 
+import ast
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import qlex
 from qlex import (RescaleStateError, build_dph_index, build_index, idf_lucene,
                   idf_qlog, ln_q, load_corpus, rescale_index, rescale_index_gamma, rsj_odds)
 from qlex.index import rsj_idf
@@ -157,18 +160,18 @@ class TestRescale:
         assert np.array_equal(index.scores, before)
         assert index.header.applied_q is None
         # The identity did not consume the single-shot budget.
-        rescale_index(index, 0.5)
+        index = rescale_index(index, 0.5)
         assert index.header.applied_q == 0.5
 
     def test_double_rescale_is_state_error(self):
         _, index = self.make()
-        rescale_index(index, 0.5)
+        index = rescale_index(index, 0.5)
         with pytest.raises(RescaleStateError):
             rescale_index(index, 0.5)
 
     def test_gamma_then_q_refused(self):
         _, index = self.make()
-        rescale_index_gamma(index, 2.0)
+        index = rescale_index_gamma(index, 2.0)
         with pytest.raises(RescaleStateError):
             rescale_index(index, 0.5)
 
@@ -186,7 +189,7 @@ class TestRescale:
     def test_rescaled_scores_match_direct_qlog_construction(self):
         corpus, index = self.make(seed=11)
         q = 0.2
-        rescale_index(index, q)
+        index = rescale_index(index, q)
         doc_tokens = [tokenize(d.text, TokenizerMode.T1) for d in corpus]
         for term in ["w0", "w7", "w31"]:
             dense = qlog_bm25_scores(doc_tokens, [term], q)
@@ -199,7 +202,7 @@ class TestRescale:
         _, index = self.make(seed=3)
         baseline = index.scores.astype(np.float64).copy()
         q = 0.4
-        rescale_index(index, q)
+        index = rescale_index(index, q)
         n = index.num_docs
         for tid in [0, 5, len(index.terms) - 1]:
             df = int(index.df[tid])
@@ -212,7 +215,7 @@ class TestRescale:
         # One term in 9 of 10 docs: odds < 1, q-log weight negative.
         texts = [f"common filler{i}" for i in range(9)] + ["alone fillerx"]
         index = build_index(make_corpus(texts), TokenizerMode.T1)
-        rescale_index(index, 0.5)
+        index = rescale_index(index, 0.5)
         _, col = column_slice(index, index.vocab["common"])
         assert col.max() < 0
 
@@ -234,12 +237,30 @@ def test_overflowing_rescale_raises_and_leaves_index_untouched(rescale, value):
     rescale(index, 0.5)  # the refused rescale consumed no state
 
 
+def test_callers_use_the_returned_index_and_one_statement_writes_scores():
+    """No rescale in the package is called as a statement, and the only
+    assignment into a score array is the rescale's own write."""
+    statement_calls, writes = [], []
+    for path in sorted(Path(qlex.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+                func = node.value.func  # a Name has an id, an Attribute an attr
+                if getattr(func, "id", getattr(func, "attr", None)) in (
+                        "rescale_index", "rescale_index_gamma"):
+                    statement_calls.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "scores"):
+                writes.append(f"{path.name}:{node.lineno}")
+    assert statement_calls == []
+    assert [w.split(":")[0] for w in writes] == ["transforms.py"], writes
+
+
 class TestGammaRescale:
     def test_gamma1_bitwise_identity(self):
         index = build_index(random_corpus(np.random.default_rng(2), 30, 40),
                             TokenizerMode.T1)
         before = index.scores.copy()
-        rescale_index_gamma(index, 1.0)
+        index = rescale_index_gamma(index, 1.0)
         assert np.array_equal(index.scores, before)
         assert index.header.applied_gamma is None
 
@@ -248,7 +269,7 @@ class TestGammaRescale:
                             TokenizerMode.T1)
         baseline = index.scores.astype(np.float64).copy()
         gamma = 2.0
-        rescale_index_gamma(index, gamma)
+        index = rescale_index_gamma(index, gamma)
         n = index.num_docs
         for tid in [0, 10]:
             df = int(index.df[tid])
