@@ -13,9 +13,8 @@ from .errors import (BuildError, DuplicateIdError, IndexFormatError,
                      ModeMismatchError, ParseError, QlexError, RescaleStateError)
 from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, DEFAULT_TOKEN_BUDGETS,
                          BootstrapResult, EvalReport, SweepTable, df_bin_occlusion,
-                         eval_mrr, eval_ndcg, eval_recall, mrr, ndcg_at_k,
-                         paired_bootstrap, q_sweep, recall_at_k, recall_at_token_budget,
-                         report_to_json, report_to_tsv, sweep_to_csv)
+                         eval_mrr, eval_ndcg, eval_recall, paired_bootstrap, q_sweep,
+                         recall_at_token_budget, report_to_json, report_to_tsv, sweep_to_csv)
 from .index import IndexHeader, SparseScoreIndex, build_index
 from .query import RankedList, batch_retrieve, format_trec_run, score_query, top_k
 from .stats import CorpusStats, compute_corpus_stats, fit_coefficient, predict_q, recovery

@@ -18,12 +18,13 @@ import numpy as np
 from . import __version__
 from .corpus_io import load_corpus, load_queries, load_qrels
 from .errors import QlexError
-from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, NDCG_CUTOFF, _judged, _q_text,
-                         df_bin_occlusion, eval_mrr, eval_ndcg, eval_recall,
+from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, NDCG_CUTOFF, _check_bins,
+                         _check_budgets, _check_cutoff, _check_resamples, _judged, _q_text,
+                         _walk, df_bin_occlusion, eval_mrr, eval_ndcg, eval_recall,
                          paired_bootstrap, q_sweep, recall_at_token_budget,
                          report_to_json, report_to_tsv, sweep_to_csv)
 from .index import build_index
-from .query import batch_retrieve, format_trec_run, top_k
+from .query import batch_retrieve, format_trec_run, rank_from_scores, top_k
 from .stats import compute_corpus_stats, predict_q
 from .storage import dumps_index, load_index, save_index, write_atomic
 from .tokenizers import TokenizerMode
@@ -56,15 +57,9 @@ def _parse_ints(text: str) -> list[int]:
 
 def _parse_bins(text: str) -> list[tuple[int, int | None]]:
     """Comma-separated inclusive upper edges; an open final bin is appended.
-    Edges not ascending from 1 give bins that ``df_bin_occlusion`` rejects."""
+    Edges not ascending from 1 give bins that ``_check_bins`` rejects."""
     edges = _parse_ints(text)
-    bins: list[tuple[int, int | None]] = []
-    lo = 1
-    for edge in edges:
-        bins.append((lo, edge))
-        lo = edge + 1
-    bins.append((lo, None))
-    return bins
+    return list(zip([1] + [edge + 1 for edge in edges], edges + [None]))
 
 
 # ------------------------------------------------------------ subcommands
@@ -130,24 +125,33 @@ def _cmd_predict_q(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels)
-    _judged(queries, qrels)
-    budgets = None if args.budgets is None else _parse_ints(args.budgets)
+    judged = _judged(queries, qrels)
+    _check_cutoff(args.k)
+    budgets = None if args.budgets is None else _check_budgets(_parse_ints(args.budgets))
     if budgets is not None and not args.corpus:
         raise QlexError("--budgets needs --corpus for the token counter")
+    if args.compare_index:
+        _check_resamples(args.resamples)
     index = load_index(args.index)
-    rankings = batch_retrieve(index, queries, max(args.k, 100))
-    ndcg = eval_ndcg(rankings, qrels, NDCG_CUTOFF)
+    depth = max(args.k, 100)
+    placed = {qid: [] for qid, _ in queries}  # an unjudged query places no judged document
+    rankings = []
+    for qid, scores, places in _walk(index, qrels, judged, depth):
+        placed[qid] = places
+        if budgets is not None:  # the budget walk reads the hits down to the first relevant one
+            rankings.append(rank_from_scores(index, scores, places[0][0] + 1 if places else depth,
+                                             qid))
+    ndcg = eval_ndcg(placed, qrels)
     reports = {
         f"ndcg@{NDCG_CUTOFF}": ndcg,
-        "mrr": eval_mrr(rankings, qrels),
-        f"recall@{args.k}": eval_recall(rankings, qrels, args.k),
+        "mrr": eval_mrr(placed, qrels),
+        f"recall@{args.k}": eval_recall(placed, qrels, args.k),
     }
     boot = None
     if args.compare_index:
         other = load_index(args.compare_index)
-        other_rankings = batch_retrieve(other, queries, NDCG_CUTOFF)
-        boot = paired_bootstrap(ndcg.per_query,
-                                eval_ndcg(other_rankings, qrels, NDCG_CUTOFF).per_query,
+        other_placed = {qid: places for qid, _, places in _walk(other, qrels, judged, NDCG_CUTOFF)}
+        boot = paired_bootstrap(ndcg.per_query, eval_ndcg(other_placed, qrels).per_query,
                                 resamples=args.resamples, seed=args.seed)
     if budgets is not None:
         budget_rows = recall_at_token_budget(rankings, qrels, budgets, load_corpus(args.corpus))
@@ -174,6 +178,7 @@ def _cmd_occlusion(args: argparse.Namespace) -> int:
     qrels = load_qrels(args.qrels)
     _judged(queries, qrels)
     bins = _parse_bins(args.bins) if args.bins is not None else list(DEFAULT_DF_BINS)
+    _check_bins(bins)
     index = load_index(args.index)
     if args.q is not None and index.header.applied_q != args.q:
         index = rescale_index(index, args.q)  # an index already at q is used as it is

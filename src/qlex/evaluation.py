@@ -1,28 +1,26 @@
 """Retrieval evaluation and the diagnostic harness.
 
-Metrics: NDCG@k with linear gains ``rel / log2(rank + 1)``, MRR, Recall@k.
-Queries with no positively judged document are skipped and counted, never
-averaged in; rankings with no judged query at all are a ValueError.
+Metrics: NDCG@k with linear gains ``rel / log2(rank + 1)``, MRR and
+Recall@k, each read from a query's places: the 0-based places of its
+positively judged documents in the order ``search`` ranks by.  Queries with
+no positively judged document are skipped and counted, never averaged in;
+a report with no judged query at all is a ValueError.
 
 Statistical comparison uses a seeded paired bootstrap over per-query
-deltas.  Significance is the opposite-tail count on centered resamples:
-a resample counts as a sign reversal when its mean delta falls on the
-other side of zero from the observed mean (equivalently, its centered
-value is at least as extreme as the observed mean in the opposing
-direction).  With zero reversals out of R resamples the harness reports
-``p <= 1/R`` and never prints a p below the empirical resolution 1e-4.
+deltas.  A resample counts as a sign reversal when its mean delta falls
+on the other side of zero from the observed mean.  With zero reversals
+out of R resamples the harness reports ``p <= 1/R`` and never prints a p
+below the empirical resolution 1e-4.
 
 Diagnostics: exponent sweeps over one loaded baseline, document-frequency
-bin occlusion, and recall under a retrieval token budget.  Sweep and
-occlusion report only NDCG at ``NDCG_CUTOFF``, so they build no ranking:
-they read each judged document's place in the ranking order from the scores
-(``query._position``) and feed those places to the one NDCG body that
-:func:`ndcg_at_k` feeds with the places of a ranking's hits.  Both
-resolve each judged query once, in one step, to its matched columns and
-its judged documents' doc indices.  The columns stay valid because an
-index's structure never changes: the sweep scores them against every grid
-point's rescaled scores, which share the baseline's structure, and the
-occlusion drops a bin's columns, reading a column's df as its extent.
+bin occlusion, and recall under a retrieval token budget.  ``eval``, the
+sweep and the occlusion rank nothing for their metrics: they resolve each
+judged query once, in one step, to its matched columns and its judged
+documents' doc indices, and read those documents' places from the scores
+(:func:`_places`).  The columns stay valid because an index's structure
+never changes: the sweep scores them against every grid point's rescaled
+scores, and the occlusion drops a bin's columns, reading a column's df as
+its extent.  Only the token budget reads a ranking: it walks unjudged hits.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,7 +46,6 @@ from .transforms import _rescaled, rescale_index  # noqa: F401  perfbench traces
 __all__ = [
     "EvalReport", "BootstrapResult", "SweepTable",
     "NDCG_CUTOFF", "DEFAULT_Q_GRID", "DEFAULT_DF_BINS", "DEFAULT_TOKEN_BUDGETS",
-    "ndcg_at_k", "mrr", "recall_at_k",
     "eval_ndcg", "eval_mrr", "eval_recall",
     "paired_bootstrap", "q_sweep", "df_bin_occlusion",
     "recall_at_token_budget",
@@ -118,13 +115,6 @@ class SweepTable:
 
 # ---------------------------------------------------------------- metrics
 
-def _gains(qrels: QrelSet, query_id: str) -> dict[str, int]:
-    rels = qrels.relevant_docs(query_id)
-    if not rels:
-        raise ValueError(f"query {query_id!r} has no positively judged document")
-    return rels
-
-
 def _judged(items: Iterable, qrels: QrelSet,
             query_id: Callable[[object], str] = lambda entry: entry[0]) -> list:
     """The items (by default (query_id, text) pairs) whose query has a
@@ -140,64 +130,47 @@ def _check_cutoff(k: int) -> None:
         raise ValueError(f"metric cutoff k must be >= 1, got {k}")
 
 
-def ndcg_at_k(ranked: RankedList, qrels: QrelSet, k: int = NDCG_CUTOFF) -> float:
-    """NDCG@k with linear gains; the ideal ranking sorts judged relevance."""
-    _check_cutoff(k)
-    rels = _gains(qrels, ranked.query_id)
-    return _ndcg(((i, rels.get(doc_id, 0)) for i, (doc_id, _) in enumerate(ranked.hits[:k])),
-                 rels, k)
-
-
 def _ndcg(placed: Iterable[tuple[int, int]], rels: Mapping[str, int], k: int) -> float:
-    """The one NDCG body: the DCG of ``placed``, (0-based place, relevance)
-    pairs in ascending place order with every place below ``k``, over the
+    """The one NDCG body: the DCG of the pairs of ``placed``, (0-based place,
+    gain) in ascending place order, that are placed below ``k``, over the
     ideal DCG of the positive gains ``rels``."""
     dcg = 0.0
     for place, rel in placed:
-        if rel:
-            dcg += rel / math.log2(place + 2)
+        if place >= k:
+            break
+        dcg += rel / math.log2(place + 2)
     idcg = sum(rel / math.log2(i + 2)
                for i, rel in enumerate(sorted(rels.values(), reverse=True)[:k]))
     return dcg / idcg
 
 
-def mrr(ranked: RankedList, qrels: QrelSet) -> float:
-    """Reciprocal rank of the first relevant hit; 0 when none is retrieved."""
-    rels = _gains(qrels, ranked.query_id)
-    for i, (doc_id, _) in enumerate(ranked.hits):
-        if doc_id in rels:
-            return 1.0 / (i + 1)
-    return 0.0
-
-
-def recall_at_k(ranked: RankedList, qrels: QrelSet, k: int) -> float:
-    """Fraction of judged-relevant documents present in the top k."""
-    _check_cutoff(k)
-    rels = _gains(qrels, ranked.query_id)
-    top = set(doc_id for doc_id, _ in ranked.hits[:k])
-    return sum(1 for d in rels if d in top) / len(rels)
-
-
-def _aggregate(rankings: Iterable[RankedList], qrels: QrelSet,
-               scorer: Callable[[RankedList], float]) -> EvalReport:
-    rankings = list(rankings)
-    judged = _judged(rankings, qrels, query_id=lambda ranked: ranked.query_id)
-    per_query = {ranked.query_id: scorer(ranked) for ranked in judged}
+def _report(placed: Mapping[str, Sequence[tuple[int, int]]], qrels: QrelSet,
+            metric: Callable[[Sequence[tuple[int, int]], dict[str, int]], float]) -> EvalReport:
+    judged = _judged(placed.items(), qrels)
+    per_query = {qid: metric(places, qrels.relevant_docs(qid)) for qid, places in judged}
     return EvalReport(per_query=per_query, mean=float(np.mean(list(per_query.values()))),
-                      n_queries=len(per_query), n_skipped=len(rankings) - len(judged))
+                      n_queries=len(per_query), n_skipped=len(placed) - len(judged))
 
 
-def eval_ndcg(rankings: Iterable[RankedList], qrels: QrelSet,
+def eval_ndcg(placed: Mapping[str, Sequence[tuple[int, int]]], qrels: QrelSet,
               k: int = NDCG_CUTOFF) -> EvalReport:
-    return _aggregate(rankings, qrels, lambda r: ndcg_at_k(r, qrels, k))
+    """NDCG@k per query of ``placed``: each query id's (place, gain) pairs,
+    in place order, walked by :func:`_places` to a depth of at least ``k``."""
+    _check_cutoff(k)
+    return _report(placed, qrels, lambda places, rels: _ndcg(places, rels, k))
 
 
-def eval_mrr(rankings: Iterable[RankedList], qrels: QrelSet) -> EvalReport:
-    return _aggregate(rankings, qrels, lambda r: mrr(r, qrels))
+def eval_mrr(placed: Mapping[str, Sequence[tuple[int, int]]], qrels: QrelSet) -> EvalReport:
+    """1 / (first place + 1) per query; 0 when ``placed`` has no place for it."""
+    return _report(placed, qrels, lambda places, rels: 1.0 / (places[0][0] + 1) if places else 0.0)
 
 
-def eval_recall(rankings: Iterable[RankedList], qrels: QrelSet, k: int) -> EvalReport:
-    return _aggregate(rankings, qrels, lambda r: recall_at_k(r, qrels, k))
+def eval_recall(placed: Mapping[str, Sequence[tuple[int, int]]], qrels: QrelSet,
+                k: int) -> EvalReport:
+    """Fraction of the positively judged documents placed below ``k``."""
+    _check_cutoff(k)
+    return _report(placed, qrels,
+                   lambda places, rels: sum(1 for place, _ in places if place < k) / len(rels))
 
 
 # -------------------------------------------------------------- bootstrap
@@ -211,8 +184,7 @@ def paired_bootstrap(metric_a: Mapping[str, float], metric_b: Mapping[str, float
     results are reproducible bit for bit regardless of chunking or thread
     count.  The CI is the 2.5/97.5 percentile pair of resample means.
     """
-    if resamples < 1:
-        raise ValueError("resamples must be >= 1")
+    _check_resamples(resamples)
     keys = sorted(metric_a)
     if set(keys) != set(metric_b):
         raise ValueError("paired bootstrap requires identical query keysets")
@@ -241,6 +213,11 @@ def paired_bootstrap(metric_a: Mapping[str, float], metric_b: Mapping[str, float
         reversals = resamples
     return BootstrapResult(mean_delta=observed, ci_lo=float(ci_lo), ci_hi=float(ci_hi),
                            sign_reversals=reversals, resamples=resamples, seed=seed)
+
+
+def _check_resamples(resamples: int) -> None:
+    if resamples < 1:
+        raise ValueError("resamples must be >= 1")
 
 
 # ------------------------------------------------------------ diagnostics
@@ -280,17 +257,13 @@ def df_bin_occlusion(index: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
     """Mean NDCG@10 loss from removing each df bin's tokens from queries.
 
     ValueError unless ``bins`` are non-empty, ascending, disjoint inclusive
-    ranges from df 1 with only the last one open.  ``index`` is ranked as it
+    ranges from df 1 with only the last one open.  ``index`` is scored as it
     is and left unchanged; rescale it first to measure another operating
     point.  A query with no tokens in a bin contributes zero loss for that
     bin.  Losses are not clamped: a negative mean means removing that bin
     helped.
     """
-    ends = [0] + [hi for _, hi in bins]  # the end of the bin before each bin
-    if not bins or not all(end is not None and end < lo and (hi is None or lo <= hi)
-                           for (lo, hi), end in zip(bins, ends)):
-        raise ValueError("df bins must be non-empty, ascending and disjoint from 1, with "
-                         f"only the last one open; got {list(bins)}")
+    _check_bins(bins)
     judged = _judged(queries, qrels)
     losses = {b: 0.0 for b in bins}
     for columns, docs in _resolve(index, qrels, judged):
@@ -305,13 +278,21 @@ def df_bin_occlusion(index: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
     return [((lo, hi), losses[(lo, hi)] / len(judged)) for lo, hi in bins]
 
 
+def _check_bins(bins: Sequence[tuple[int, int | None]]) -> None:
+    ends = [0] + [hi for _, hi in bins]  # the end of the bin before each bin
+    if not bins or not all(end is not None and end < lo and (hi is None or lo <= hi)
+                           for (lo, hi), end in zip(bins, ends)):
+        raise ValueError("df bins must be non-empty, ascending and disjoint from 1, with "
+                         f"only the last one open; got {list(bins)}")
+
+
 def _resolve(index: SparseScoreIndex, qrels: QrelSet,
              judged: Sequence[tuple[str, str]]) -> list[tuple]:
     """The one resolution of judged (query_id, text) pairs against ``index``,
     per pair in order: its ``query._columns`` under the index's mode, and its
     positive gains with the doc indices and gains of those judged documents
     that ``index`` holds.  Only the judged doc ids are mapped, in one pass."""
-    gains = [_gains(qrels, qid) for qid, _ in judged]
+    gains = [qrels.relevant_docs(qid) for qid, _ in judged]
     wanted = set().union(*gains)
     at = {doc_id: i for i, doc_id in enumerate(index.doc_ids) if doc_id in wanted}
     mode = index.header.mode
@@ -323,20 +304,34 @@ def _resolve(index: SparseScoreIndex, qrels: QrelSet,
     return out
 
 
-def _ndcg_of_scores(scores: np.ndarray, docs: tuple) -> float:
-    """NDCG@``NDCG_CUTOFF`` of the ranking of ``scores``, read from the places
-    of the judged documents (``docs``, from :func:`_resolve`) and not from
-    a ranking: they are visited in ranking order, so the walk stops at the
-    first whose place is not below the cutoff, after at most
-    ``NDCG_CUTOFF + 1`` counting passes over ``scores``."""
-    rels, held, gains = docs
+def _places(scores: np.ndarray, docs: tuple, depth: int) -> list[tuple[int, int]]:
+    """The (place, gain) pairs of the judged documents (``docs``, from
+    :func:`_resolve`) placed below ``depth`` in the ranking of ``scores``, in
+    place order, counted by ``query._position`` without ranking: the walk
+    visits the documents in ranking order and stops at the first placed at
+    ``depth`` or lower, after at most ``depth + 1`` passes over ``scores``."""
+    _, held, gains = docs
     placed = []
     for j in np.lexsort((held, -scores[held])).tolist():
         place = _position(scores, held[j])
-        if place >= NDCG_CUTOFF:
+        if place >= depth:
             break
         placed.append((place, gains[j]))
-    return _ndcg(placed, rels, NDCG_CUTOFF)
+    return placed
+
+
+def _ndcg_of_scores(scores: np.ndarray, docs: tuple) -> float:
+    """NDCG@``NDCG_CUTOFF`` of the ranking of ``scores``, from :func:`_places`."""
+    return _ndcg(_places(scores, docs, NDCG_CUTOFF), docs[0], NDCG_CUTOFF)
+
+
+def _walk(index: SparseScoreIndex, qrels: QrelSet, judged: Sequence[tuple[str, str]],
+          depth: int) -> Iterator[tuple[str, np.ndarray, list[tuple[int, int]]]]:
+    """Per judged (query_id, text) pair in order: its id, its score vector on
+    ``index`` and its :func:`_places` below ``depth``, each query scored once."""
+    for (qid, _), (columns, docs) in zip(judged, _resolve(index, qrels, judged)):
+        scores = _score(index, columns)
+        yield qid, scores, _places(scores, docs, depth)
 
 
 def recall_at_token_budget(rankings: Iterable[RankedList], qrels: QrelSet,
@@ -351,11 +346,7 @@ def recall_at_token_budget(rankings: Iterable[RankedList], qrels: QrelSet,
     the ranking's depth is never recalled.  Budgets must be ascending;
     recall is then monotone in K by construction.
     """
-    budgets = list(budgets)
-    if not budgets or any(b <= 0 for b in budgets):
-        raise ValueError("budgets must be positive")
-    if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
-        raise ValueError("budgets must be strictly ascending")
+    budgets = _check_budgets(budgets)
     judged = _judged(rankings, qrels, lambda ranked: ranked.query_id)
     costs: list[float] = []
     for ranked in judged:
@@ -374,6 +365,15 @@ def recall_at_token_budget(rankings: Iterable[RankedList], qrels: QrelSet,
         costs.append(cost)
     return [(int(k_budget), sum(1 for c in costs if c <= k_budget) / len(judged))
             for k_budget in budgets]
+
+
+def _check_budgets(budgets: Iterable[int]) -> list[int]:
+    budgets = list(budgets)
+    if not budgets or any(b <= 0 for b in budgets):
+        raise ValueError("budgets must be positive")
+    if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
+        raise ValueError("budgets must be strictly ascending")
+    return budgets
 
 
 # ---------------------------------------------------------------- reports

@@ -156,11 +156,6 @@ def rank_from_scores(index: SparseScoreIndex, scores: np.ndarray, k: int,
     ``need`` members of it or of a later class.  ``_first_of`` reads the
     class from there and grows the prefix only when negative or NaN scores
     leave it short, so the result is that of a full scan.
-
-    ``np.argpartition`` over the dense vector is not used: it visits and
-    moves all N entries, most of them tied at exactly zero for a code
-    query, and would still need the ties repaired.  Selecting from the
-    positives alone is several times cheaper.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

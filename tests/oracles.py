@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from qlex.errors import DuplicateIdError, ParseError
-from qlex.evaluation import eval_ndcg, ndcg_at_k
 from qlex.query import batch_retrieve, rank_tokens
 from qlex.stats import CorpusStats
 from qlex.storage import load_index
@@ -257,7 +256,10 @@ def sweep_by_batch_retrieve(base_index_path, queries, qrels, grid):
         index = copy.copy(base)
         index.scores = base.scores.copy()
         index = rescale_index(index, q)
-        rows.append((float(q), eval_ndcg(batch_retrieve(index, queries, 10), qrels, 10).mean))
+        ndcgs = [ndcg_by_hand(ranked.doc_ids(), qrels.relevant_docs(ranked.query_id), 10)
+                 for ranked in batch_retrieve(index, queries, 10)
+                 if qrels.has_relevant(ranked.query_id)]
+        rows.append((float(q), float(np.mean(ndcgs))))
     q_opt, best = rows[0]
     for q, mean in rows[1:]:
         if mean > best or (mean == best and q > q_opt):
@@ -273,12 +275,46 @@ def occlusion_by_tokens(index, queries, qrels, bins):
     judged = [(qid, text) for qid, text in queries if qrels.has_relevant(qid)]
     losses = {b: 0.0 for b in bins}
     for qid, text in judged:
+        rels = qrels.relevant_docs(qid)
         tokens = tokenize(text, index.header.mode)
-        full = ndcg_at_k(rank_tokens(index, tokens, 10, qid), qrels, 10)
+        full = ndcg_by_hand(rank_tokens(index, tokens, 10, qid).doc_ids(), rels, 10)
         dfs = [index.df[index.vocab[t]] if t in index.vocab else 0 for t in tokens]
         for lo, hi in bins:
             kept = [t for t, d in zip(tokens, dfs) if not (lo <= d and (hi is None or d <= hi))]
             if len(kept) == len(tokens):
                 continue
-            losses[(lo, hi)] += full - ndcg_at_k(rank_tokens(index, kept, 10, qid), qrels, 10)
+            losses[(lo, hi)] += full - ndcg_by_hand(rank_tokens(index, kept, 10, qid).doc_ids(),
+                                                    rels, 10)
     return [((lo, hi), losses[(lo, hi)] / len(judged)) for lo, hi in bins]
+
+
+def eval_by_batch_retrieve(index, queries, qrels, k, budgets=(), corpus=None):
+    """``qlex eval``'s per-query NDCG@10, MRR and recall@k, keyed by report
+    name, and its (budget, recall) rows, by plain loops over the
+    ``batch_retrieve`` rankings at depth ``max(k, 100)`` of the queries with
+    a positive judgment.  A query's token cost is the sum of the
+    whitespace-split lengths of ``corpus``'s texts of its hits down to the
+    first relevant one; it is never recalled when none is ranked."""
+    ndcg, rr, recall, costs = {}, {}, {}, []
+    for ranked in batch_retrieve(index, queries, max(k, 100)):
+        rels = qrels.relevant_docs(ranked.query_id)
+        if not rels:
+            continue
+        ids = ranked.doc_ids()
+        ndcg[ranked.query_id] = ndcg_by_hand(ids, rels, 10)
+        rr[ranked.query_id] = 0.0
+        for rank, doc_id in enumerate(ids, start=1):
+            if doc_id in rels:
+                rr[ranked.query_id] = 1.0 / rank
+                break
+        recall[ranked.query_id] = sum(1 for doc_id in ids[:k] if doc_id in rels) / len(rels)
+        cost, total = math.inf, 0
+        for doc_id in ids if budgets else []:
+            total += len(corpus.text(doc_id).split())
+            if doc_id in rels:
+                cost = total
+                break
+        costs.append(cost)
+    rows = [(budget, sum(1 for cost in costs if cost <= budget) / len(costs))
+            for budget in budgets]
+    return {"ndcg@10": ndcg, "mrr": rr, f"recall@{k}": recall}, rows

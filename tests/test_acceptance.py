@@ -289,14 +289,18 @@ def test_criterion_13_full_scale_optional(tmp_path):
         pytest.skip("optional full-scale check; set QLEX_COIR_GO_DIR to a directory "
                     "holding corpus.jsonl, queries.jsonl, qrels.tsv")
     from qlex import load_corpus, load_qrels, load_queries
-    from qlex.query import batch_retrieve
+    from qlex.evaluation import _walk
 
     corpus = load_corpus(os.path.join(root, "corpus.jsonl"))
     queries = load_queries(os.path.join(root, "queries.jsonl"))
     qrels = load_qrels(os.path.join(root, "qrels.tsv"))
+    judged = [(qid, text) for qid, text in queries if qrels.has_relevant(qid)]
+
+    def ndcg10(index):
+        return eval_ndcg({qid: places for qid, _, places in _walk(index, qrels, judged, 10)},
+                         qrels)
+
     index = build_index(corpus, TokenizerMode.T0)
-    baseline = eval_ndcg(batch_retrieve(index, queries, 100), qrels, 10)
-    assert baseline.mean == pytest.approx(0.2575, abs=0.01)
+    assert ndcg10(index).mean == pytest.approx(0.2575, abs=0.01)
     index = rescale_index(index, 0.05)
-    low_q = eval_ndcg(batch_retrieve(index, queries, 100), qrels, 10)
-    assert low_q.mean == pytest.approx(0.4874, abs=0.01)
+    assert ndcg10(index).mean == pytest.approx(0.4874, abs=0.01)

@@ -1,18 +1,18 @@
 """End-to-end subcommand coverage through main(argv)."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qlex import cli, load_index, load_qrels, load_queries, query
+from qlex import cli, evaluation, load_index, load_qrels, load_queries, query, tokenize
 from qlex.cli import _parse_bins, main
-from qlex.evaluation import (eval_mrr, eval_ndcg, eval_recall, paired_bootstrap,
-                             report_to_json)
-from qlex.query import batch_retrieve
+from qlex.evaluation import EvalReport, paired_bootstrap, report_to_json
 
 from conftest import (hapax_mechanism_corpus, make_corpus, random_corpus, write_jsonl_corpus,
                       write_jsonl_queries, write_qrels)
+from oracles import eval_by_batch_retrieve
 
 
 @pytest.fixture
@@ -189,32 +189,59 @@ class TestAnalysisCommands:
         assert boot["mean_delta"] > 0.5  # q=0.1 rescues the hapax queries
         assert boot["resamples"] == 500 and boot["seed"] == 7
 
-        # The report is exactly the library's metrics over both indexes.
+        # The report is exactly the reference metrics over both indexes' rankings.
         queries, qrels = load_queries(mech / "queries.jsonl"), load_qrels(mech / "qrels.tsv")
         base, other = (load_index(mech / name) for name in ("base.qlx", "q01.qlx"))
-        ranked = batch_retrieve(base, queries, 100)
-        reports = {"ndcg@10": eval_ndcg(ranked, qrels, 10), "mrr": eval_mrr(ranked, qrels),
-                   "recall@10": eval_recall(ranked, qrels, 10)}
-        other_ndcg = eval_ndcg(batch_retrieve(other, queries, 100), qrels, 10)
-        expected = paired_bootstrap(eval_ndcg(ranked, qrels, 10).per_query,
-                                    other_ndcg.per_query, resamples=500, seed=7)
-        assert out == report_to_json(reports, expected)
+        expected, _ = eval_by_batch_retrieve(base, queries, qrels, 10)
+        reports = {name: EvalReport(per_query, float(np.mean(list(per_query.values()))),
+                                    len(per_query), len(queries) - len(per_query))
+                   for name, per_query in expected.items()}
+        other_ndcg = eval_by_batch_retrieve(other, queries, qrels, 10)[0]["ndcg@10"]
+        boot = paired_bootstrap(expected["ndcg@10"], other_ndcg, resamples=500, seed=7)
+        assert out == report_to_json(reports, boot)
 
-    def test_eval_ranks_each_query_once_per_index(self, mech, capsys, monkeypatch):
+    def test_eval_ranks_only_for_budgets_and_scores_each_judged_query_once(self, mech, capsys,
+                                                                           monkeypatch):
         run("rescale", "--index", mech / "base.qlx", "--out", mech / "q01.qlx", "--q", "0.1")
-        ranked = []
-        rank_tokens = query.rank_tokens
-        monkeypatch.setattr(query, "rank_tokens",
-                            lambda index, *rest: ranked.append(index) or rank_tokens(index, *rest))
-        rc = run("eval", "--index", mech / "base.qlx",
-                 "--queries", mech / "queries.jsonl", "--qrels", mech / "qrels.tsv",
-                 "--compare-index", mech / "q01.qlx", "--resamples", "100",
-                 "--budgets", "128,1024", "--corpus", mech / "corpus.jsonl")
-        assert rc == 0
+        judged = list(load_queries(mech / "queries.jsonl"))
+        unjudged = [("u0", "hapax200 mid0x1"), ("u1", "hapax201")]
+        write_jsonl_queries(mech / "mixed.jsonl", unjudged[:1] + judged + unjudged[1:])
+        base = load_index(mech / "base.qlx")
+        columns = {qid: tuple(query._columns(base, tokenize(text, base.header.mode)))
+                   for qid, text in judged + unjudged}
+        assert len(set(columns.values())) == len(columns)
+        by_columns = {cols: qid for qid, cols in columns.items()}
+
+        scored, ranked = [], []
+        score, rank = query._score, query.rank_from_scores
+
+        def record_score(index, cols):
+            scored.append((index.header.applied_q, by_columns[tuple(cols)]))
+            return score(index, cols)
+
+        def record_rank(index, scores, k, query_id=""):
+            ranked.append((index.header.applied_q, query_id, k))
+            return rank(index, scores, k, query_id)
+
+        for module in (query, evaluation):
+            monkeypatch.setattr(module, "_score", record_score)
+        for module in (query, cli):
+            monkeypatch.setattr(module, "rank_from_scores", record_rank)
+        common = ["--queries", mech / "mixed.jsonl", "--qrels", mech / "qrels.tsv",
+                  "--compare-index", mech / "q01.qlx", "--resamples", "100"]
+        once_per_index = Counter((q, qid) for q in (None, 0.1) for qid, _ in judged)
+
+        assert run("eval", "--index", mech / "base.qlx", *common) == 0
+        assert ranked == []
+        assert Counter(scored) == once_per_index
+
+        scored.clear()
+        assert run("eval", "--index", mech / "base.qlx", *common, "--k", "150",
+                   "--budgets", "128,1024", "--corpus", mech / "corpus.jsonl") == 0
         assert "recall@1024tok" in capsys.readouterr().err
-        n_queries = len(load_queries(mech / "queries.jsonl"))
-        assert len(ranked) == 2 * n_queries
-        assert len({id(index) for index in ranked}) == 2
+        assert [(q, qid) for q, qid, _ in ranked] == [(None, qid) for qid, _ in judged]
+        assert all(1 <= k <= 150 for _, _, k in ranked)
+        assert Counter(scored) == once_per_index
 
     @pytest.mark.parametrize("k", ["0", "-95"])
     def test_eval_rejects_a_cutoff_below_one(self, mech, capsys, k):
@@ -395,7 +422,21 @@ class TestErrorsAndParsing:
     @pytest.mark.parametrize("command, qrels, extra, message", [
         ("eval", "qrels.tsv", ["--budgets", "16"], "--budgets needs --corpus"),
         ("occlusion", "other.tsv", ["--q", "0.3"], "no query has a positively judged document"),
-    ], ids=["eval_budgets_without_corpus", "occlusion_no_judged_query"])
+        ("eval", "qrels.tsv", ["--budgets", "32,16", "--corpus", "corpus.jsonl"],
+         "budgets must be strictly ascending"),
+        ("eval", "qrels.tsv", ["--budgets", "0", "--corpus", "corpus.jsonl"],
+         "budgets must be positive"),
+        ("eval", "qrels.tsv", ["--budgets", "", "--corpus", "corpus.jsonl"],
+         "budgets must be positive"),
+        ("eval", "qrels.tsv", ["--k", "0"], "k must be >= 1"),
+        ("eval", "qrels.tsv", ["--compare-index", "base.qlx", "--resamples", "0"],
+         "resamples must be >= 1"),
+        ("occlusion", "qrels.tsv", ["--bins", "5,3"], "df bins"),
+        ("occlusion", "qrels.tsv", ["--bins", "0"], "df bins"),
+        ("occlusion", "qrels.tsv", ["--bins", "5,3", "--q", "0.3"], "df bins"),
+    ], ids=["eval_budgets_without_corpus", "occlusion_no_judged_query", "eval_budgets_descending",
+            "eval_budget_zero", "eval_budgets_empty", "eval_k_zero", "eval_resamples_zero",
+            "occlusion_bins_descending", "occlusion_bin_zero", "occlusion_bins_descending_at_q"])
     def test_refused_before_any_index_load(self, workdir, capsys, monkeypatch, command, qrels,
                                            extra, message):
         run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "base.qlx")
@@ -403,6 +444,7 @@ class TestErrorsAndParsing:
         capsys.readouterr()
         loads = []
         monkeypatch.setattr(cli, "load_index", lambda path: loads.append(path) or load_index(path))
+        extra = [workdir / arg if arg.endswith((".jsonl", ".qlx")) else arg for arg in extra]
         rc = run(command, "--index", workdir / "base.qlx", "--queries",
                  workdir / "queries.jsonl", "--qrels", workdir / qrels, *extra)
         captured = capsys.readouterr()

@@ -1,5 +1,8 @@
 """Metrics, bootstrap, sweep, occlusion, and budget recall."""
 
+import contextlib
+import io
+import json
 import math
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -9,52 +12,62 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlex import (QrelSet, QuerySet, RankedList, RescaleStateError, batch_retrieve,
-                  build_dph_index, build_index, df_bin_occlusion, evaluation, load_index,
-                  eval_mrr, eval_ndcg, eval_recall, mrr, ndcg_at_k, paired_bootstrap,
-                  q_sweep, recall_at_k, recall_at_token_budget, rescale_index,
-                  rescale_index_gamma, save_index, sweep_to_csv, report_to_tsv, report_to_json,
-                  tokenize)
+from qlex import (QrelSet, QuerySet, RescaleStateError, cli, batch_retrieve, build_dph_index,
+                  build_index, df_bin_occlusion, evaluation, load_index, eval_mrr, eval_ndcg,
+                  eval_recall, paired_bootstrap, q_sweep, recall_at_token_budget,
+                  rescale_index, rescale_index_gamma, save_index, sweep_to_csv, report_to_tsv,
+                  report_to_json, tokenize)
 from qlex.evaluation import DEFAULT_DF_BINS, DEFAULT_Q_GRID, SweepTable
 from qlex.query import rank_tokens
 from qlex.tokenizers import TokenizerMode
 
-from conftest import hapax_mechanism_corpus, make_corpus, random_corpus
-from oracles import ndcg_by_hand, occlusion_by_tokens, sweep_by_batch_retrieve
+from conftest import (hapax_mechanism_corpus, make_corpus, random_corpus, write_jsonl_corpus,
+                      write_jsonl_queries, write_qrels)
+from oracles import (eval_by_batch_retrieve, ndcg_by_hand, occlusion_by_tokens,
+                     sweep_by_batch_retrieve)
 
 
-def ranked(qid, doc_ids):
-    return RankedList(qid, [(d, float(len(doc_ids) - i)) for i, d in enumerate(doc_ids)])
+def placed(qrels, **rankings):
+    """Per query id, the (place, gain) pairs of its positively judged documents
+    in ``rankings[query_id]``, a ranked list of doc ids: the input of the reports."""
+    return {qid: [(i, rel) for i, doc_id in enumerate(doc_ids)
+                  if (rel := qrels.for_query(qid).get(doc_id, 0)) > 0]
+            for qid, doc_ids in rankings.items()}
 
 
 def qrels_of(**per_query):
     return QrelSet(judgments={q: dict(rels) for q, rels in per_query.items()})
 
 
+def ndcg_at_k(qrels, doc_ids, k=10):
+    return eval_ndcg(placed(qrels, q1=doc_ids), qrels, k).per_query["q1"]
+
+
 class TestNdcg:
     def test_single_relevant_at_rank_one(self):
         qrels = qrels_of(q1={"d0": 1})
-        assert ndcg_at_k(ranked("q1", ["d0", "d1"]), qrels, 10) == 1.0
+        assert ndcg_at_k(qrels, ["d0", "d1"], 10) == 1.0
 
     def test_relevant_below_cutoff_scores_zero(self):
         qrels = qrels_of(q1={"d22": 1})
         hits = [f"d{i}" for i in range(30)]
-        assert ndcg_at_k(ranked("q1", hits), qrels, 10) == 0.0
+        assert ndcg_at_k(qrels, hits, 10) == 0.0
 
     def test_two_relevant_at_ranks_two_and_three(self):
         qrels = qrels_of(q1={"a": 1, "b": 1})
-        value = ndcg_at_k(ranked("q1", ["x", "a", "b"]), qrels, 10)
+        value = ndcg_at_k(qrels, ["x", "a", "b"], 10)
         expected = (1 / math.log2(3) + 1 / math.log2(4)) / (1 + 1 / math.log2(3))
         assert value == pytest.approx(expected, rel=1e-12)
         assert value == pytest.approx(0.6934264, abs=1e-6)
 
     def test_linear_gains_respect_graded_relevance(self):
         qrels = qrels_of(q1={"a": 3, "b": 1})
-        better = ndcg_at_k(ranked("q1", ["a", "b"]), qrels, 10)
-        worse = ndcg_at_k(ranked("q1", ["b", "a"]), qrels, 10)
+        better = ndcg_at_k(qrels, ["a", "b"], 10)
+        worse = ndcg_at_k(qrels, ["b", "a"], 10)
         assert better == 1.0 and worse < 1.0
 
     def test_matches_hand_oracle_on_random_rankings(self):
+        # Places run to 40, past the cutoff: only those below 10 may count.
         rng = np.random.default_rng(17)
         docs = [f"d{i}" for i in range(40)]
         for _ in range(50):
@@ -64,43 +77,44 @@ class TestNdcg:
                 continue
             order = list(rng.permutation(docs))
             qrels = qrels_of(q1=rels)
-            got = ndcg_at_k(ranked("q1", order), qrels, 10)
+            got = ndcg_at_k(qrels, order, 10)
             assert got == pytest.approx(ndcg_by_hand(order, rels, 10), rel=1e-12)
 
     def test_no_relevant_docs_raises(self):
         qrels = qrels_of(q1={"d0": 0})
         with pytest.raises(ValueError):
-            ndcg_at_k(ranked("q1", ["d0"]), qrels, 10)
+            ndcg_at_k(qrels, ["d0"], 10)
 
     @pytest.mark.parametrize("k", [0, -95])
     def test_cutoff_below_one_rejected(self, k):
         with pytest.raises(ValueError, match="k must be >= 1"):
-            ndcg_at_k(ranked("q1", ["d0"]), qrels_of(q1={"d0": 1}), k)
+            ndcg_at_k(qrels_of(q1={"d0": 1}), ["d0"], k)
 
 
 class TestMrrRecall:
     def test_mrr_first_relevant_at_rank_four(self):
         qrels = qrels_of(q1={"d9": 1})
-        assert mrr(ranked("q1", ["a", "b", "c", "d9"]), qrels) == 0.25
+        assert eval_mrr(placed(qrels, q1=["a", "b", "c", "d9"]), qrels).per_query["q1"] == 0.25
 
     def test_mrr_zero_when_never_retrieved(self):
         qrels = qrels_of(q1={"gone": 1})
-        assert mrr(ranked("q1", ["a", "b"]), qrels) == 0.0
+        assert eval_mrr(placed(qrels, q1=["a", "b"]), qrels).per_query["q1"] == 0.0
 
     def test_recall_fraction(self):
         qrels = qrels_of(q1={"a": 1, "b": 1, "c": 1, "d": 2})
-        assert recall_at_k(ranked("q1", ["a", "x", "d", "y"]), qrels, 3) == 0.5
+        report = eval_recall(placed(qrels, q1=["a", "x", "d", "y"]), qrels, 3)
+        assert report.per_query["q1"] == 0.5
 
     @pytest.mark.parametrize("k", [0, -95])
     def test_recall_cutoff_below_one_rejected(self, k):
-        # hits[:-95] would read as "all but the last 95" and report 1.0.
+        # A cutoff below one would count no place at all and report 0.0.
+        qrels = qrels_of(q1={"d0": 1})
         with pytest.raises(ValueError, match="k must be >= 1"):
-            recall_at_k(ranked("q1", ["d0"]), qrels_of(q1={"d0": 1}), k)
+            eval_recall(placed(qrels, q1=["d0"]), qrels, k)
 
     def test_aggregate_skips_and_counts_unjudged_queries(self):
         qrels = qrels_of(q1={"a": 1}, q2={"b": 0})
-        rankings = [ranked("q1", ["a"]), ranked("q2", ["b"]), ranked("q3", ["c"])]
-        report = eval_ndcg(rankings, qrels, 10)
+        report = eval_ndcg(placed(qrels, q1=["a"], q2=["b"], q3=["c"]), qrels, 10)
         assert report.n_queries == 1
         assert report.n_skipped == 2
         assert report.mean == 1.0
@@ -112,12 +126,11 @@ class TestMrrRecall:
     def test_no_judged_query_is_an_error_not_a_zero_mean(self, metric):
         qrels = qrels_of(absent={"d0": 1}, q2={"d0": 0})
         with pytest.raises(ValueError, match="no query has a positively judged document"):
-            metric([ranked("q1", ["d0"]), ranked("q2", ["d0"])], qrels)
+            metric(placed(qrels, q1=["d0"], q2=["d0"]), qrels)
 
     def test_report_mean_is_arithmetic_mean(self):
         qrels = qrels_of(q1={"a": 1}, q2={"b": 1})
-        rankings = [ranked("q1", ["a"]), ranked("q2", ["x", "b"])]
-        report = eval_ndcg(rankings, qrels, 10)
+        report = eval_ndcg(placed(qrels, q1=["a"], q2=["x", "b"]), qrels, 10)
         assert report.mean == pytest.approx(
             sum(report.per_query.values()) / 2, rel=1e-15)
 
@@ -259,8 +272,8 @@ class TestSweep:
         reference = []
         for q in grid:
             index = rescale_index(load_index(path), q)
-            rankings = batch_retrieve(index, queries, 50)
-            reference.append((q, eval_ndcg(rankings, qrels, 10).mean))
+            per_query = eval_by_batch_retrieve(index, queries, qrels, 10)[0]["ndcg@10"]
+            reference.append((q, float(np.mean(list(per_query.values())))))
         assert len({mean for _, mean in reference}) > 1
 
         loads = []
@@ -328,8 +341,9 @@ class TestOcclusion:
             total = 0.0
             for qid, tokens in judged:
                 kept = [t for t in tokens if not lo <= df(t) <= (hi or math.inf)]
-                total += (ndcg_at_k(rank_tokens(index, tokens, 100, qid), qrels)
-                          - ndcg_at_k(rank_tokens(index, kept, 100, qid), qrels))
+                rels = qrels.relevant_docs(qid)
+                total += (ndcg_by_hand(rank_tokens(index, tokens, 100, qid).doc_ids(), rels, 10)
+                          - ndcg_by_hand(rank_tokens(index, kept, 100, qid).doc_ids(), rels, 10))
             expected.append(((lo, hi), total / len(judged)))
         assert any(loss != 0.0 for _, loss in expected)
         assert df_bin_occlusion(index, queries, qrels) == expected
@@ -432,6 +446,56 @@ class TestAgainstTheTokenBodies:
                 == occlusion_by_tokens(index, queries, qrels, bins))
 
 
+class TestEvalAgainstTheRankings:
+    """``qlex eval`` equals plain loops over ``batch_retrieve`` rankings
+    (``tests/oracles.py``), exactly: its report reads places, not rankings."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=_judged_collection(), mode=st.sampled_from([TokenizerMode.T0, TokenizerMode.T1]),
+           make=st.sampled_from(["bm25", "q0.3", "q1.5", "dph"]), k=st.sampled_from([1, 5, 10, 150]),
+           budgets=st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True).map(sorted))
+    def test_report_budget_rows_and_bootstrap_equal_the_reference(self, data, mode, make, k,
+                                                                 budgets):
+        corpus, queries, qrels = data
+        base = build_index(corpus, mode)
+        if make == "dph":
+            index = build_dph_index(corpus, mode)
+        else:
+            index = build_index(corpus, mode)
+            if make != "bm25":
+                index = rescale_index(index, float(make[1:]))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            save_index(index, tmp / "index.qlx")
+            save_index(base, tmp / "base.qlx")
+            write_jsonl_corpus(tmp / "corpus.jsonl", corpus)
+            write_jsonl_queries(tmp / "queries.jsonl", list(queries))
+            write_qrels(tmp / "qrels.tsv", [(qid, doc_id, rel) for qid, by in qrels.judgments.items()
+                                            for doc_id, rel in by.items()])
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = cli.main([str(arg) for arg in (
+                    "eval", "--index", tmp / "index.qlx", "--queries", tmp / "queries.jsonl",
+                    "--qrels", tmp / "qrels.tsv", "--k", k, "--format", "json",
+                    "--out", tmp / "report.json", "--compare-index", tmp / "base.qlx",
+                    "--resamples", 20, "--seed", 3, "--budgets", ",".join(map(str, budgets)),
+                    "--corpus", tmp / "corpus.jsonl")])
+            assert rc == 0, err.getvalue()
+            report = json.loads((tmp / "report.json").read_text(encoding="utf-8"))
+
+        expected, rows = eval_by_batch_retrieve(index, queries, qrels, k, budgets, corpus)
+        for name, per_query in expected.items():
+            assert report[name] == {"per_query": per_query, "n_queries": len(per_query),
+                                    "n_skipped": len(queries) - len(per_query),
+                                    "mean": float(np.mean(list(per_query.values())))}
+        base_ndcg = eval_by_batch_retrieve(base, queries, qrels, 10)[0]["ndcg@10"]
+        boot = paired_bootstrap(expected["ndcg@10"], base_ndcg, resamples=20, seed=3)
+        assert report["bootstrap"] == json.loads(report_to_json({}, boot))["bootstrap"]
+        # At most 10 judged queries: distinct recalls differ in the 4 printed digits.
+        assert ([line for line in err.getvalue().splitlines() if "tok\t" in line]
+                == [f"recall@{budget}tok\t{rec:.4f}" for budget, rec in rows])
+
+
 class TestTokenBudgetRecall:
     def build(self, depth=3):
         # d0: 4 tokens, d1: 6 tokens, d2: 2 tokens. Query hits d0 then d1.
@@ -476,13 +540,11 @@ class TestTokenBudgetRecall:
 class TestReportWriters:
     def test_tsv_and_json_shapes(self):
         qrels = qrels_of(q1={"a": 1}, q2={"b": 1})
-        rankings = [ranked("q1", ["a"]), ranked("q2", ["x", "b"])]
-        reports = {"ndcg@10": eval_ndcg(rankings, qrels, 10),
-                   "mrr": eval_mrr(rankings, qrels)}
+        places = placed(qrels, q1=["a"], q2=["x", "b"])
+        reports = {"ndcg@10": eval_ndcg(places, qrels, 10), "mrr": eval_mrr(places, qrels)}
         tsv = report_to_tsv(reports)
         assert tsv.startswith("query_id\tndcg@10\tmrr")
         assert tsv.strip().split("\n")[-1].startswith("mean\t")
-        import json
         payload = json.loads(report_to_json(reports))
         assert payload["mrr"]["n_queries"] == 2
         assert "per_query" in payload["ndcg@10"]
