@@ -23,7 +23,7 @@ from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, NDCG_CUTOFF, _check_bi
                          _walk, df_bin_occlusion, eval_mrr, eval_ndcg, eval_recall,
                          paired_bootstrap, q_sweep, recall_at_token_budget,
                          report_to_json, report_to_tsv, sweep_to_csv)
-from .index import build_index
+from .index import _check_mark, build_index
 from .query import batch_retrieve, format_trec_run, rank_from_scores, top_k
 from .stats import compute_corpus_stats, predict_q
 from .storage import dumps_index, load_index, save_index, write_atomic
@@ -78,13 +78,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_rescale(args: argparse.Namespace) -> int:
-    index = load_index(args.index)
     out = args.out or args.index
     if args.q is not None:
         name, value, transform = "q", args.q, rescale_index
     else:
         name, value, transform = "gamma", args.gamma, rescale_index_gamma
-    index = transform(index, value)
+    _check_mark(name, value)
+    index = transform(load_index(args.index), value)
     if index.header.applied_q is None and index.header.applied_gamma is None:  # the identity gate
         print(f"rescale skipped (bit-identity gate at {name}={value})")
         if out == args.index:
@@ -128,8 +128,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     judged = _judged(queries, qrels)
     _check_cutoff(args.k)
     budgets = None if args.budgets is None else _check_budgets(_parse_ints(args.budgets))
-    if budgets is not None and not args.corpus:
-        raise QlexError("--budgets needs --corpus for the token counter")
+    if budgets is not None:
+        if not args.corpus:
+            raise QlexError("--budgets needs --corpus for the token counter")
+        with open(args.corpus, "rb"):  # fail now, without holding the corpus while scoring
+            pass
     if args.compare_index:
         _check_resamples(args.resamples)
     index = load_index(args.index)
@@ -179,6 +182,8 @@ def _cmd_occlusion(args: argparse.Namespace) -> int:
     _judged(queries, qrels)
     bins = _parse_bins(args.bins) if args.bins is not None else list(DEFAULT_DF_BINS)
     _check_bins(bins)
+    if args.q is not None:
+        _check_mark("q", args.q)
     index = load_index(args.index)
     if args.q is not None and index.header.applied_q != args.q:
         index = rescale_index(index, args.q)  # an index already at q is used as it is

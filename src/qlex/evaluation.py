@@ -36,7 +36,7 @@ import numpy as np
 
 from .corpus_io import Corpus, QuerySet, QrelSet
 from .errors import QlexError
-from .index import SparseScoreIndex
+from .index import SparseScoreIndex, _check_mark
 from .query import RankedList, _columns, _position, _score
 from .query import batch_retrieve, rank_tokens  # noqa: F401  perfbench traces them here
 from .storage import load_index
@@ -230,11 +230,13 @@ def q_sweep(base_index_path: str | Path, queries: QuerySet, qrels: QrelSet,
     view of it that holds that point's rescaled scores and header, and a DPH
     or already-rescaled baseline is refused as :func:`rescale_index` refuses
     it.  Ties on the mean prefer the larger exponent (the one closer to plain
-    BM25).  ValueError, before any load, when no query has a positively
-    judged document.
+    BM25).  ValueError, before any load, when a grid point is not a finite q
+    or no query has a positively judged document.
     """
     if not grid:
         raise ValueError("sweep grid must be non-empty")
+    for q in grid:
+        _check_mark("q", q)
     judged = _judged(queries, qrels)
     base = load_index(base_index_path)
     resolved = _resolve(base, qrels, judged)

@@ -8,9 +8,10 @@ saturated, length-normalized term-frequency factor.  Scores are stored as
 float32; all scoring arithmetic upstream of storage is float64.
 
 :func:`count_tokens` is the one tokenize-and-count pass over a corpus, run
-once per corpus object and mode.  A scorer is an entry-weight formula over
-it (BM25 here, DPH in :mod:`qlex.transforms`); :mod:`qlex.stats` reads the
-same pass.
+once per corpus object and mode.  It maps each document's words to ids in
+one C-level chain, decides what each distinct word becomes once, and counts
+with numpy.  A scorer is an entry-weight formula over it (BM25 here, DPH in
+:mod:`qlex.transforms`); :mod:`qlex.stats` reads the same pass.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from __future__ import annotations
 import math
 import weakref
 from collections import defaultdict
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus_io import Corpus
 from .errors import BuildError, IndexFormatError
-from .tokenizers import TokenizerMode, surface_tokens, tokenize, word_surfaces
+from .tokenizers import TokenizerMode, _t0_drop, surface_tokens, word_split
 
 __all__ = ["IndexHeader", "SparseScoreIndex", "TokenCounts", "build_index", "count_tokens"]
 
@@ -62,11 +64,21 @@ class IndexHeader:
             raise ValueError(f"scorer {self.scorer!r} needs k1 and b set (bm25) or neither (dph)")
         if not (math.isfinite(self.avg_len) and self.avg_len > 0):
             raise ValueError(f"avg_len must be finite and > 0, got {self.avg_len}")
-        marks = [v for v in (self.applied_q, self.applied_gamma) if v is not None]
-        if marks and (len(marks) > 1 or not math.isfinite(marks[0]) or self.scorer != SCORER_BM25
-                      or not (self.applied_gamma is None or self.applied_gamma > 0)):
-            raise ValueError("a rescale sets one finite q or gamma > 0, on a BM25 index only; "
+        marks = {name: value for name, value in [("q", self.applied_q),
+                                                 ("gamma", self.applied_gamma)]
+                 if value is not None}
+        if len(marks) > 1 or (marks and self.scorer != SCORER_BM25):
+            raise ValueError("a rescale sets one mark, on a BM25 index only; "
                              f"got q={self.applied_q}, gamma={self.applied_gamma}")
+        for name, value in marks.items():
+            _check_mark(name, value)
+
+
+def _check_mark(name: str, value: float) -> None:
+    """ValueError unless ``value`` is a legal ``name`` mark: a finite q or a finite gamma > 0.
+    :class:`IndexHeader` reads it, and the CLI and the sweep before any load."""
+    if not (math.isfinite(value) and (name == "q" or value > 0)):
+        raise ValueError(f"a rescale sets a finite q or a finite gamma > 0; got {name}={value}")
 
 
 @dataclass
@@ -216,9 +228,9 @@ def count_tokens(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
     both index builders and the corpus statistics read it, and later calls
     return the same read-only result for as long as the (immutable) corpus
     lives.  Threads counting one corpus at once may each run the pass, to
-    equal results.  Under T2/T3 each distinct surface is tokenized once, by
-    :func:`~qlex.tokenizers.surface_tokens`, into a tuple of term ids that
-    every later occurrence reuses; T0 and T1 tokenize per document.  Raises
+    equal results.  The tokens are :func:`~qlex.tokenizers.tokenize`'s, but
+    each word's rule (see :func:`~qlex.tokenizers.word_split`) runs once per
+    distinct word and numpy repeats it over the occurrences.  Raises
     BuildError, on every call, when the corpus has no tokens.
     """
     by_mode = _COUNTS.setdefault(corpus, {})
@@ -228,42 +240,63 @@ def count_tokens(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
     return counts
 
 
+def _chain(texts: Iterable[str], split: Callable[[str], list[str]]
+           ) -> tuple[dict[str, int], list[int], list[int]]:
+    """Each text's pieces as first-seen ids, one C-level chain per text: the
+    piece-to-id dict, the concatenated ids, and ``ends`` (text i's ids are
+    ``ids[ends[i]:ends[i + 1]]``)."""
+    first_seen: defaultdict[str, int] = defaultdict()
+    first_seen.default_factory = first_seen.__len__  # a missing key is given the next id
+    ids: list[int] = []
+    ends = [0]
+    extend, getitem = ids.extend, first_seen.__getitem__
+    for text in texts:
+        extend(map(getitem, split(text)))
+        ends.append(len(ids))
+    first_seen.default_factory = None  # breaks the dict's reference cycle, so del frees it
+    return first_seen, ids, ends
+
+
 def _count(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
     num_docs = len(corpus)
-    # Ids in first-seen order; a missing key is given the next id.
-    first_seen: defaultdict[str, int] = defaultdict()
-    first_seen.default_factory = first_seen.__len__
-    token_ids: list[int] = []
-    doc_lens: list[int] = []
+    first_seen, word_ids, ends = _chain(corpus.texts, word_split(mode))
     if mode in (TokenizerMode.T2, TokenizerMode.T3):
-        emissions: dict[str, tuple[int, ...]] = {}
-        for text in corpus.texts:
-            before = len(token_ids)
-            for raw in word_surfaces(text):
-                ids = emissions.get(raw)
-                if ids is None:
-                    ids = emissions[raw] = tuple(
-                        map(first_seen.__getitem__, surface_tokens(raw, mode)))
-                token_ids.extend(ids)
-            doc_lens.append(len(token_ids) - before)
-        del emissions
-    else:
-        for text in corpus.texts:
-            toks = tokenize(text, mode)
-            doc_lens.append(len(toks))
-            token_ids.extend(map(first_seen.__getitem__, toks))
-    if not token_ids:  # also an empty corpus
-        raise BuildError(f"corpus of {num_docs} documents has no tokens under mode {mode.value}")
-
+        # Each distinct surface is emitted once; its occurrences repeat the emission.
+        first_seen, emitted, em_ends = _chain(first_seen, lambda raw: surface_tokens(raw, mode))
+    # A T0 word is dropped iff it is in the drop set: one decision per distinct word.
+    dropped = first_seen.keys() & _t0_drop() if mode is TokenizerMode.T0 else set()
+    rank = np.full(len(first_seen), -1, dtype=np.int64)  # a dropped word's rank stays -1
+    for word in dropped:
+        del first_seen[word]
     terms = sorted(first_seen)
-    rank = np.empty(len(terms), dtype=np.int64)
-    rank[[first_seen[t] for t in terms]] = np.arange(len(terms))
-    keys = rank[np.array(token_ids, dtype=np.int64)]
+    rank[np.fromiter(map(first_seen.__getitem__, terms), np.int64, len(terms))] = np.arange(
+        len(terms))
+    del first_seen
+
+    ids = np.fromiter(word_ids, np.int32, len(word_ids))
+    del word_ids
+    ends = np.array(ends)  # document d's ids are ids[ends[d]:ends[d + 1]]
+    if mode in (TokenizerMode.T2, TokenizerMode.T3):
+        em_end = np.array(em_ends)
+        lens = np.diff(em_end)[ids]
+        out_end = np.cumsum(lens)
+        # Token j of the output is emitted[j + (emission start - output start)] of its occurrence.
+        at = np.repeat(em_end[1:][ids] - out_end, lens)
+        at += np.arange(len(at))
+        ids = np.array(emitted, dtype=np.int32)[at]
+        ends = np.concatenate(([0], out_end))[ends]
+        del emitted, em_ends, em_end, lens, out_end, at
+    if dropped:
+        kept = (rank >= 0)[ids]
+        ids, ends = ids[kept], np.concatenate(([0], np.cumsum(kept)))[ends]
+    if not len(ids):  # also an empty corpus
+        raise BuildError(f"corpus of {num_docs} documents has no tokens under mode {mode.value}")
+    keys = rank[ids]
     # Transients go before the kept arrays are made, so that those do not
     # land above freed memory and keep it resident as long as the corpus.
-    del token_ids, first_seen, rank
+    del ids, rank
     keys *= num_docs
-    keys += np.repeat(np.arange(num_docs, dtype=np.int64), doc_lens)
+    keys += np.repeat(np.arange(num_docs, dtype=np.int32), np.diff(ends))
     # Sorted unique keys are term-major with ascending documents inside a term.
     keys, tfs = np.unique(keys, return_counts=True)
     df = np.bincount(keys // num_docs, minlength=len(terms))
@@ -271,8 +304,7 @@ def _count(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
     rows, tfs = keys.astype(np.int32), tfs.astype(np.int32)
     del keys
     return TokenCounts(terms=tuple(terms), doc_ids=corpus.ids, rows=rows, tfs=tfs,
-                       col_ptr=np.concatenate(([0], np.cumsum(df))),
-                       doc_lens=np.array(doc_lens, dtype=np.int64))
+                       col_ptr=np.concatenate(([0], np.cumsum(df))), doc_lens=np.diff(ends))
 
 
 def rsj_idf(df: np.ndarray | int, num_docs: int) -> tuple[np.ndarray, np.ndarray]:

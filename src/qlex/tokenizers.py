@@ -26,11 +26,12 @@ from __future__ import annotations
 import enum
 import re
 import string
+from collections.abc import Callable
 from functools import lru_cache
 from importlib import resources
 
-__all__ = ["TokenizerMode", "tokenize", "split_identifier", "word_surfaces", "surface_tokens",
-           "default_stopwords"]
+__all__ = ["TokenizerMode", "tokenize", "split_identifier", "word_split", "word_surfaces",
+           "surface_tokens", "default_stopwords"]
 
 # Word-character runs of length >= 2; underscores count as word characters,
 # so snake_case survives extraction intact and is split later if requested.
@@ -69,7 +70,7 @@ def default_stopwords() -> frozenset[str]:
 
 @lru_cache(maxsize=1)
 def _t0_drop() -> frozenset[str]:
-    """What T0 drops from an ASCII word split: stopwords and the 37 one-character words."""
+    """What T0 drops from its words: stopwords and the 37 ASCII one-character words."""
     return default_stopwords() | frozenset(string.ascii_lowercase + string.digits + "_")
 
 
@@ -111,6 +112,30 @@ def word_surfaces(text: str) -> list[str]:
     return _WORD_RE.findall(text)
 
 
+def _t0_words(text: str) -> list[str]:
+    """T0's words, before :func:`_t0_drop` applies: the lowercased text's word runs
+    (ASCII text's one-character words included)."""
+    if text.isascii():
+        return text.encode("ascii").translate(_T0_TABLE).decode("ascii").split()
+    return _WORD_RE.findall(text.lower())
+
+
+def _t1_words(text: str) -> list[str]:
+    """T1's words, every one kept: the whitespace-split lowercased text."""
+    return text.lower().split()
+
+
+def word_split(mode: TokenizerMode) -> Callable[[str], list[str]]:
+    """The function splitting a text into ``mode``'s words, before the mode's rule per word.
+
+    :func:`tokenize` is that rule applied to each word: T0 drops the words in
+    :func:`_t0_drop`, T1 keeps every word and T2/T3 emit :func:`surface_tokens`.
+    """
+    if not isinstance(mode, TokenizerMode):
+        raise TypeError(f"mode must be a TokenizerMode, got {type(mode).__name__}")
+    return {TokenizerMode.T0: _t0_words, TokenizerMode.T1: _t1_words}.get(mode, word_surfaces)
+
+
 def surface_tokens(raw: str, mode: TokenizerMode) -> list[str]:
     """The T2 or T3 tokens of one raw surface (an item of :func:`word_surfaces`).
 
@@ -118,9 +143,10 @@ def surface_tokens(raw: str, mode: TokenizerMode) -> list[str]:
     lowercased surface, then its parts, collapsing consecutive repeats inside
     this one emission only.  T3 emits the parts, or the whole surface when it
     does not split.  The emission depends on ``raw`` alone, so a document's
-    tokens are the concatenated emissions of its surfaces.  T0 has no such
-    rule: it lowercases before extracting, and lowercasing can change where
-    words start (``"İ"`` becomes two code points, one not a word character).
+    tokens are the concatenated emissions of its surfaces.  T0's rule is not
+    per raw surface but per word of the lowercased text (:func:`word_split`):
+    lowercasing can change where words start (``"İ"`` becomes two code
+    points, one not a word character).
     """
     if mode not in (TokenizerMode.T2, TokenizerMode.T3):
         raise ValueError(f"mode {mode.value} has no per-surface rule")
@@ -147,13 +173,8 @@ def tokenize(text: str, mode: TokenizerMode) -> list[str]:
     if not isinstance(mode, TokenizerMode):
         raise TypeError(f"mode must be a TokenizerMode, got {type(mode).__name__}")
     if mode is TokenizerMode.T1:
-        return text.lower().split()
-
+        return _t1_words(text)
     if mode is TokenizerMode.T0:
-        if text.isascii():
-            drop = _t0_drop()
-            return [w for w in text.encode("ascii").translate(_T0_TABLE).decode("ascii").split()
-                    if w not in drop]
-        sw = default_stopwords()
-        return [w for w in _WORD_RE.findall(text.lower()) if w not in sw]
+        drop = _t0_drop()
+        return [w for w in _t0_words(text) if w not in drop]
     return [tok for raw in word_surfaces(text) for tok in surface_tokens(raw, mode)]

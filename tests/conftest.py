@@ -15,8 +15,8 @@ from qlex.tokenizers import TokenizerMode
 
 
 # A deep run of the property tests, for CI:
-#   python -m pytest tests/test_query.py tests/test_corpus_io.py tests/test_evaluation.py \
-#       --hypothesis-profile=deep
+#   python -m pytest tests/test_tokenizers.py tests/test_query.py tests/test_corpus_io.py \
+#       tests/test_evaluation.py --hypothesis-profile=deep
 settings.register_profile("deep", max_examples=2000, deadline=None)
 
 

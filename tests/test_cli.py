@@ -434,19 +434,32 @@ class TestErrorsAndParsing:
         ("occlusion", "qrels.tsv", ["--bins", "5,3"], "df bins"),
         ("occlusion", "qrels.tsv", ["--bins", "0"], "df bins"),
         ("occlusion", "qrels.tsv", ["--bins", "5,3", "--q", "0.3"], "df bins"),
+        ("sweep", "qrels.tsv", ["--grid", "0.5,nan"], "finite q"),
+        ("sweep", "qrels.tsv", ["--grid", "0.5,inf"], "finite q"),
+        ("occlusion", "qrels.tsv", ["--q", "nan"], "finite q"),
+        ("occlusion", "qrels.tsv", ["--q", "inf"], "finite q"),
+        ("rescale", None, ["--q", "nan"], "finite q"),
+        ("rescale", None, ["--gamma", "0"], "finite gamma > 0"),
+        ("eval", "qrels.tsv", ["--budgets", "16", "--corpus", "missing.jsonl"],
+         "No such file or directory"),
     ], ids=["eval_budgets_without_corpus", "occlusion_no_judged_query", "eval_budgets_descending",
             "eval_budget_zero", "eval_budgets_empty", "eval_k_zero", "eval_resamples_zero",
-            "occlusion_bins_descending", "occlusion_bin_zero", "occlusion_bins_descending_at_q"])
+            "occlusion_bins_descending", "occlusion_bin_zero", "occlusion_bins_descending_at_q",
+            "sweep_grid_nan", "sweep_grid_inf", "occlusion_q_nan", "occlusion_q_inf",
+            "rescale_q_nan", "rescale_gamma_zero", "eval_budget_corpus_missing"])
     def test_refused_before_any_index_load(self, workdir, capsys, monkeypatch, command, qrels,
                                            extra, message):
         run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "base.qlx")
         write_qrels(workdir / "other.tsv", [("absent", "d0", 1)])
         capsys.readouterr()
         loads = []
-        monkeypatch.setattr(cli, "load_index", lambda path: loads.append(path) or load_index(path))
+        for module in (cli, evaluation):  # the sweep loads through evaluation
+            monkeypatch.setattr(module, "load_index",
+                                lambda path: loads.append(path) or load_index(path))
         extra = [workdir / arg if arg.endswith((".jsonl", ".qlx")) else arg for arg in extra]
-        rc = run(command, "--index", workdir / "base.qlx", "--queries",
-                 workdir / "queries.jsonl", "--qrels", workdir / qrels, *extra)
+        judgements = [] if qrels is None else ["--queries", workdir / "queries.jsonl",
+                                               "--qrels", workdir / qrels]
+        rc = run(command, "--index", workdir / "base.qlx", *judgements, *extra)
         captured = capsys.readouterr()
         assert rc == 1 and message in captured.err and captured.out == ""
         assert loads == []

@@ -16,7 +16,7 @@ from qlex import index as index_module
 from qlex.index import SparseScoreIndex, count_tokens
 from qlex.storage import dumps_index, loads_index
 from qlex.transforms import rescale_index, rescale_index_gamma
-from qlex.tokenizers import TokenizerMode, tokenize
+from qlex.tokenizers import TokenizerMode, tokenize, word_split
 
 from conftest import (IMPOSSIBLE_HEADER_IDS, IMPOSSIBLE_HEADERS, IN_MEMORY_IMPOSSIBLE_HEADER_IDS,
                       IN_MEMORY_IMPOSSIBLE_HEADERS, column_slice, make_corpus, perfbench_gen,
@@ -139,6 +139,9 @@ class TestSharedPass:
     @example(texts=["the of", "", "parseHTTPServer naïveÜber", "..", "ÆgirSøk the"],
              mode=TokenizerMode.T2)
     @example(texts=["İDfoo The", "__init__ x__y", "fooBar.bazQux OF"], mode=TokenizerMode.T0)
+    @example(texts=["The OF a", "parseHTTPServer"], mode=TokenizerMode.T0)
+    @example(texts=["snake_case_id the", "x .."], mode=TokenizerMode.T0)
+    @example(texts=["fooBar foo_bar", "foo bar fooBar"], mode=TokenizerMode.T2)
     @settings(max_examples=200, deadline=None)
     def test_matches_counter_oracle(self, texts, mode):
         corpus = make_corpus(texts)
@@ -169,32 +172,30 @@ _MEMO_TEXTS = ["parseHTTPServer reads the config", "snake_case_id and get2Value"
 
 @pytest.fixture
 def tokenizer_calls(monkeypatch):
-    """Count the per-document tokenizer calls of ``count_tokens`` (T0/T1 and T2/T3)."""
-    calls = {"tokenize": 0, "word_surfaces": 0}
+    """Count the per-document word-split calls of ``count_tokens``, by mode."""
+    calls = {}
 
-    def counting(name):
-        original = getattr(index_module, name)
+    def counting(mode):
+        split = word_split(mode)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
+        def wrapper(text):
+            calls[mode] = calls.get(mode, 0) + 1
+            return split(text)
         return wrapper
-    for name in calls:
-        monkeypatch.setattr(index_module, name, counting(name))
+    monkeypatch.setattr(index_module, "word_split", counting)
     return calls
 
 
 class TestCountsMemo:
     """One tokenize-and-count pass per corpus object and mode."""
 
-    @pytest.mark.parametrize("mode, tokenizer", [(TokenizerMode.T0, "tokenize"),
-                                                 (TokenizerMode.T2, "word_surfaces")])
-    def test_build_stats_and_dph_tokenize_once(self, tokenizer_calls, mode, tokenizer):
+    @pytest.mark.parametrize("mode", [TokenizerMode.T0, TokenizerMode.T2])
+    def test_build_stats_and_dph_tokenize_once(self, tokenizer_calls, mode):
         corpus = make_corpus(_MEMO_TEXTS)
         build_index(corpus, mode)
         compute_corpus_stats(corpus, mode)
         build_dph_index(corpus, mode)
-        assert tokenizer_calls[tokenizer] == len(corpus)
+        assert tokenizer_calls[mode] == len(corpus)
         assert sum(tokenizer_calls.values()) == len(corpus)
 
     def test_modes_are_separate_entries(self, tokenizer_calls):
@@ -204,7 +205,7 @@ class TestCountsMemo:
         assert t0 is not t2 and t0.terms != t2.terms
         assert count_tokens(corpus, TokenizerMode.T0) is t0
         assert count_tokens(corpus, TokenizerMode.T2) is t2
-        assert tokenizer_calls == {"tokenize": len(corpus), "word_surfaces": len(corpus)}
+        assert tokenizer_calls == {TokenizerMode.T0: len(corpus), TokenizerMode.T2: len(corpus)}
 
     def test_equal_corpus_counts_again_to_the_same_bytes(self, tokenizer_calls):
         first, second = make_corpus(_MEMO_TEXTS), make_corpus(_MEMO_TEXTS)
@@ -213,14 +214,15 @@ class TestCountsMemo:
             assert (dumps_index(build_dph_index(first, mode))
                     == dumps_index(build_dph_index(second, mode)))
             assert compute_corpus_stats(first, mode) == compute_corpus_stats(second, mode)
-        assert tokenizer_calls == {"tokenize": 2 * len(first), "word_surfaces": 2 * len(first)}
+        assert tokenizer_calls == {TokenizerMode.T0: 2 * len(first),
+                                   TokenizerMode.T2: 2 * len(first)}
 
     def test_build_error_is_raised_on_every_call(self, tokenizer_calls):
         corpus = make_corpus(["the of a", ". .."])
         for _ in range(2):
             with pytest.raises(BuildError):
                 count_tokens(corpus, TokenizerMode.T0)
-        assert tokenizer_calls["tokenize"] == 2 * len(corpus)
+        assert tokenizer_calls[TokenizerMode.T0] == 2 * len(corpus)
 
     def test_entry_lives_as_long_as_its_corpus(self):
         corpus = make_corpus(_MEMO_TEXTS)
