@@ -39,19 +39,25 @@ class Document(NamedTuple):
 
 def _index_ids(kind: str, ids: Sequence[str], path: str | None,
                lines: Sequence[int] | None) -> dict[str, int]:
-    """Map each id to its position; the one empty- and duplicate-id check.
+    """Map each id to its position; the one empty-, whitespace- and duplicate-id check.
 
+    An id may not hold whitespace (what ``str.split`` splits on), which a
+    TREC run row or a qrels line cannot hold in one column: one split of
+    the joined ids finds it.
     Errors name the source ``path`` and the 1-based line of the offending
     record when ``lines`` gives one per id, else its position.
     """
     by_id = dict(zip(ids, range(len(ids))))
-    if len(by_id) < len(ids) or "" in by_id:  # walk the ids in order to the first bad one
-        seen: set[str] = set()
+    if len(by_id) < len(ids) or "" in by_id or (joined := "".join(ids)).split() != [joined]:
+        seen: set[str] = set()  # walk the ids in order to the first bad one
         for i, ident in enumerate(ids):
             line = None if lines is None else lines[i]
+            where = "" if line is not None else f" at position {i}"
             if not ident:
-                where = "" if line is not None else f" at position {i}"
                 raise ParseError(f"empty {kind}{where}", path=path, line=line)
+            if ident.split() != [ident]:
+                raise ParseError(f"{kind} {ident!r}{where} holds whitespace",
+                                 path=path, line=line)
             if ident in seen:
                 raise DuplicateIdError(kind, ident, path=path, line=line)
             seen.add(ident)

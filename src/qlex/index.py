@@ -32,6 +32,8 @@ __all__ = ["IndexHeader", "SparseScoreIndex", "TokenCounts", "build_index", "cou
 
 SCORER_BM25 = "bm25"
 SCORER_DPH = "dph"
+# About this many entries per run of whole columns: a run's float64 scratch stays cache-sized.
+_RUN_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -136,16 +138,16 @@ class SparseScoreIndex:
         return len(self.terms)
 
     @classmethod
-    def from_counts(cls, counts: "TokenCounts", weights: np.ndarray,
+    def from_counts(cls, counts: "TokenCounts", formula: Callable[[slice, slice], np.ndarray],
                     header: IndexHeader) -> "SparseScoreIndex":
-        """Store float64 per-entry ``weights`` (aligned with ``counts.tfs``) as float32.
+        """Store the per-entry ``formula`` over ``counts`` as float32 (see :func:`by_column_runs`).
 
         The index shares the read-only structure of ``counts``; its
         ``scores`` are its own, so a rescale cannot change what a later
         build from the same counts reads.
         """
         return cls(col_ptr=counts.col_ptr, row_idx=counts.rows,
-                   scores=weights.astype(np.float32), terms=counts.terms,
+                   scores=by_column_runs(counts.col_ptr, formula), terms=counts.terms,
                    doc_ids=counts.doc_ids, header=header)
 
     def check_invariants(self) -> None:
@@ -297,14 +299,35 @@ def _count(corpus: Corpus, mode: TokenizerMode) -> TokenCounts:
     del ids, rank
     keys *= num_docs
     keys += np.repeat(np.arange(num_docs, dtype=np.int32), np.diff(ends))
-    # Sorted unique keys are term-major with ascending documents inside a term.
-    keys, tfs = np.unique(keys, return_counts=True)
+    # Sorted keys are term-major with ascending documents inside a term; a
+    # pair's tf is the length of its run of equal keys.
+    keys.sort()
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    tfs = np.diff(starts, append=len(keys)).astype(np.int32)
+    keys = keys[starts]
+    del starts
     df = np.bincount(keys // num_docs, minlength=len(terms))
     keys %= num_docs
-    rows, tfs = keys.astype(np.int32), tfs.astype(np.int32)
+    rows = keys.astype(np.int32)
     del keys
     return TokenCounts(terms=tuple(terms), doc_ids=corpus.ids, rows=rows, tfs=tfs,
                        col_ptr=np.concatenate(([0], np.cumsum(df))), doc_lens=np.diff(ends))
+
+
+def by_column_runs(col_ptr: np.ndarray,
+                   formula: Callable[[slice, slice], np.ndarray]) -> np.ndarray:
+    """A new float32 array of the float64 ``formula(at, cols)`` of each run of whole columns
+    ``cols``, entries ``at``.  A run ends at the first column boundary at or past a
+    multiple of ``_RUN_ENTRIES``, so it holds fewer entries than that plus its last
+    column's.  Each run is narrowed as ``astype(np.float32)`` narrows, so an
+    elementwise formula gives the bytes it gives over all entries at once."""
+    cuts = np.searchsorted(col_ptr, np.arange(_RUN_ENTRIES, col_ptr[-1], _RUN_ENTRIES))
+    bounds = np.unique(np.concatenate(([0], cuts, [len(col_ptr) - 1]))).tolist()
+    out = np.empty(col_ptr[-1], dtype=np.float32)
+    for first, stop in zip(bounds, bounds[1:]):
+        at = slice(int(col_ptr[first]), int(col_ptr[stop]))
+        out[at] = formula(at, slice(first, stop))
+    return out
 
 
 def rsj_idf(df: np.ndarray | int, num_docs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -328,9 +351,12 @@ def build_index(corpus: Corpus, mode: TokenizerMode, k1: float = 1.5,
     b that :class:`IndexHeader` rejects.
     """
     counts = count_tokens(corpus, mode)
-    header = IndexHeader(mode=mode, scorer=SCORER_BM25, k1=k1, b=b, avg_len=counts.avg_len)
-    tfs = counts.tfs.astype(np.float64)
-    idf = rsj_idf(counts.df, counts.num_docs)[1]
-    length_norm = 1.0 - b + b * (counts.doc_lens[counts.rows] / counts.avg_len)
-    weights = np.repeat(idf, counts.df) * (tfs * (k1 + 1.0) / (tfs + k1 * length_norm))
-    return SparseScoreIndex.from_counts(counts, weights, header)
+    df, avg_len = counts.df, counts.avg_len
+    header = IndexHeader(mode=mode, scorer=SCORER_BM25, k1=k1, b=b, avg_len=avg_len)
+    idf = rsj_idf(df, counts.num_docs)[1]
+
+    def bm25(at: slice, cols: slice) -> np.ndarray:
+        tfs = counts.tfs[at].astype(np.float64)
+        length_norm = 1.0 - b + b * (counts.doc_lens[counts.rows[at]] / avg_len)
+        return np.repeat(idf[cols], df[cols]) * (tfs * (k1 + 1.0) / (tfs + k1 * length_norm))
+    return SparseScoreIndex.from_counts(counts, bm25, header)

@@ -215,8 +215,6 @@ def batch_retrieve(index: SparseScoreIndex, queries: QuerySet, k: int) -> list[R
 
 def format_trec_run(rankings: Iterable[RankedList]) -> str:
     """TREC-style run rows: query_id, doc_id, rank (1-based), score. TSV."""
-    lines = []
-    for ranked in rankings:
-        for rank, (doc_id, score) in enumerate(ranked.hits, start=1):
-            lines.append(f"{ranked.query_id}\t{doc_id}\t{rank}\t{score:.6f}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(["".join([f"{ranked.query_id}\t{doc_id}\t{rank}\t{score:.6f}\n"
+                             for rank, (doc_id, score) in enumerate(ranked.hits, start=1)])
+                    for ranked in rankings])

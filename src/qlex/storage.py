@@ -29,7 +29,6 @@ structure is caught by ``SparseScoreIndex.check_invariants``.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -68,17 +67,14 @@ def dumps_index(index: SparseScoreIndex) -> bytes:
     )
     vocab_blob = json.dumps(index.terms, ensure_ascii=False).encode("utf-8")
     ids_blob = json.dumps(index.doc_ids, ensure_ascii=False).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(fixed)
-    buf.write(struct.pack("<Q", len(vocab_blob)))
-    buf.write(vocab_blob)
-    buf.write(struct.pack("<Q", len(ids_blob)))
-    buf.write(ids_blob)
-    buf.write(np.ascontiguousarray(index.col_ptr, dtype=np.int64).tobytes())
-    buf.write(np.ascontiguousarray(index.row_idx, dtype=np.int32).tobytes())
-    buf.write(np.ascontiguousarray(index.scores, dtype=np.float32).tobytes())
-    return buf.getvalue()
+    return b"".join([
+        _MAGIC, fixed,
+        struct.pack("<Q", len(vocab_blob)), vocab_blob,
+        struct.pack("<Q", len(ids_blob)), ids_blob,
+        memoryview(np.ascontiguousarray(index.col_ptr, dtype=np.int64)),
+        memoryview(np.ascontiguousarray(index.row_idx, dtype=np.int32)),
+        memoryview(np.ascontiguousarray(index.scores, dtype=np.float32)),
+    ])
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -105,14 +101,16 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def skip(self, n: int) -> int:  # the offset of the next n bytes, then past them
         if self.pos + n > len(self.data):
             raise IndexFormatError(
                 f"truncated index: needed {n} bytes at offset {self.pos}, "
                 f"file holds {len(self.data)}")
-        chunk = self.data[self.pos:self.pos + n]
         self.pos += n
-        return chunk
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        return self.data[self.skip(n):self.pos]
 
     def json_strings(self) -> list[str]:
         (size,) = struct.unpack("<Q", self.take(8))
@@ -128,8 +126,8 @@ class _Reader:
         return value
 
     def array(self, dtype, count: int) -> np.ndarray:
-        raw = self.take(count * np.dtype(dtype).itemsize)
-        return np.frombuffer(raw, dtype=dtype).copy()
+        offset = self.skip(count * np.dtype(dtype).itemsize)
+        return np.frombuffer(self.data, dtype, count, offset).copy()
 
 
 def loads_index(data: bytes) -> SparseScoreIndex:

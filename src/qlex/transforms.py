@@ -32,8 +32,8 @@ import numpy as np
 
 from .corpus_io import Corpus
 from .errors import RescaleStateError
-from .index import (SCORER_BM25, SCORER_DPH, IndexHeader, SparseScoreIndex, count_tokens,
-                    rsj_idf)
+from .index import (SCORER_BM25, SCORER_DPH, IndexHeader, SparseScoreIndex, by_column_runs,
+                    count_tokens, rsj_idf)
 from .tokenizers import TokenizerMode
 
 __all__ = [
@@ -95,8 +95,8 @@ def _rescaled(index: SparseScoreIndex, name: str,
     (RescaleStateError), then a value the marked
     :class:`~qlex.index.IndexHeader` refuses (ValueError); ``value == 1.0``
     is the identity, None.  Otherwise returns the float64 products narrowed
-    to a new float32 array, and the marked header, or raises ValueError if
-    a narrowed score is not finite.
+    run by run (:func:`qlex.index.by_column_runs`) into a new float32 array
+    and the marked header, or raises ValueError if a narrowed score is not finite.
     """
     header = index.header
     if header.scorer != SCORER_BM25:
@@ -112,9 +112,8 @@ def _rescaled(index: SparseScoreIndex, name: str,
     odds, idf = rsj_idf(index.df, index.num_docs)
     with np.errstate(over="ignore", invalid="ignore"):
         factors = ln_q(odds, value) / idf if name == "q" else np.power(idf, value - 1.0)
-        rescaled = index.scores.astype(np.float64)
-        rescaled *= np.repeat(factors, index.df)
-        narrowed = rescaled.astype(np.float32)
+        narrowed = by_column_runs(index.col_ptr, lambda at, cols: (
+            index.scores[at].astype(np.float64) * np.repeat(factors[cols], index.df[cols])))
     if not np.isfinite(narrowed).all():
         raise ValueError(f"rescale to {name}={value} gives non-finite float32 scores; "
                          "index left unchanged")
@@ -162,12 +161,16 @@ def build_dph_index(corpus: Corpus, mode: TokenizerMode) -> SparseScoreIndex:
     identical to BM25 indexes; only the header's scorer tag differs.
     """
     counts = count_tokens(corpus, mode)
-    tfs, avg_len, num_docs = counts.tfs.astype(np.float64), counts.avg_len, counts.num_docs
-    dl = counts.doc_lens[counts.rows].astype(np.float64)
-    coll_freq = np.repeat(np.add.reduceat(tfs, counts.col_ptr[:-1]), counts.df)
-    f = np.minimum(tfs / dl, 1.0 - 1e-9)
-    norm = (1.0 - f) ** 2 / (tfs + 1.0)
-    info = tfs * np.log2((tfs * avg_len / dl) * (num_docs / coll_freq))
-    weights = norm * (info + 0.5 * np.log2(2.0 * math.pi * tfs * (1.0 - f)))
+    df, avg_len, num_docs = counts.df, counts.avg_len, counts.num_docs
+    coll_freqs = np.add.reduceat(counts.tfs, counts.col_ptr[:-1], dtype=np.float64)
+
+    def dph(at: slice, cols: slice) -> np.ndarray:
+        tfs = counts.tfs[at].astype(np.float64)
+        dl = counts.doc_lens[counts.rows[at]].astype(np.float64)
+        coll_freq = np.repeat(coll_freqs[cols], df[cols])
+        f = np.minimum(tfs / dl, 1.0 - 1e-9)
+        norm = (1.0 - f) ** 2 / (tfs + 1.0)
+        info = tfs * np.log2((tfs * avg_len / dl) * (num_docs / coll_freq))
+        return norm * (info + 0.5 * np.log2(2.0 * math.pi * tfs * (1.0 - f)))
     header = IndexHeader(mode=mode, scorer=SCORER_DPH, k1=None, b=None, avg_len=avg_len)
-    return SparseScoreIndex.from_counts(counts, weights, header)
+    return SparseScoreIndex.from_counts(counts, dph, header)

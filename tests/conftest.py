@@ -5,18 +5,21 @@ from __future__ import annotations
 import importlib.util
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from qlex import Corpus, Document, QrelSet, QuerySet
+from qlex import index as index_module
 from qlex.tokenizers import TokenizerMode
 
 
 # A deep run of the property tests, for CI:
 #   python -m pytest tests/test_tokenizers.py tests/test_query.py tests/test_corpus_io.py \
-#       tests/test_evaluation.py --hypothesis-profile=deep
+#       tests/test_evaluation.py tests/test_index.py tests/test_transforms.py \
+#       --hypothesis-profile=deep
 settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
@@ -54,6 +57,19 @@ _GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 _gen_spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN_PATH)
 perfbench_gen = importlib.util.module_from_spec(_gen_spec)
 _gen_spec.loader.exec_module(perfbench_gen)
+
+
+def run_length(length: int):
+    """Inside the block, cut the columns into runs of about ``length`` entries."""
+    return mock.patch.object(index_module, "_RUN_ENTRIES", length)
+
+
+# Texts whose "alpha" column (every document) is longer than a run of at
+# most 5 entries and straddles a run boundary; "solo" is a hapax.
+RUN_TEXTS = st.lists(st.lists(st.sampled_from(["alpha", "beta", "gamma", "parseHTTPServer",
+                                               "snake_case_id", "the", "x", "naïveÜber"]),
+                              max_size=10).map(lambda words: " ".join(["alpha", *words])),
+                     min_size=6, max_size=30).map(lambda texts: [texts[0] + " solo", *texts[1:]])
 
 
 def column_slice(index, term_id: int) -> tuple[np.ndarray, np.ndarray]:

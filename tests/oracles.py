@@ -18,12 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from qlex.errors import DuplicateIdError, ParseError
+from qlex.index import rsj_idf
 from qlex.query import batch_retrieve, rank_tokens
 from qlex.stats import CorpusStats
 from qlex.storage import load_index
 from qlex.tokenizers import (_CAMEL_RE, _SEP_RE, TokenizerMode, default_stopwords,
                              surface_tokens, tokenize)
-from qlex.transforms import rescale_index
+from qlex.transforms import ln_q, rescale_index
 
 
 def lucene_idf(df: int, n_docs: int) -> float:
@@ -97,6 +98,39 @@ def dph_scores(doc_tokens: list[list[str]], query_tokens: list[str]) -> list[flo
             score += float(np.float32(entry))
         out.append(score)
     return out
+
+
+def bm25_bake_whole(counts, k1: float, b: float) -> np.ndarray:
+    """The BM25 bake as one float64 expression over all entries of ``counts``,
+    narrowed once; the run-by-run bake must give the same bytes."""
+    tfs = counts.tfs.astype(np.float64)
+    idf = rsj_idf(counts.df, counts.num_docs)[1]
+    length_norm = 1.0 - b + b * (counts.doc_lens[counts.rows] / counts.avg_len)
+    weights = np.repeat(idf, counts.df) * (tfs * (k1 + 1.0) / (tfs + k1 * length_norm))
+    return weights.astype(np.float32)
+
+
+def dph_bake_whole(counts) -> np.ndarray:
+    """The DPH bake as one float64 expression over all entries, narrowed once."""
+    tfs, avg_len, num_docs = counts.tfs.astype(np.float64), counts.avg_len, counts.num_docs
+    dl = counts.doc_lens[counts.rows].astype(np.float64)
+    coll_freq = np.repeat(np.add.reduceat(tfs, counts.col_ptr[:-1]), counts.df)
+    f = np.minimum(tfs / dl, 1.0 - 1e-9)
+    norm = (1.0 - f) ** 2 / (tfs + 1.0)
+    info = tfs * np.log2((tfs * avg_len / dl) * (num_docs / coll_freq))
+    weights = norm * (info + 0.5 * np.log2(2.0 * math.pi * tfs * (1.0 - f)))
+    return weights.astype(np.float32)
+
+
+def rescale_whole(index, name: str, value: float) -> np.ndarray:
+    """The ``name`` = ``value`` rescale of every score at once, narrowed once;
+    non-finite where the rescale must refuse."""
+    odds, idf = rsj_idf(index.df, index.num_docs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = ln_q(odds, value) / idf if name == "q" else np.power(idf, value - 1.0)
+        rescaled = index.scores.astype(np.float64)
+        rescaled *= np.repeat(factors, index.df)
+        return rescaled.astype(np.float32)
 
 
 def csc_by_counters(doc_tokens: list[list[str]]):
@@ -223,14 +257,17 @@ def jsonl_entries_by_loads(path: Path, id_key: str) -> tuple[list[tuple[str, str
 
 def index_ids_by_loop(kind: str, ids, path: str | None, lines) -> dict[str, int]:
     """Each id's position, checked one id at a time in order: the first empty
-    id (ParseError) or repeated id (DuplicateIdError) raises, naming ``path``
-    and its line from ``lines``, or its position when ``lines`` is None."""
+    id or id holding whitespace (ParseError) or repeated id (DuplicateIdError)
+    raises, naming ``path`` and its line from ``lines``, or its position when
+    ``lines`` is None."""
     by_id: dict[str, int] = {}
     for i, ident in enumerate(ids):
         line = None if lines is None else lines[i]
+        where = "" if line is not None else f" at position {i}"
         if not ident:
-            where = "" if line is not None else f" at position {i}"
             raise ParseError(f"empty {kind}{where}", path=path, line=line)
+        if any(ch.isspace() for ch in ident):
+            raise ParseError(f"{kind} {ident!r}{where} holds whitespace", path=path, line=line)
         if ident in by_id:
             raise DuplicateIdError(kind, ident, path=path, line=line)
         by_id[ident] = i

@@ -256,12 +256,16 @@ class TestColumns:
     """A loaded Corpus and one built from Documents are the same corpus."""
 
     @settings(deadline=None)
-    @given(ids=st.lists(st.sampled_from(["", "a", "b", "c"]), max_size=6),
+    @given(ids=st.lists(st.sampled_from(["", "a", "b", "c", "a\tb", "c d", " ", "e\u2028"]),
+                        max_size=6),
            blank=st.lists(st.booleans(), min_size=6, max_size=6),
            kind=st.sampled_from(["corpus", "queries"]))
     @example(ids=["", "a", "a"], blank=[False] * 6, kind="corpus")
     @example(ids=["a", "", "a"], blank=[True] * 6, kind="corpus")
     @example(ids=["a", "a", ""], blank=[False] * 6, kind="queries")
+    @example(ids=["a", "a\tb", "a"], blank=[False] * 6, kind="corpus")
+    @example(ids=["c", "q 1"], blank=[True] * 6, kind="queries")
+    @example(ids=["e\u2028"], blank=[False] * 6, kind="corpus")  # whitespace at its end only
     def test_id_errors_match_the_per_id_loop(self, tmp_path_factory, ids, blank, kind):
         key = "doc_id" if kind == "corpus" else "query_id"
         texts = [f"text {i}" for i in range(len(ids))]
@@ -303,7 +307,9 @@ class TestColumns:
     @example(records=[("d\u00e9", "café naïve İDfoo"), ("d1", "plain ascii text"),
                       ("日本", "Straße ΣΊΣΥΦΟΣ snake_Case")])
     def test_loaded_and_built_corpora_give_the_same_index(self, tmp_path_factory, records):
-        records = [(f"d{i}-{ident}", text) for i, (ident, text) in enumerate(records)]
+        # An id holding whitespace is refused (TestColumns::test_id_errors_match_the_per_id_loop).
+        records = [(f"d{i}-{''.join(ident.split())}", text)
+                   for i, (ident, text) in enumerate(records)]
         path = tmp_path_factory.mktemp("columns") / "corpus.jsonl"
         path.write_text("".join(json.dumps({"doc_id": d, "text": t}) + "\n" for d, t in records),
                         encoding="utf-8")

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,15 +14,16 @@ from hypothesis import example, given, settings, strategies as st
 from qlex import (BuildError, Document, IndexHeader, RescaleStateError,
                   build_dph_index, build_index, compute_corpus_stats, load_corpus)
 from qlex import index as index_module
-from qlex.index import SparseScoreIndex, count_tokens
+from qlex.index import SparseScoreIndex, by_column_runs, count_tokens
 from qlex.storage import dumps_index, loads_index
 from qlex.transforms import rescale_index, rescale_index_gamma
 from qlex.tokenizers import TokenizerMode, tokenize, word_split
 
 from conftest import (IMPOSSIBLE_HEADER_IDS, IMPOSSIBLE_HEADERS, IN_MEMORY_IMPOSSIBLE_HEADER_IDS,
-                      IN_MEMORY_IMPOSSIBLE_HEADERS, column_slice, make_corpus, perfbench_gen,
-                      random_corpus, write_jsonl_corpus)
-from oracles import bm25_scores, corpus_stats_by_counters, csc_by_counters, lucene_idf
+                      IN_MEMORY_IMPOSSIBLE_HEADERS, RUN_TEXTS, column_slice, make_corpus,
+                      perfbench_gen, random_corpus, run_length, write_jsonl_corpus)
+from oracles import (bm25_bake_whole, bm25_scores, corpus_stats_by_counters, csc_by_counters,
+                     dph_bake_whole, lucene_idf)
 
 # Stopwords, length-1 words, punctuation, camel/snake identifiers and
 # non-ASCII identifiers, so some documents tokenize to nothing in some modes.
@@ -130,6 +132,74 @@ class TestDenseOracle:
         df, n = index.df, index.num_docs
         for tid in range(index.vocab_size):
             assert lucene_idf(int(df[tid]), n) > 0
+
+
+class TestColumnRuns:
+    """The bakes walk runs of whole columns, to the bytes of one whole-array
+    expression (the rescale's test is in test_transforms.py)."""
+
+    def test_runs_are_whole_columns_that_tile_the_entries(self):
+        col_ptr = np.array([0, 1, 9, 10, 12, 13, 20])
+        runs = []
+
+        def formula(at, cols):
+            runs.append(((at.start, at.stop), (cols.start, cols.stop)))
+            return np.arange(at.start, at.stop, dtype=np.float64)
+        with run_length(3):
+            out = by_column_runs(col_ptr, formula)
+        assert out.dtype == np.float32 and out.tolist() == list(range(20))
+        # Each run ends at the first column boundary at or past 3, 6, 9, ...
+        assert runs == [((0, 9), (0, 2)), ((9, 12), (2, 4)), ((12, 20), (4, 6))]
+        runs.clear()
+        assert by_column_runs(col_ptr, formula).tolist() == list(range(20))
+        assert runs == [((0, 20), (0, 6))]  # one run at the module's length
+
+    @given(texts=RUN_TEXTS, mode=st.sampled_from(list(TokenizerMode)),
+           length=st.integers(min_value=1, max_value=5))
+    @settings(deadline=None)
+    def test_bakes_equal_the_whole_array_expressions(self, texts, mode, length):
+        corpus = make_corpus(texts)
+        with run_length(length):
+            built = [build_index(corpus, mode), build_index(corpus, mode, k1=0.9, b=0.3),
+                     build_dph_index(corpus, mode)]
+        counts = count_tokens(corpus, mode)
+        assert counts.df.max() > length
+        expected = [bm25_bake_whole(counts, 1.5, 0.75), bm25_bake_whole(counts, 0.9, 0.3),
+                    dph_bake_whole(counts)]
+        for index, scores in zip(built, expected):
+            assert index.scores.tobytes() == scores.tobytes()
+
+
+def _transient_bytes(call):
+    """What ``call()`` allocated at its peak beyond what is left when it returns
+    (tracemalloc, which numpy reports its arrays to), and its result."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - current, result
+
+
+def test_set_up_scratch_per_entry_is_bounded():
+    """The count, both bakes and a rescale of a corpus of many runs stay under
+    a bound of transient bytes per entry; the whole-array forms each went over."""
+    words = np.random.default_rng(0).integers(20_000, size=(8000, 20)).tolist()
+    corpus = make_corpus([" ".join(f"w{w}" for w in doc) for doc in words])
+    mode = TokenizerMode.T1
+    count_scratch, counts = _transient_bytes(lambda: count_tokens(corpus, mode))
+    nnz = len(counts.tfs)
+    assert nnz >= 4 * index_module._RUN_ENTRIES
+    bm25_scratch, index = _transient_bytes(lambda: build_index(corpus, mode))
+    dph_scratch, _ = _transient_bytes(lambda: build_dph_index(corpus, mode))
+    rescale_scratch, _ = _transient_bytes(lambda: rescale_index(index, 0.3))
+    per_entry = {name: round(scratch / nnz, 1) for name, scratch in [
+        ("count", count_scratch), ("bm25", bm25_scratch), ("dph", dph_scratch),
+        ("rescale", rescale_scratch)]}
+    bounds = {"count": 27.5, "bm25": 16.0, "dph": 32.0, "rescale": 16.0}
+    assert all(per_entry[name] < bounds[name] for name in bounds), per_entry
 
 
 class TestSharedPass:

@@ -8,17 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import qlex
 from qlex import (RescaleStateError, build_dph_index, build_index, idf_lucene,
                   idf_qlog, ln_q, load_corpus, rescale_index, rescale_index_gamma, rsj_odds)
 from qlex.index import rsj_idf
+from qlex.transforms import _rescaled
 from qlex.tokenizers import TokenizerMode, tokenize
 from qlex.query import score_query
 
-from conftest import column_slice, make_corpus, perfbench_gen, random_corpus
-from oracles import dph_scores, qlog_bm25_scores
+from conftest import RUN_TEXTS, column_slice, make_corpus, perfbench_gen, random_corpus, run_length
+from oracles import dph_scores, qlog_bm25_scores, rescale_whole
 
 
 class TestLnQ:
@@ -253,6 +254,27 @@ def test_callers_use_the_returned_index_and_one_statement_writes_scores():
                 writes.append(f"{path.name}:{node.lineno}")
     assert statement_calls == []
     assert [w.split(":")[0] for w in writes] == ["transforms.py"], writes
+
+
+@given(texts=RUN_TEXTS, length=st.integers(min_value=1, max_value=5),
+       name_value=st.sampled_from([("q", 0.05), ("q", 0.3), ("q", 1.5), ("q", -200.0),
+                                   ("gamma", 2.0)]))
+@settings(deadline=None)
+def test_rescale_by_runs_equals_the_whole_array_expression(texts, length, name_value):
+    """Run by run, a rescale narrows to the bytes of one whole-array product,
+    and refuses exactly where that product is not finite: at q = -200 the
+    hapax "solo" overflows."""
+    name, value = name_value
+    index = build_index(make_corpus(texts), TokenizerMode.T1)
+    assert index.df.max() > length
+    expected = rescale_whole(index, name, value)
+    with run_length(length):
+        if value == -200.0:
+            assert not np.isfinite(expected).all()
+            with pytest.raises(ValueError, match="non-finite"):
+                _rescaled(index, name, value)
+        else:
+            assert _rescaled(index, name, value)[0].tobytes() == expected.tobytes()
 
 
 class TestGammaRescale:
