@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus_io import Corpus
-from .errors import BuildError, IndexFormatError
+from .corpus_io import Corpus, _index_ids
+from .errors import BuildError, IndexFormatError, ParseError
 from .tokenizers import TokenizerMode, _t0_drop, surface_tokens, word_split
 
 __all__ = ["IndexHeader", "SparseScoreIndex", "TokenCounts", "build_index", "count_tokens"]
@@ -154,8 +154,8 @@ class SparseScoreIndex:
         """Raise IndexFormatError unless there is at least one column, columns are
         non-empty extents that tile the entry arrays, rows lie in [0, N) and
         strictly increase inside each column, every score is finite, every
-        term is unique and every doc id is unique and non-empty.  So nnz >= 1
-        and N >= 1, as every build gives."""
+        term is unique and the doc ids obey the corpus id rule (unique,
+        non-empty, no whitespace).  So nnz >= 1 and N >= 1, as every build gives."""
         col_ptr, rows, nnz, n = self.col_ptr, self.row_idx, self.nnz, self.num_docs
         if self.vocab_size < 1:
             raise IndexFormatError("corrupt index: no vocabulary")
@@ -165,15 +165,17 @@ class SparseScoreIndex:
             raise IndexFormatError("corrupt index: col_ptr does not span the entry arrays")
         if not (self.df >= 1).all():
             raise IndexFormatError("corrupt index: col_ptr decreases or stores an empty column")
-        increasing = np.diff(rows) > 0
+        increasing = rows[1:] > rows[:-1]
         increasing[col_ptr[1:-1] - 1] = True  # a new column may restart at any row
         if nnz and (rows.min() < 0 or rows.max() >= n or not increasing.all()):
             raise IndexFormatError(f"corrupt index: row indices must lie in [0, {n}) "
                                    "and increase strictly inside each column")
         if not np.isfinite(self.scores).all() or len(self.vocab) != self.vocab_size:
             raise IndexFormatError("corrupt index: a non-finite score or a duplicate term")
-        if len(set(self.doc_ids)) < n or not all(self.doc_ids):
-            raise IndexFormatError("corrupt index: a duplicate or empty doc id")
+        try:
+            _index_ids("doc id", self.doc_ids, None, None)
+        except ParseError as exc:
+            raise IndexFormatError(f"corrupt index: {exc}") from None
 
 
 @dataclass(frozen=True)

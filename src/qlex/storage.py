@@ -1,34 +1,25 @@
-"""Binary index serialization.
+"""Binary index serialization, format version 1 (README, "Index format").
 
-Layout (little-endian, version 1):
+A file is the magic, a fixed-width header (``_FIXED``), the vocabulary and
+doc-id blocks (each a u64 byte length and a UTF-8 JSON array of strings),
+then the raw little-endian ``col_ptr`` (int64), ``row_idx`` (int32) and
+``scores`` (float32).  The header's width keeps a rescaled index the size
+of its baseline; ``df`` is not stored but recomputed from ``col_ptr``.
 
-====================  =======================================================
-bytes 0..7            magic ``b"QLEXIDX1"``
-fixed header          ``<IBBddddQdQQ``: version, tokenizer mode ordinal,
-                      scorer ordinal, k1, b, applied_q, applied_gamma
-                      (NaN encodes not set, None in memory), N, avg_len,
-                      vocab size, nnz
-vocab block           u64 byte length + UTF-8 JSON array of terms (id order)
-doc-id block          u64 byte length + UTF-8 JSON array of doc ids
-col_ptr               (V + 1) int64
-row_idx               nnz int32
-scores                nnz float32
-====================  =======================================================
-
-Fixed-width header fields keep the file size independent of whether a
-transform was applied, so a rescaled index is byte-for-byte the same size
-as its baseline.  ``df`` is not stored; it is recomputed from ``col_ptr``.
-
-A file is untrusted input: any malformed file raises IndexFormatError at
-load.  This module checks bytes only: magic, version, ordinals, lengths
-(N against the doc-id block included) and trailing bytes.  Which header
-states are legal is defined once, by :class:`~qlex.index.IndexHeader`,
-whose ValueError becomes a "corrupt header" error here; a bad CSC
-structure is caught by ``SparseScoreIndex.check_invariants``.
+A load reads one stream, a file's or that of bytes in memory, part by
+part: each array is read once, into the buffer the index keeps, after its
+length is checked against the stream's size.  Any malformed file raises
+IndexFormatError at load.  This module checks bytes: magic, version,
+ordinals, lengths (N against the doc-id block included), short reads and
+trailing bytes.  :class:`~qlex.index.IndexHeader` defines the legal header
+states (its ValueError becomes "corrupt header"), and
+``SparseScoreIndex.check_invariants`` the legal structure and doc ids
+(the corpus id rule: unique, non-empty, no whitespace).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -97,41 +88,46 @@ def save_index(index: SparseScoreIndex, path: str | Path) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+    """Reads the parts of a ``size``-byte index from ``stream`` in order.  Each length
+    is checked against ``size`` before its buffer is allocated, and a read that
+    comes up short (a file cut after its size was taken) is a truncated index."""
 
-    def skip(self, n: int) -> int:  # the offset of the next n bytes, then past them
-        if self.pos + n > len(self.data):
-            raise IndexFormatError(
-                f"truncated index: needed {n} bytes at offset {self.pos}, "
-                f"file holds {len(self.data)}")
-        self.pos += n
-        return self.pos - n
+    def __init__(self, stream: io.BufferedIOBase, size: int):
+        self.stream, self.size, self.pos = stream, size, 0
 
-    def take(self, n: int) -> bytes:
-        return self.data[self.skip(n):self.pos]
+    def _fill(self, n: int, allocate):  # allocate() gives the n-byte buffer to read into
+        if self.pos + n <= self.size:
+            buffer = allocate()
+            if self.stream.readinto(buffer) == n:
+                self.pos += n
+                return buffer
+        raise IndexFormatError(f"truncated index: needed {n} bytes at offset {self.pos}, "
+                               f"file holds {self.size}")
+
+    def take(self, n: int) -> bytearray:
+        return self._fill(n, lambda: bytearray(n))
 
     def json_strings(self) -> list[str]:
         (size,) = struct.unpack("<Q", self.take(8))
         blob = self.take(size)
         try:
             value = json.loads(blob.decode("utf-8"))
+            if not isinstance(value, list):
+                raise TypeError
+            joined = "".join(value)  # TypeError unless every element is a str
             if b"\\u" in blob:  # a lone surrogate, which UTF-8 cannot encode, needs a \u escape
-                json.dumps(value, ensure_ascii=False).encode("utf-8")
-        except (ValueError, RecursionError):  # bad UTF-8 or JSON, too deep, a lone surrogate
-            value = None
-        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-            raise IndexFormatError("corrupt index: a JSON block is not an array of UTF-8 strings")
+                joined.encode("utf-8")
+        except (ValueError, TypeError, RecursionError):  # bad UTF-8 or JSON, too deep, not strings
+            raise IndexFormatError(
+                "corrupt index: a JSON block is not an array of UTF-8 strings") from None
         return value
 
     def array(self, dtype, count: int) -> np.ndarray:
-        offset = self.skip(count * np.dtype(dtype).itemsize)
-        return np.frombuffer(self.data, dtype, count, offset).copy()
+        return self._fill(count * np.dtype(dtype).itemsize, lambda: np.empty(count, dtype))
 
 
-def loads_index(data: bytes) -> SparseScoreIndex:
-    reader = _Reader(data)
+def _read_index(stream: io.BufferedIOBase, size: int) -> SparseScoreIndex:
+    reader = _Reader(stream, size)
     if reader.take(len(_MAGIC)) != _MAGIC:
         raise IndexFormatError("not a qlex index file (bad magic)")
     (version, mode_ord, scorer_ord, *optional,
@@ -153,8 +149,8 @@ def loads_index(data: bytes) -> SparseScoreIndex:
     col_ptr = reader.array(np.int64, vocab_size + 1)
     row_idx = reader.array(np.int32, nnz)
     scores = reader.array(np.float32, nnz)
-    if reader.pos != len(data):
-        raise IndexFormatError(f"{len(data) - reader.pos} trailing bytes after index payload")
+    if reader.pos != size:
+        raise IndexFormatError(f"{size - reader.pos} trailing bytes after index payload")
     if num_docs != len(doc_ids):
         raise IndexFormatError(f"corrupt index: header N={num_docs} but {len(doc_ids)} doc ids")
 
@@ -164,5 +160,10 @@ def loads_index(data: bytes) -> SparseScoreIndex:
     return index
 
 
+def loads_index(data: bytes) -> SparseScoreIndex:
+    return _read_index(io.BytesIO(data), len(data))
+
+
 def load_index(path: str | Path) -> SparseScoreIndex:
-    return loads_index(Path(path).read_bytes())
+    with open(path, "rb") as stream:
+        return _read_index(stream, os.fstat(stream.fileno()).st_size)

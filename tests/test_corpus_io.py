@@ -5,6 +5,7 @@ import json
 import os
 import struct
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from qlex import (BuildError, Corpus, Document, DuplicateIdError, IndexFormatError, ParseError,
                   QlexError, QuerySet, SparseScoreIndex, build_dph_index, build_index,
                   load_corpus, load_qrels, load_queries, load_index, save_index, dumps_index,
-                  loads_index, top_k)
+                  loads_index, rescale_index, top_k)
 from qlex import storage
 from qlex.cli import _write_or_print
 from qlex.storage import INDEX_FORMAT_VERSION, _MAGIC, write_atomic
@@ -416,6 +417,18 @@ def _drop_vocabulary(index, keep_docs):
                             doc_ids=index.doc_ids if keep_docs else [], header=index.header)
 
 
+_VOCAB_BLOCK = len(_MAGIC) + storage._FIXED.size  # the offset of the vocabulary block
+
+
+def _with_fixed(blob: bytes, **fields) -> bytes:
+    """``blob`` with the named fixed-header fields (``storage._FIXED`` order) replaced."""
+    names = ["version", "mode", "scorer", "k1", "b", "applied_q", "applied_gamma",
+             "num_docs", "avg_len", "vocab_size", "nnz"]
+    values = dict(zip(names, storage._FIXED.unpack(blob[len(_MAGIC):_VOCAB_BLOCK])))
+    values.update(fields)
+    return blob[:len(_MAGIC)] + storage._FIXED.pack(*values.values()) + blob[_VOCAB_BLOCK:]
+
+
 class TestIndexSerialization:
     @pytest.fixture
     def index(self):
@@ -467,6 +480,7 @@ class TestIndexSerialization:
     @pytest.mark.parametrize("corrupt", [
         lambda ix: _edited(ix, "row_idx", 0, ix.num_docs),
         lambda ix: _edited(ix, "row_idx", slice(None), ix.row_idx[::-1]),
+        lambda ix: _edited(ix, "row_idx", 2, ix.row_idx[1]),  # beta's column, rows 0, 0
         lambda ix: _edited(ix, "col_ptr", 1, 0),
         lambda ix: _edited(ix, "col_ptr", 1, ix.nnz + 1),
         lambda ix: _edited(ix, "col_ptr", slice(1, -1), ix.col_ptr[-2:0:-1]),
@@ -479,7 +493,7 @@ class TestIndexSerialization:
         lambda ix: dataclasses.replace(ix, doc_ids=ix.doc_ids[:1] + ("",) + ix.doc_ids[2:]),
         # num_docs is derived from doc_ids; force a stale one to write a wrong N.
         lambda ix: object.__setattr__(ix, "num_docs", ix.num_docs + 1),
-    ], ids=["row_eq_n", "rows_descending", "empty_column", "col_ptr_past_end",
+    ], ids=["row_eq_n", "rows_descending", "row_repeated", "empty_column", "col_ptr_past_end",
             "col_ptr_descending", "nan_score", "inf_score", "duplicate_term",
             "no_vocabulary", "no_vocabulary_no_documents", "duplicate_doc_id",
             "empty_doc_id", "num_docs_mismatch"])
@@ -496,14 +510,8 @@ class TestIndexSerialization:
         blob = dumps_index(index)
         loads_index(blob)
         # An in-memory IndexHeader cannot hold these states; write them into the bytes.
-        names = ["version", "mode", "scorer", "k1", "b", "applied_q", "applied_gamma",
-                 "num_docs", "avg_len", "vocab_size", "nnz"]
-        start, end = len(_MAGIC), len(_MAGIC) + storage._FIXED.size
-        values = dict(zip(names, storage._FIXED.unpack(blob[start:end])))
-        values.update(fields)
-        corrupted = blob[:start] + storage._FIXED.pack(*values.values()) + blob[end:]
         with pytest.raises(IndexFormatError, match="corrupt header"):
-            loads_index(corrupted)
+            loads_index(_with_fixed(blob, **fields))
 
     @pytest.mark.parametrize("raw", [b'["alpha", ["beta"], "delta", "gamma"]',
                                      b'{"alpha": 0}', b'["alpha", "beta"', b'["\xff"]'])
@@ -539,6 +547,23 @@ class TestIndexSerialization:
         assert dumps_index(loads_index(dumps_index(loaded))) == dumps_index(loaded)
         with pytest.raises(IndexFormatError, match="JSON block"):
             loads_index(self._with_block(blob, block, lone))
+
+    @pytest.mark.parametrize("ids", [["d0", "d1\t", "d2"], ["d0", "d1 ", "d2"],
+                                     ["d0", "d1\u2028", "d2"], ["a\tb", "c d", "d2"],
+                                     ["d0", "d1\u00e9", "d2"]],
+                             ids=["tab", "space", "line_separator", "inner", "legal"])
+    def test_doc_ids_obey_the_corpus_id_rule(self, index, ids):
+        # A whitespace id would split a TREC run row into too many columns.
+        blob = self._with_block(dumps_index(index), 1,
+                                json.dumps(ids, ensure_ascii=False).encode("utf-8"))
+        try:
+            index_ids_by_loop("doc id", ids, None, None)
+        except ParseError as expected:
+            with pytest.raises(IndexFormatError) as refused:
+                loads_index(blob)
+            assert str(refused.value) == f"corrupt index: {expected}"
+        else:
+            assert loads_index(blob).doc_ids == tuple(ids)
 
     @pytest.mark.parametrize("block", [0, 1], ids=["vocab", "doc_ids"])
     def test_too_deeply_nested_block_is_corrupt_error(self, index, block):
@@ -605,7 +630,6 @@ class TestIndexSerialization:
             loads_index(blob)
 
     def test_size_independent_of_applied_q(self, tmp_path, index):
-        from qlex import rescale_index
         path_base = tmp_path / "base.qlx"
         save_index(index, path_base)
         a = load_index(path_base)
@@ -615,3 +639,77 @@ class TestIndexSerialization:
         save_index(a, tmp_path / "a.qlx")
         save_index(b, tmp_path / "b.qlx")
         assert (tmp_path / "a.qlx").stat().st_size == (tmp_path / "b.qlx").stat().st_size
+
+
+class TestIndexFile:
+    """``load_index`` reads a file through the checks ``loads_index`` applies to bytes."""
+
+    @pytest.fixture(params=["built", "rescaled", "dph"])
+    def index(self, request):
+        corpus = make_corpus(["alpha beta gamma", "beta gamma delta", "gamma delta"])
+        if request.param == "dph":
+            return build_dph_index(corpus, TokenizerMode.T0)
+        index = build_index(corpus, TokenizerMode.T0)
+        return rescale_index(index, 0.3) if request.param == "rescaled" else index
+
+    def test_file_load_equals_bytes_load_field_by_field(self, tmp_path, index):
+        path = tmp_path / "i.qlx"
+        save_index(index, path)
+        from_file = load_index(path)
+        for expected in (loads_index(path.read_bytes()), index):
+            for field in dataclasses.fields(SparseScoreIndex):
+                got, want = getattr(from_file, field.name), getattr(expected, field.name)
+                if isinstance(want, np.ndarray):
+                    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), field.name
+                else:
+                    assert got == want, field.name
+        assert from_file.scores.flags.writeable
+        assert not (from_file.col_ptr.flags.writeable or from_file.row_idx.flags.writeable)
+
+    def test_truncated_or_extended_file_is_corrupt_error(self, tmp_path, index):
+        blob = dumps_index(index)
+        path = tmp_path / "i.qlx"
+        cuts = [blob[:cut] for cut in [3, len(_MAGIC) + 10, len(blob) // 2, len(blob) - 1]]
+        for data, message in [(cut, "truncated index") for cut in cuts] + [
+                (blob + b"\0", "1 trailing bytes")]:
+            path.write_bytes(data)
+            with pytest.raises(IndexFormatError, match=message) as from_file:
+                load_index(path)
+            with pytest.raises(IndexFormatError) as from_bytes:
+                loads_index(data)
+            assert str(from_file.value) == str(from_bytes.value)
+
+    @pytest.mark.parametrize("edit", [
+        lambda blob: _with_fixed(blob, nnz=1 << 40),
+        lambda blob: _with_fixed(blob, vocab_size=1 << 40),
+        lambda blob: blob[:_VOCAB_BLOCK] + struct.pack("<Q", 1 << 40) + blob[_VOCAB_BLOCK + 8:],
+    ], ids=["nnz", "vocab_size", "vocab_block_length"])
+    def test_lengths_past_the_file_allocate_nothing(self, tmp_path, index, edit):
+        path = tmp_path / "i.qlx"
+        path.write_bytes(edit(dumps_index(index)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(IndexFormatError, match="truncated index"):
+                load_index(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the claimed buffer would take 2**40 bytes or more
+
+    @pytest.mark.parametrize("keep", [0.3, 0.6, 0.99])
+    def test_file_cut_after_its_size_was_read_is_corrupt_error(self, tmp_path, index,
+                                                               monkeypatch, keep):
+        # A file cut after fstat reads short; the load must not return what the
+        # buffers held before the read.
+        path = tmp_path / "i.qlx"
+        save_index(index, path)
+        size, fstat = path.stat().st_size, os.fstat
+
+        def fstat_then_cut(fd):
+            stat = fstat(fd)
+            os.truncate(path, int(size * keep))
+            return stat
+
+        monkeypatch.setattr(storage.os, "fstat", fstat_then_cut)
+        with pytest.raises(IndexFormatError, match=f"truncated index.*file holds {size}"):
+            load_index(path)

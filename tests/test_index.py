@@ -15,7 +15,7 @@ from qlex import (BuildError, Document, IndexHeader, RescaleStateError,
                   build_dph_index, build_index, compute_corpus_stats, load_corpus)
 from qlex import index as index_module
 from qlex.index import SparseScoreIndex, by_column_runs, count_tokens
-from qlex.storage import dumps_index, loads_index
+from qlex.storage import dumps_index, load_index, loads_index, save_index
 from qlex.transforms import rescale_index, rescale_index_gamma
 from qlex.tokenizers import TokenizerMode, tokenize, word_split
 
@@ -200,6 +200,21 @@ def test_set_up_scratch_per_entry_is_bounded():
         ("rescale", rescale_scratch)]}
     bounds = {"count": 27.5, "bm25": 16.0, "dph": 32.0, "rescale": 16.0}
     assert all(per_entry[name] < bounds[name] for name in bounds), per_entry
+
+
+def test_load_scratch_per_entry_is_bounded(tmp_path):
+    """A load reads each array once, into the buffer the index keeps: what
+    ``load_index`` allocates beyond the index it returns stays under a bound per
+    entry.  Reading the whole file first and copying each array out of it took
+    over 17 bytes per entry on this corpus."""
+    words = np.random.default_rng(0).integers(20_000, size=(8000, 20)).tolist()
+    corpus = make_corpus([" ".join(f"w{w}" for w in doc) for doc in words])
+    index = build_index(corpus, TokenizerMode.T1)
+    path = tmp_path / "i.qlx"
+    save_index(index, path)
+    scratch, loaded = _transient_bytes(lambda: load_index(path))
+    assert loaded.nnz == index.nnz
+    assert scratch / index.nnz < 8.0, round(scratch / index.nnz, 1)
 
 
 class TestSharedPass:
