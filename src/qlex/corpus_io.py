@@ -3,8 +3,8 @@
 Corpora and query sets are JSON Lines files (one object per line) with
 ``doc_id``/``text`` and ``query_id``/``text`` fields.  A query set is a corpus
 of queries: :class:`QuerySet` is a :class:`Corpus` whose ids are query ids.
-Both store their ids and texts as two tuples of ``str``, load through one
-reader, and yield ``(id, text)`` :class:`Document` records when iterated.
+Both hold their ids and texts once, as two tuples of ``str`` with no id map,
+load through one reader, and yield ``(id, text)`` :class:`Document` records.
 Qrels are whitespace-separated triples ``query_id  doc_id  relevance`` with
 non-negative integer relevance.  Every file is UTF-8; an undecodable byte is
 a ParseError naming the file and line that holds it, and so is a field that
@@ -37,9 +37,9 @@ class Document(NamedTuple):
     text: str
 
 
-def _index_ids(kind: str, ids: Sequence[str], path: str | None,
-               lines: Sequence[int] | None) -> dict[str, int]:
-    """Map each id to its position; the one empty-, whitespace- and duplicate-id check.
+def _check_ids(kind: str, ids: Sequence[str], path: str | None,
+               lines: Sequence[int] | None) -> None:
+    """The one empty-, whitespace- and duplicate-id check; it builds no id map.
 
     An id may not hold whitespace (what ``str.split`` splits on), which a
     TREC run row or a qrels line cannot hold in one column: one split of
@@ -47,8 +47,8 @@ def _index_ids(kind: str, ids: Sequence[str], path: str | None,
     Errors name the source ``path`` and the 1-based line of the offending
     record when ``lines`` gives one per id, else its position.
     """
-    by_id = dict(zip(ids, range(len(ids))))
-    if len(by_id) < len(ids) or "" in by_id or (joined := "".join(ids)).split() != [joined]:
+    distinct = set(ids)
+    if len(distinct) < len(ids) or "" in distinct or (joined := "".join(ids)).split() != [joined]:
         seen: set[str] = set()  # walk the ids in order to the first bad one
         for i, ident in enumerate(ids):
             line = None if lines is None else lines[i]
@@ -61,19 +61,18 @@ def _index_ids(kind: str, ids: Sequence[str], path: str | None,
             if ident in seen:
                 raise DuplicateIdError(kind, ident, path=path, line=line)
             seen.add(ident)
-    return by_id
 
 
 class Corpus:
     """An ordered collection of (id, text) records with unique, non-empty ids.
 
-    Ids and texts are stored as two tuples of ``str``; iteration yields a
-    :class:`Document` per record.  ``id_key`` names the id in error messages
-    and in the JSONL field the loader reads.  ``path`` is the file a loaded
-    corpus was read from, None for one built in memory; an invalid id is
-    reported at its source line when loaded, else at its position.  :attr:`ids`
-    and :attr:`texts` are read-only, so what :func:`qlex.index.count_tokens`
-    keeps per corpus object stays true.
+    Ids and texts are stored once, as two tuples of ``str``, with no id map;
+    iteration yields a :class:`Document` per record.  ``id_key`` names the id
+    in error messages and in the JSONL field the loader reads.  ``path`` is
+    the file a loaded corpus was read from, None for one built in memory; an
+    invalid id is reported at its source line when loaded, else at its
+    position.  :attr:`ids` and :attr:`texts` are read-only, so what
+    :func:`qlex.index.count_tokens` keeps per corpus object stays true.
     """
 
     id_key = "doc_id"
@@ -84,8 +83,8 @@ class Corpus:
 
     def _set_columns(self, ids: tuple[str, ...], texts: tuple[str, ...],
                      lines: Sequence[int] | None, path: str | None) -> None:
+        _check_ids(self.id_key, ids, path, lines)
         self._ids, self._texts, self.path = ids, texts, path
-        self._by_id = _index_ids(self.id_key, ids, path, lines)
 
     ids = property(attrgetter("_ids"), doc="The record ids, a tuple of str.")
     texts = property(attrgetter("_texts"), doc="The record texts, a tuple of str.")
@@ -95,9 +94,6 @@ class Corpus:
 
     def __iter__(self) -> Iterator[Document]:
         return map(Document, self._ids, self._texts)
-
-    def text(self, doc_id: str) -> str:
-        return self._texts[self._by_id[doc_id]]
 
 
 class QuerySet(Corpus):

@@ -295,8 +295,7 @@ def _resolve(index: SparseScoreIndex, qrels: QrelSet,
     positive gains with the doc indices and gains of those judged documents
     that ``index`` holds.  Only the judged doc ids are mapped, in one pass."""
     gains = [qrels.relevant_docs(qid) for qid, _ in judged]
-    wanted = set().union(*gains)
-    at = {doc_id: i for i, doc_id in enumerate(index.doc_ids) if doc_id in wanted}
+    at = _positions(index.doc_ids, set().union(*gains))
     mode = index.header.mode
     out = []
     for (_, text), rels in zip(judged, gains):
@@ -304,6 +303,11 @@ def _resolve(index: SparseScoreIndex, qrels: QrelSet,
         out.append((_columns(index, tokenize(text, mode)),
                     (rels, np.array([i for i, _ in held], dtype=np.intp), [r for _, r in held])))
     return out
+
+
+def _positions(ids: Sequence[str], wanted: set[str]) -> dict[str, int]:
+    """The position in ``ids`` of each id of ``wanted`` that ``ids`` holds, in one pass."""
+    return {ident: i for i, ident in enumerate(ids) if ident in wanted}
 
 
 def _places(scores: np.ndarray, docs: tuple, depth: int) -> list[tuple[int, int]]:
@@ -340,9 +344,9 @@ def recall_at_token_budget(rankings: Iterable[RankedList], qrels: QrelSet,
                            budgets: Sequence[int], corpus: Corpus) -> list[tuple[int, float]]:
     """Recall under a reading budget of K whitespace-split tokens of ``corpus``.
 
-    Walk each ranking top-down accumulating each hit's token count,
-    ``len(corpus.text(doc_id).split())``, read only for the hits walked; a
-    ranked doc id missing from ``corpus`` is a QlexError.  A query is
+    Walk each ranking top-down accumulating each hit's token count, its text
+    in ``corpus.texts`` split on whitespace, read only for the hits walked; a
+    walked hit missing from ``corpus`` is a QlexError.  A query is
     recalled at budget K when the cumulative count up to and including the
     first relevant document does not exceed K, so a relevant document below
     the ranking's depth is never recalled.  Budgets must be ascending;
@@ -350,17 +354,17 @@ def recall_at_token_budget(rankings: Iterable[RankedList], qrels: QrelSet,
     """
     budgets = _check_budgets(budgets)
     judged = _judged(rankings, qrels, lambda ranked: ranked.query_id)
+    at = _positions(corpus.ids, {doc_id for ranked in judged for doc_id, _ in ranked.hits})
     costs: list[float] = []
     for ranked in judged:
         rels = qrels.relevant_docs(ranked.query_id)
         cumulative = 0
         cost = math.inf
         for doc_id, _ in ranked.hits:
-            try:
-                cumulative += len(corpus.text(doc_id).split())
-            except KeyError:
+            if doc_id not in at:
                 raise QlexError(f"ranked doc id {doc_id!r} is not in the budget corpus "
-                                f"{corpus.path or '(in memory)'}") from None
+                                f"{corpus.path or '(in memory)'}")
+            cumulative += len(corpus.texts[at[doc_id]].split())
             if doc_id in rels:
                 cost = cumulative
                 break

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus_io import Corpus, _index_ids
+from .corpus_io import Corpus, _check_ids
 from .errors import BuildError, IndexFormatError, ParseError
 from .tokenizers import TokenizerMode, _t0_drop, surface_tokens, word_split
 
@@ -173,7 +173,7 @@ class SparseScoreIndex:
         if not np.isfinite(self.scores).all() or len(self.vocab) != self.vocab_size:
             raise IndexFormatError("corrupt index: a non-finite score or a duplicate term")
         try:
-            _index_ids("doc id", self.doc_ids, None, None)
+            _check_ids("doc id", self.doc_ids, None, None)
         except ParseError as exc:
             raise IndexFormatError(f"corrupt index: {exc}") from None
 

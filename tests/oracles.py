@@ -255,12 +255,12 @@ def jsonl_entries_by_loads(path: Path, id_key: str) -> tuple[list[tuple[str, str
     return entries, lines
 
 
-def index_ids_by_loop(kind: str, ids, path: str | None, lines) -> dict[str, int]:
-    """Each id's position, checked one id at a time in order: the first empty
-    id or id holding whitespace (ParseError) or repeated id (DuplicateIdError)
-    raises, naming ``path`` and its line from ``lines``, or its position when
-    ``lines`` is None."""
-    by_id: dict[str, int] = {}
+def check_ids_by_loop(kind: str, ids, path: str | None, lines) -> None:
+    """Check the ids one at a time in order: the first empty id or id holding
+    whitespace (ParseError) or repeated id (DuplicateIdError) raises, naming
+    ``path`` and its line from ``lines``, or its position when ``lines`` is
+    None."""
+    seen: set[str] = set()
     for i, ident in enumerate(ids):
         line = None if lines is None else lines[i]
         where = "" if line is not None else f" at position {i}"
@@ -268,10 +268,9 @@ def index_ids_by_loop(kind: str, ids, path: str | None, lines) -> dict[str, int]
             raise ParseError(f"empty {kind}{where}", path=path, line=line)
         if any(ch.isspace() for ch in ident):
             raise ParseError(f"{kind} {ident!r}{where} holds whitespace", path=path, line=line)
-        if ident in by_id:
+        if ident in seen:
             raise DuplicateIdError(kind, ident, path=path, line=line)
-        by_id[ident] = i
-    return by_id
+        seen.add(ident)
 
 
 def ndcg_by_hand(ranked_doc_ids: list[str], rels: dict[str, int], k: int) -> float:
@@ -333,6 +332,7 @@ def eval_by_batch_retrieve(index, queries, qrels, k, budgets=(), corpus=None):
     whitespace-split lengths of ``corpus``'s texts of its hits down to the
     first relevant one; it is never recalled when none is ranked."""
     ndcg, rr, recall, costs = {}, {}, {}, []
+    text_of = dict(zip(corpus.ids, corpus.texts)) if budgets else {}
     for ranked in batch_retrieve(index, queries, max(k, 100)):
         rels = qrels.relevant_docs(ranked.query_id)
         if not rels:
@@ -347,7 +347,7 @@ def eval_by_batch_retrieve(index, queries, qrels, k, budgets=(), corpus=None):
         recall[ranked.query_id] = sum(1 for doc_id in ids[:k] if doc_id in rels) / len(rels)
         cost, total = math.inf, 0
         for doc_id in ids if budgets else []:
-            total += len(corpus.text(doc_id).split())
+            total += len(text_of[doc_id].split())
             if doc_id in rels:
                 cost = total
                 break

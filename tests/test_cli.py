@@ -140,16 +140,19 @@ class TestAnalysisCommands:
 
     def test_sweep_prints_the_swept_q(self, mech, capsys):
         # .2f would print 0.12, 0.38 and 0.39: points that were not swept.
-        rc = run("sweep", "--index", mech / "base.qlx",
-                 "--queries", mech / "queries.jsonl", "--qrels", mech / "qrels.tsv",
-                 "--grid", "0.125,0.375,0.385,0.5")
-        assert rc == 0
-        out = capsys.readouterr()
-        texts = [line.split(",")[0] for line in out.out.strip().splitlines()[1:]]
-        assert texts == ["0.125", "0.375", "0.385", "0.50"]
-        (q_opt,) = [line[len("q_opt="):] for line in out.err.splitlines()
-                    if line.startswith("q_opt=")]
-        assert q_opt in texts
+        # q <= 0 is legal: q = 0 is ln_0(x) = x - 1, Box-Cox with lambda = 1.
+        for grid, want in (("0.125,0.375,0.385,0.5", ["0.125", "0.375", "0.385", "0.50"]),
+                           ("0.5,0,-1", ["0.50", "0.00", "-1.00"])):
+            rc = run("sweep", "--index", mech / "base.qlx",
+                     "--queries", mech / "queries.jsonl", "--qrels", mech / "qrels.tsv",
+                     "--grid", grid)
+            assert rc == 0
+            out = capsys.readouterr()
+            texts = [line.split(",")[0] for line in out.out.strip().splitlines()[1:]]
+            assert texts == want
+            (q_opt,) = [line[len("q_opt="):] for line in out.err.splitlines()
+                        if line.startswith("q_opt=")]
+            assert q_opt in texts
 
     def test_predict_q_machine_readable(self, mech, capsys):
         rc = run("predict-q", "--corpus", mech / "corpus.jsonl", "--mode", "t0")

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlex import (QrelSet, QuerySet, RescaleStateError, cli, batch_retrieve, build_dph_index,
-                  build_index, df_bin_occlusion, evaluation, load_index, eval_mrr, eval_ndcg,
-                  eval_recall, paired_bootstrap, q_sweep, recall_at_token_budget,
-                  rescale_index, rescale_index_gamma, save_index, sweep_to_csv, report_to_tsv,
-                  report_to_json, tokenize)
+from qlex import (Corpus, QlexError, QrelSet, QuerySet, RescaleStateError, cli, batch_retrieve,
+                  build_dph_index, build_index, df_bin_occlusion, evaluation, load_corpus,
+                  load_index, eval_mrr, eval_ndcg, eval_recall, paired_bootstrap, q_sweep,
+                  recall_at_token_budget, rescale_index, rescale_index_gamma, save_index,
+                  sweep_to_csv, report_to_tsv, report_to_json, tokenize)
 from qlex.evaluation import DEFAULT_DF_BINS, DEFAULT_Q_GRID, SweepTable
 from qlex.query import rank_tokens
 from qlex.tokenizers import TokenizerMode
@@ -527,6 +527,26 @@ class TestTokenBudgetRecall:
         qrels = qrels_of(q1={"d2": 1})  # d2 never matches the query
         rows = recall_at_token_budget(rankings, qrels, [10_000], corpus)
         assert rows == [(10_000, 0.0)]
+
+    def lacking(self, tmp_path, corpus, doc_id):
+        """``corpus`` without ``doc_id``, loaded from a file."""
+        kept = Corpus(doc for doc in corpus if doc.doc_id != doc_id)
+        return load_corpus(write_jsonl_corpus(tmp_path / "lacking.jsonl", kept))
+
+    def test_walked_hit_missing_from_the_corpus_is_refused(self, tmp_path):
+        corpus, rankings = self.build()
+        qrels = qrels_of(q1={"d1": 1})  # the walk reads d0 before d1
+        lacking = self.lacking(tmp_path, corpus, "d0")
+        with pytest.raises(QlexError) as refused:
+            recall_at_token_budget(rankings, qrels, [16], lacking)
+        assert "'d0'" in str(refused.value) and lacking.path in str(refused.value)
+
+    def test_hit_below_the_first_relevant_one_may_be_missing(self, tmp_path):
+        corpus, rankings = self.build()
+        qrels = qrels_of(q1={"d0": 1})  # the walk stops at d0, above d1
+        lacking = self.lacking(tmp_path, corpus, "d1")
+        rows = recall_at_token_budget(rankings, qrels, [3, 4], lacking)
+        assert rows == [(3, 0.0), (4, 1.0)]
 
     def test_budgets_validated(self):
         corpus, rankings = self.build()

@@ -257,13 +257,13 @@ def test_callers_use_the_returned_index_and_one_statement_writes_scores():
 
 
 @given(texts=RUN_TEXTS, length=st.integers(min_value=1, max_value=5),
-       name_value=st.sampled_from([("q", 0.05), ("q", 0.3), ("q", 1.5), ("q", -200.0),
-                                   ("gamma", 2.0)]))
+       name_value=st.sampled_from([("q", 0.05), ("q", 0.3), ("q", 1.5), ("q", 0.0), ("q", -1.0),
+                                   ("q", -200.0), ("gamma", 2.0)]))
 @settings(deadline=None)
 def test_rescale_by_runs_equals_the_whole_array_expression(texts, length, name_value):
     """Run by run, a rescale narrows to the bytes of one whole-array product,
     and refuses exactly where that product is not finite: at q = -200 the
-    hapax "solo" overflows."""
+    hapax "solo" overflows.  q = 0 and q = -1 are legal operating points."""
     name, value = name_value
     index = build_index(make_corpus(texts), TokenizerMode.T1)
     assert index.df.max() > length
