@@ -24,7 +24,7 @@ from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, NDCG_CUTOFF, _check_bi
                          paired_bootstrap, q_sweep, recall_at_token_budget,
                          report_to_json, report_to_tsv, sweep_to_csv)
 from .index import _check_mark, build_index
-from .query import batch_retrieve, format_trec_run, rank_from_scores, top_k
+from .query import _check_k, batch_retrieve, format_trec_run, rank_from_scores, top_k
 from .stats import compute_corpus_stats, predict_q
 from .storage import dumps_index, load_index, save_index, write_atomic
 from .tokenizers import TokenizerMode
@@ -96,6 +96,7 @@ def _cmd_rescale(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    _check_k(args.k)
     index = load_index(args.index)
     queries = load_queries(args.queries)
     rankings = batch_retrieve(index, queries, args.k)
@@ -204,6 +205,10 @@ def _median_mad(values: list[float]) -> tuple[float, float]:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    _check_k(args.k)
+    queries = load_queries(args.queries)
+    if not queries:
+        raise QlexError(f"no query to time in {args.queries}")
     corpus = load_corpus(args.corpus)
     mode = _mode(args)
 
@@ -218,7 +223,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         index = rescale_index(index, args.q)
         rescale_ms = (time.perf_counter() - t0) * 1e3
 
-    queries = load_queries(args.queries)
     texts = [text for _, text in queries]
     # Steady state: warm every query once, then time with the collector off.
     for text in texts:

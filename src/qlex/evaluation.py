@@ -241,7 +241,7 @@ def q_sweep(base_index_path: str | Path, queries: QuerySet, qrels: QrelSet,
     base = load_index(base_index_path)
     resolved = _resolve(base, qrels, judged)
     rows: list[tuple[float, float]] = []
-    index = copy.copy(base)  # not dataclasses.replace: it would rebuild vocab
+    index = copy.copy(base)  # shares the structure and the term map that _resolve built
     for q in grid:
         index.scores, index.header = _rescaled(base, "q", q) or (base.scores, base.header)
         ndcgs = [_ndcg_of_scores(_score(index, columns), docs) for columns, docs in resolved]

@@ -17,10 +17,12 @@ with numpy.  A scorer is an entry-weight formula over it (BM25 here, DPH in
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from collections import defaultdict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -90,16 +92,17 @@ class SparseScoreIndex:
     ``col_ptr[t]:col_ptr[t+1]`` is the extent of column t inside
     ``row_idx`` (document indices, strictly increasing per column) and
     ``scores`` (float32 baked scores).  Terms with zero document frequency
-    are absent from the vocabulary.  ``vocab`` (term to column), ``df`` (the
-    extent lengths) and ``num_docs`` (the number of doc ids) are derived
-    once, at construction, from ``terms``, ``col_ptr`` and ``doc_ids``.
+    are absent from the vocabulary.  ``df`` (the extent lengths) and
+    ``num_docs`` (the number of doc ids) are derived at construction from
+    ``col_ptr`` and ``doc_ids``, and ``vocab`` (term to column) from ``terms``
+    on the first lookup; threads looking up first at once may each build it.
 
     Every index, built, loaded or constructed, keeps one rule: its structure
     and derived facts never change.  None of those six can be reassigned
     (AttributeError); ``terms`` and ``doc_ids`` are tuples, and ``col_ptr``,
-    ``row_idx`` and ``df`` read-only arrays.  ``vocab`` stays a plain dict,
-    as a read-only mapping would slow every query's lookup.  Only ``scores``
-    and ``header`` change, through a rescale.
+    ``row_idx`` and ``df`` read-only arrays.  ``vocab`` is a plain dict, as a
+    read-only mapping would slow every query's lookup.  Only ``scores`` and
+    ``header`` change, through a rescale.
     """
 
     col_ptr: np.ndarray
@@ -108,14 +111,13 @@ class SparseScoreIndex:
     terms: tuple[str, ...]
     doc_ids: tuple[str, ...]
     header: IndexHeader
-    vocab: dict[str, int] = field(init=False)
     df: np.ndarray = field(init=False)
     num_docs: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))  # a tuple is kept, not copied
         object.__setattr__(self, "doc_ids", tuple(self.doc_ids))
-        self.vocab = {t: i for i, t in enumerate(self.terms)}
+        object.__setattr__(self, "_vocab", None)  # vocab's map, built on the first lookup
         self.df = np.diff(self.col_ptr)
         self.num_docs = len(self.doc_ids)
         for array in (self.col_ptr, self.row_idx, self.df):
@@ -123,11 +125,18 @@ class SparseScoreIndex:
 
     def __setattr__(self, name, value):
         # hasattr, not self.__dict__: reading __dict__ would make every later
-        # attribute load on this index slower.
-        if name not in ("scores", "header") and hasattr(self, name):
+        # attribute load on this index slower.  hasattr on vocab would build its map.
+        if name not in ("scores", "header") and (name == "vocab" or hasattr(self, name)):
             raise AttributeError(f"SparseScoreIndex.{name} is fixed at construction; "
                                  "build a new index instead")
         object.__setattr__(self, name, value)
+
+    @property
+    def vocab(self) -> dict[str, int]:
+        """Term to column, built on the first read and the same object after it."""
+        if self._vocab is None:
+            object.__setattr__(self, "_vocab", dict(zip(self.terms, range(self.vocab_size))))
+        return self._vocab
 
     @property
     def nnz(self) -> int:
@@ -153,9 +162,10 @@ class SparseScoreIndex:
     def check_invariants(self) -> None:
         """Raise IndexFormatError unless there is at least one column, columns are
         non-empty extents that tile the entry arrays, rows lie in [0, N) and
-        strictly increase inside each column, every score is finite, every
-        term is unique and the doc ids obey the corpus id rule (unique,
-        non-empty, no whitespace).  So nnz >= 1 and N >= 1, as every build gives."""
+        strictly increase inside each column, every score is finite, the
+        terms strictly ascend (so none repeats) and the doc ids obey the corpus
+        id rule (unique, non-empty, no whitespace).  So nnz >= 1 and N >= 1, as
+        every build gives.  It builds no term map."""
         col_ptr, rows, nnz, n = self.col_ptr, self.row_idx, self.nnz, self.num_docs
         if self.vocab_size < 1:
             raise IndexFormatError("corrupt index: no vocabulary")
@@ -170,8 +180,10 @@ class SparseScoreIndex:
         if nnz and (rows.min() < 0 or rows.max() >= n or not increasing.all()):
             raise IndexFormatError(f"corrupt index: row indices must lie in [0, {n}) "
                                    "and increase strictly inside each column")
-        if not np.isfinite(self.scores).all() or len(self.vocab) != self.vocab_size:
-            raise IndexFormatError("corrupt index: a non-finite score or a duplicate term")
+        if not (np.isfinite(self.scores).all()
+                and all(map(operator.lt, self.terms, islice(self.terms, 1, None)))):
+            raise IndexFormatError("corrupt index: a non-finite score or terms not strictly "
+                                   "ascending")
         try:
             _check_ids("doc id", self.doc_ids, None, None)
         except ParseError as exc:

@@ -1,26 +1,8 @@
-"""Query-time scoring over baked score matrices.
+"""Query-time scoring and ranking over baked score matrices.
 
-One code path serves every index flavor (plain BM25, q-rescaled, gamma
-sharpened, DPH): tokens resolve to the matched columns (``_columns``), and
-one ``np.bincount`` sums their float32 slices per document (``_score``), in
-query-token order from 0.0 (the summation-order contract of
-``score_query``), widening them once inside the concatenation that feeds
-it.  A column list holds for every index that shares the structure it was
-resolved on, so the sweep and the occlusion resolve each query once.  No
-float64 copy of the scores is kept: it would take twice their memory for
-the index's lifetime to save one pass.
-Ties break by ascending internal document index, so rankings are fully
-deterministic.
-
-Ranking is an exact partial top-k over the dense score vector.  A code
-query touches few documents (a near-unique identifier carries the score at
-q < 1), so only the documents with a positive score are partitioned and
-sorted; when they cannot fill k, the tied zero and NaN scores come from a
-prefix of the vector that grows only as far as it must, not from all N.
-The result equals a stable descending sort of all N scores.  That order
-has a second reader, ``_position``, which counts one document's place in
-it without ranking, for metrics that need only the judged documents'
-places.
+One path serves every index flavor (plain BM25, q-rescaled, gamma
+sharpened, DPH): :func:`score_query` states the summation order, and
+:func:`rank_from_scores` the ranking order, which ``_position`` also reads.
 """
 
 from __future__ import annotations
@@ -157,8 +139,7 @@ def rank_from_scores(index: SparseScoreIndex, scores: np.ndarray, k: int,
     class from there and grows the prefix only when negative or NaN scores
     leave it short, so the result is that of a full scan.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     parts = []
     need = k
     for member, tied in _SCORE_CLASSES:
@@ -173,6 +154,12 @@ def rank_from_scores(index: SparseScoreIndex, scores: np.ndarray, k: int,
     order = parts[0] if len(parts) == 1 else np.concatenate(parts)
     hits = zip([index.doc_ids[i] for i in order.tolist()], scores[order].tolist())
     return RankedList(query_id, list(hits))
+
+
+def _check_k(k: int) -> None:
+    """ValueError unless the ranking depth ``k`` is >= 1; the CLI runs it before any load."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def _position(scores: np.ndarray, i: int) -> int:
@@ -208,7 +195,9 @@ def top_k(index: SparseScoreIndex, query_text: str, mode: TokenizerMode,
 
 
 def batch_retrieve(index: SparseScoreIndex, queries: QuerySet, k: int) -> list[RankedList]:
-    """Rank every query in order under the index's own mode; one RankedList per query."""
+    """Rank every query in order under the index's own mode; one RankedList per query.
+    ValueError when ``k`` < 1, even with no query."""
+    _check_k(k)
     mode = index.header.mode
     return [top_k(index, text, mode, k, query_id=qid) for qid, text in queries]
 

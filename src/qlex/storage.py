@@ -1,20 +1,11 @@
-"""Binary index serialization, format version 1 (README, "Index format").
+"""Binary index serialization, format version 1: README's "Index format" gives
+the layout, and how a load reads the file and what it refuses.
 
-A file is the magic, a fixed-width header (``_FIXED``), the vocabulary and
-doc-id blocks (each a u64 byte length and a UTF-8 JSON array of strings),
-then the raw little-endian ``col_ptr`` (int64), ``row_idx`` (int32) and
-``scores`` (float32).  The header's width keeps a rescaled index the size
-of its baseline; ``df`` is not stored but recomputed from ``col_ptr``.
-
-A load reads one stream, a file's or that of bytes in memory, part by
-part: each array is read once, into the buffer the index keeps, after its
-length is checked against the stream's size.  Any malformed file raises
-IndexFormatError at load.  This module checks bytes: magic, version,
-ordinals, lengths (N against the doc-id block included), short reads and
-trailing bytes.  :class:`~qlex.index.IndexHeader` defines the legal header
-states (its ValueError becomes "corrupt header"), and
-``SparseScoreIndex.check_invariants`` the legal structure and doc ids
-(the corpus id rule: unique, non-empty, no whitespace).
+This module checks bytes: magic, version, ordinals, lengths (N against the
+doc-id block included), short reads and trailing bytes.
+:class:`~qlex.index.IndexHeader` defines the legal header states (its
+ValueError becomes "corrupt header"), and ``SparseScoreIndex.check_invariants``
+the legal structure, terms and doc ids.
 """
 
 from __future__ import annotations

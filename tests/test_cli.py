@@ -315,6 +315,37 @@ class TestErrorsAndParsing:
         assert "error:" in captured.err and "--trials" in captured.err
         assert "nan" not in captured.out
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("queries", ["empty.jsonl", "queries.jsonl"])
+    def test_search_refuses_a_depth_below_one_before_any_load(self, workdir, capsys, monkeypatch,
+                                                               queries, k):
+        run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "base.qlx")
+        (workdir / "empty.jsonl").write_text("")
+        loads = []
+        monkeypatch.setattr(cli, "load_index", lambda path: loads.append(path) or load_index(path))
+        capsys.readouterr()
+        rc = run("search", "--index", workdir / "base.qlx", "--queries", workdir / queries,
+                 "--k", k, "--out", workdir / "run.tsv")
+        captured = capsys.readouterr()
+        assert rc == 1 and "error: k must be >= 1" in captured.err and captured.out == ""
+        assert loads == [] and not (workdir / "run.tsv").exists()
+
+    @pytest.mark.parametrize("queries, k, message", [
+        ("queries.jsonl", "0", "k must be >= 1"),
+        ("queries.jsonl", "-1", "k must be >= 1"),
+        ("empty.jsonl", "10", "no query to time"),
+    ], ids=["k_zero", "k_negative", "no_query"])
+    def test_bench_refuses_before_the_build(self, workdir, capsys, monkeypatch, queries, k,
+                                            message):
+        (workdir / "empty.jsonl").write_text("")
+        builds = []
+        monkeypatch.setattr(cli, "build_index", lambda *args: builds.append(args))
+        rc = run("bench", "--corpus", workdir / "corpus.jsonl", "--queries", workdir / queries,
+                 "--k", k)
+        captured = capsys.readouterr()
+        assert rc == 1 and f"error: {message}" in captured.err and captured.out == ""
+        assert builds == []
+
     def test_missing_corpus_is_exit_one(self, tmp_path, capsys):
         rc = run("build", "--corpus", tmp_path / "nope.jsonl",
                  "--index", tmp_path / "idx.qlx")

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from qlex import (BuildError, Corpus, Document, DuplicateIdError, IndexFormatError, ParseError,
                   QlexError, QuerySet, SparseScoreIndex, build_dph_index, build_index,
                   load_corpus, load_qrels, load_queries, load_index, save_index, dumps_index,
-                  loads_index, rescale_index, top_k)
+                  loads_index, rescale_index, rescale_index_gamma, top_k)
 from qlex import storage
 from qlex.cli import _write_or_print
 from qlex.storage import INDEX_FORMAT_VERSION, _MAGIC, write_atomic
@@ -448,6 +448,36 @@ def _with_fixed(blob: bytes, **fields) -> bytes:
     return blob[:len(_MAGIC)] + storage._FIXED.pack(*values.values()) + blob[_VOCAB_BLOCK:]
 
 
+class TestTermOrder:
+    """Every index, built, rescaled or read back, holds its terms strictly ascending."""
+
+    WORD = st.one_of(st.sampled_from(["İDfoo", "ÆgirSøk", "parseHTTPServer", "snake_case_id",
+                                      "naïveÜber", "日本語", "ß", "ﬁle", "Zeta", "zeta", "a1b2"]),
+                     st.text(max_size=6))
+
+    @given(texts=st.lists(st.lists(WORD, max_size=6).map(" ".join), min_size=1, max_size=6),
+           mode=st.sampled_from(list(TokenizerMode)))
+    @settings(max_examples=100, deadline=None)
+    def test_terms_strictly_ascend_in_every_mode(self, texts, mode):
+        corpus = make_corpus(texts)
+        try:
+            bm25 = build_index(corpus, mode)
+        except BuildError:
+            return
+        built = [bm25, build_dph_index(corpus, mode),
+                 rescale_index(build_index(corpus, mode), 0.3),
+                 rescale_index_gamma(build_index(corpus, mode), 2.0)]
+        for index in built + [loads_index(dumps_index(index)) for index in built]:
+            terms = index.terms
+            assert all(a < b for a, b in zip(terms, terms[1:])), terms
+
+    def test_the_refusal_names_the_rule(self):
+        index = build_index(make_corpus(["alpha beta", "gamma"]), TokenizerMode.T0)
+        blob = dumps_index(dataclasses.replace(index, terms=index.terms[::-1]))
+        with pytest.raises(IndexFormatError, match="terms not strictly ascending"):
+            loads_index(blob)
+
+
 class TestIndexSerialization:
     @pytest.fixture
     def index(self):
@@ -506,6 +536,7 @@ class TestIndexSerialization:
         lambda ix: ix.scores.__setitem__(0, np.nan),
         lambda ix: ix.scores.__setitem__(-1, np.inf),
         lambda ix: dataclasses.replace(ix, terms=ix.terms[:1] * 2 + ix.terms[2:]),
+        lambda ix: dataclasses.replace(ix, terms=ix.terms[1::-1] + ix.terms[2:]),
         lambda ix: _drop_vocabulary(ix, keep_docs=True),
         lambda ix: _drop_vocabulary(ix, keep_docs=False),
         lambda ix: dataclasses.replace(ix, doc_ids=ix.doc_ids[:1] * 2 + ix.doc_ids[2:]),
@@ -514,7 +545,7 @@ class TestIndexSerialization:
         lambda ix: object.__setattr__(ix, "num_docs", ix.num_docs + 1),
     ], ids=["row_eq_n", "rows_descending", "row_repeated", "empty_column", "col_ptr_past_end",
             "col_ptr_descending", "nan_score", "inf_score", "duplicate_term",
-            "no_vocabulary", "no_vocabulary_no_documents", "duplicate_doc_id",
+            "unsorted_term", "no_vocabulary", "no_vocabulary_no_documents", "duplicate_doc_id",
             "empty_doc_id", "num_docs_mismatch"])
     def test_malformed_structure_is_corrupt_error(self, index, corrupt):
         loaded = loads_index(dumps_index(index))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qlex import (BuildError, Document, IndexHeader, RescaleStateError,
-                  build_dph_index, build_index, compute_corpus_stats, load_corpus)
+                  build_dph_index, build_index, compute_corpus_stats, load_corpus, top_k)
 from qlex import index as index_module
 from qlex.index import SparseScoreIndex, by_column_runs, count_tokens
 from qlex.storage import dumps_index, load_index, loads_index, save_index
@@ -183,11 +183,16 @@ def _transient_bytes(call):
     return peak - current, result
 
 
+def _runs_corpus():
+    """8,000 documents of 20 words from 20,000: ~160k entries in many column runs."""
+    words = np.random.default_rng(0).integers(20_000, size=(8000, 20)).tolist()
+    return make_corpus([" ".join(f"w{w}" for w in doc) for doc in words])
+
+
 def test_set_up_scratch_per_entry_is_bounded():
     """The count, both bakes and a rescale of a corpus of many runs stay under
     a bound of transient bytes per entry; the whole-array forms each went over."""
-    words = np.random.default_rng(0).integers(20_000, size=(8000, 20)).tolist()
-    corpus = make_corpus([" ".join(f"w{w}" for w in doc) for doc in words])
+    corpus = _runs_corpus()
     mode = TokenizerMode.T1
     count_scratch, counts = _transient_bytes(lambda: count_tokens(corpus, mode))
     nnz = len(counts.tfs)
@@ -207,14 +212,30 @@ def test_load_scratch_per_entry_is_bounded(tmp_path):
     ``load_index`` allocates beyond the index it returns stays under a bound per
     entry.  Reading the whole file first and copying each array out of it took
     over 17 bytes per entry on this corpus."""
-    words = np.random.default_rng(0).integers(20_000, size=(8000, 20)).tolist()
-    corpus = make_corpus([" ".join(f"w{w}" for w in doc) for doc in words])
-    index = build_index(corpus, TokenizerMode.T1)
+    index = build_index(_runs_corpus(), TokenizerMode.T1)
     path = tmp_path / "i.qlx"
     save_index(index, path)
     scratch, loaded = _transient_bytes(lambda: load_index(path))
     assert loaded.nnz == index.nnz
     assert scratch / index.nnz < 8.0, round(scratch / index.nnz, 1)
+
+
+def test_a_load_keeps_no_term_map(tmp_path):
+    """What ``load_index`` keeps is its arrays, terms and doc ids, under a bound
+    per entry: about 21 bytes on this corpus, and 27 when every load also
+    built the term-to-column map."""
+    index = build_index(_runs_corpus(), TokenizerMode.T1)
+    path = tmp_path / "i.qlx"
+    save_index(index, path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = load_index(path)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert loaded.nnz == index.nnz
+    assert kept / index.nnz < 23.0, round(kept / index.nnz, 1)
 
 
 class TestSharedPass:
@@ -455,6 +476,7 @@ class TestBuiltIndexEqualsItsFile:
             else:
                 assert read == built, name
         assert hash(loaded.header) == hash(index.header)
+        assert loaded.vocab == index.vocab
 
 
 class TestFixedFacts:
@@ -516,12 +538,45 @@ class TestFixedFacts:
     def test_a_copy_takes_new_scores_and_header(self):
         index = build_index(make_corpus(_MEMO_TEXTS), TokenizerMode.T0)
         blob = dumps_index(index)
+        index.vocab  # a copy shares the map it finds, as the sweep's copy does after _resolve
         twin = copy.copy(index)
         twin.scores = index.scores * np.float32(2.0)
         twin.header = dataclasses.replace(index.header, applied_q=0.5)
         assert twin.vocab is index.vocab and twin.col_ptr is index.col_ptr
         assert dumps_index(index) == blob
         assert loads_index(dumps_index(twin)).header.applied_q == 0.5
+
+
+class TestTermMap:
+    """``vocab`` is built on an index's first lookup, once, and never before it."""
+
+    @pytest.mark.parametrize("make", [
+        lambda corpus, path: build_index(corpus, TokenizerMode.T0),
+        lambda corpus, path: build_dph_index(corpus, TokenizerMode.T0),
+        lambda corpus, path: rescale_index(build_index(corpus, TokenizerMode.T0), 0.3),
+        lambda corpus, path: rescale_index_gamma(build_index(corpus, TokenizerMode.T0), 2.0),
+        lambda corpus, path: loads_index(dumps_index(build_index(corpus, TokenizerMode.T0))),
+        lambda corpus, path: save_index(build_index(corpus, TokenizerMode.T0), path)
+        or load_index(path),
+    ], ids=["bm25", "dph", "q_rescaled", "gamma_rescaled", "loads_index", "load_index"])
+    def test_no_map_before_a_lookup(self, tmp_path, make):
+        index = make(make_corpus(_MEMO_TEXTS), tmp_path / "i.qlx")
+        dumps_index(index)
+        index.check_invariants()
+        with pytest.raises(AttributeError, match="vocab"):
+            index.vocab = {}
+        assert index._vocab is None
+
+    def test_the_first_lookup_builds_the_map_once(self):
+        index = build_index(make_corpus(_MEMO_TEXTS), TokenizerMode.T0)
+        top_k(index, "config aa0", TokenizerMode.T0, 2)
+        vocab = index._vocab
+        assert vocab == {t: i for i, t in enumerate(index.terms)}
+        assert index.vocab is vocab
+        for name in ("vocab", "_vocab"):
+            with pytest.raises(AttributeError, match=name):
+                setattr(index, name, {})
+        assert index.vocab is vocab
 
 
 class TestBenchmarkText:

@@ -352,6 +352,12 @@ class TestBatchAndRunFile:
         rankings = batch_retrieve(index, queries, 2)
         assert [r.query_id for r in rankings] == ["q2", "q1"]
 
+    @pytest.mark.parametrize("queries", [[], [("q1", "aa")]], ids=["empty", "one"])
+    def test_batch_refuses_a_depth_below_one(self, queries):
+        index = build_index(make_corpus(["aa bb", "bb cc"]), TokenizerMode.T1)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            batch_retrieve(index, QuerySet(queries), 0)
+
     def test_trec_run_format(self):
         index = build_index(make_corpus(["aa bb", "bb cc"]), TokenizerMode.T1)
         rankings = batch_retrieve(index, QuerySet([("q1", "bb aa")]), 2)
