@@ -123,7 +123,7 @@ class QrelSet:
         return any(r > 0 for r in self.for_query(query_id).values())
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+_scan_once = json.JSONDecoder().scan_once  # raw_decode without its Python frame
 _JSON_WHITESPACE = " \t\n\r"
 
 
@@ -144,7 +144,7 @@ def _undecodable(path: Path, exc: UnicodeDecodeError) -> ParseError:
 def _read_columns(path: Path, id_key: str) -> tuple[tuple[str, ...], tuple[str, ...], list[int]]:
     """The ``id_key`` and ``text`` columns of a JSONL file, and each record's 1-based line.
 
-    One ``raw_decode`` parses a line when only JSON whitespace follows the value;
+    One C ``scan_once`` parses a line when only JSON whitespace follows the value;
     any other line (blank, a BOM, trailing data, bad JSON) falls back to ``strip``
     and ``json.loads``, so each line gives what json.loads gives.  Both fields must
     be strings UTF-8 can encode: a lone surrogate is not ASCII, so only a value
@@ -154,9 +154,11 @@ def _read_columns(path: Path, id_key: str) -> tuple[tuple[str, ...], tuple[str, 
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 try:
-                    record, end = _raw_decode(line)
-                    whole = not line[end:].strip(_JSON_WHITESPACE)
-                except (ValueError, RecursionError):
+                    record, end = _scan_once(line, 0)
+                    rest = len(line) - end
+                    whole = (rest == 0 or (rest == 1 and line[-1] == "\n")
+                             or not line[end:].strip(_JSON_WHITESPACE))
+                except (StopIteration, ValueError, RecursionError):  # StopIteration: no value
                     whole = False
                 if not whole:
                     if not line.strip():

@@ -1,26 +1,8 @@
-"""Retrieval evaluation and the diagnostic harness.
-
-Metrics: NDCG@k with linear gains ``rel / log2(rank + 1)``, MRR and
-Recall@k, each read from a query's places: the 0-based places of its
-positively judged documents in the order ``search`` ranks by.  Queries with
-no positively judged document are skipped and counted, never averaged in;
-a report with no judged query at all is a ValueError.
-
-Statistical comparison uses a seeded paired bootstrap over per-query
-deltas.  A resample counts as a sign reversal when its mean delta falls
-on the other side of zero from the observed mean.  With zero reversals
-out of R resamples the harness reports ``p <= 1/R`` and never prints a p
-below the empirical resolution 1e-4.
-
-Diagnostics: exponent sweeps over one loaded baseline, document-frequency
-bin occlusion, and recall under a retrieval token budget.  ``eval``, the
-sweep and the occlusion rank nothing for their metrics: they resolve each
-judged query once, in one step, to its matched columns and its judged
-documents' doc indices, and read those documents' places from the scores
-(:func:`_places`).  The columns stay valid because an index's structure
-never changes: the sweep scores them against every grid point's rescaled
-scores, and the occlusion drops a bin's columns, reading a column's df as
-its extent.  Only the token budget reads a ranking: it walks unjudged hits.
+"""Retrieval evaluation and diagnostics: NDCG@k, MRR and recall@k, read from the
+places of each query's positively judged documents in the order ``search`` ranks
+by; the paired bootstrap, the q sweep, df-bin occlusion and token-budget recall.
+A query with no positively judged document is skipped and counted, and a report
+with no judged query is a ValueError.  README's "Evaluation conventions" states the rest.
 """
 
 from __future__ import annotations
@@ -28,6 +10,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -241,7 +224,7 @@ def q_sweep(base_index_path: str | Path, queries: QuerySet, qrels: QrelSet,
     base = load_index(base_index_path)
     resolved = _resolve(base, qrels, judged)
     rows: list[tuple[float, float]] = []
-    index = copy.copy(base)  # shares the structure and the term map that _resolve built
+    index = copy.copy(base)  # shares the structure, so the resolved columns hold for it
     for q in grid:
         index.scores, index.header = _rescaled(base, "q", q) or (base.scores, base.header)
         ndcgs = [_ndcg_of_scores(_score(index, columns), docs) for columns, docs in resolved]
@@ -293,16 +276,26 @@ def _resolve(index: SparseScoreIndex, qrels: QrelSet,
     """The one resolution of judged (query_id, text) pairs against ``index``,
     per pair in order: its ``query._columns`` under the index's mode, and its
     positive gains with the doc indices and gains of those judged documents
-    that ``index`` holds.  Only the judged doc ids are mapped, in one pass."""
+    that ``index`` holds.  Only the judged doc ids are mapped, in one pass, and
+    only the distinct judged tokens looked up, by :func:`_term_columns`: that relies
+    on ``index.terms`` strictly ascending, which every build guarantees and
+    ``check_invariants`` enforces at load."""
     gains = [qrels.relevant_docs(qid) for qid, _ in judged]
     at = _positions(index.doc_ids, set().union(*gains))
-    mode = index.header.mode
+    tokens = [tokenize(text, index.header.mode) for _, text in judged]
+    found = _term_columns(index.terms, set().union(*tokens))
     out = []
-    for (_, text), rels in zip(judged, gains):
+    for toks, rels in zip(tokens, gains):
         held = [(at[doc_id], rel) for doc_id, rel in rels.items() if doc_id in at]
-        out.append((_columns(index, tokenize(text, mode)),
+        out.append((_columns(index, toks, found),
                     (rels, np.array([i for i, _ in held], dtype=np.intp), [r for _, r in held])))
     return out
+
+
+def _term_columns(terms: Sequence[str], tokens: Iterable[str]) -> dict[str, int]:
+    """The column of each of ``tokens`` held in the strictly ascending ``terms``, by bisection."""
+    return {token: t for token in tokens
+            if (t := bisect_left(terms, token)) < len(terms) and terms[t] == token}
 
 
 def _positions(ids: Sequence[str], wanted: set[str]) -> dict[str, int]:

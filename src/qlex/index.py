@@ -96,6 +96,8 @@ class SparseScoreIndex:
     ``num_docs`` (the number of doc ids) are derived at construction from
     ``col_ptr`` and ``doc_ids``, and ``vocab`` (term to column) from ``terms``
     on the first lookup; threads looking up first at once may each build it.
+    Only queries read ``vocab``: eval lookups search ``terms``, relying on their
+    strict ascent, which every build guarantees and ``check_invariants`` enforces.
 
     Every index, built, loaded or constructed, keeps one rule: its structure
     and derived facts never change.  None of those six can be reassigned

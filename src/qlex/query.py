@@ -8,7 +8,7 @@ sharpened, DPH): :func:`score_query` states the summation order, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,14 +47,17 @@ def score_query(index: SparseScoreIndex, tokens: Sequence[str]) -> np.ndarray:
     return _score(index, _columns(index, tokens))
 
 
-def _columns(index: SparseScoreIndex, tokens: Sequence[str]) -> list[tuple]:
-    """Each matched column's ``(start, end, multiplicity)``, in first-occurrence
-    order of its term in ``tokens``; tokens outside the vocabulary are dropped.
-    It reads only ``col_ptr`` and ``vocab``, which a rescaled copy shares."""
+def _columns(index: SparseScoreIndex, tokens: Sequence[str],
+             vocab: Mapping[str, int] | None = None) -> list[tuple]:
+    """Each matched column's ``(start, end, multiplicity)``, in first-occurrence order
+    of its term in ``tokens``, dropping tokens ``vocab`` (by default ``index.vocab``)
+    lacks.  It reads only ``col_ptr`` and ``vocab``, which a rescaled copy shares."""
     counts: dict[str, int] = {}  # a Counter costs more than this on a short query
     for term in tokens:
         counts[term] = counts.get(term, 0) + 1
-    col_ptr, vocab = index.col_ptr, index.vocab
+    col_ptr = index.col_ptr
+    if vocab is None:
+        vocab = index.vocab
     columns = []
     for term, mult in counts.items():
         tid = vocab.get(term)

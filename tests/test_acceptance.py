@@ -61,8 +61,8 @@ def _synthetic_index(nnz: int, rows_per_col: int = 100,
     rng = np.random.default_rng(seed)
     starts = rng.integers(0, num_docs - rows_per_col, size=v, dtype=np.int64)
     row_idx = (starts[:, None] + np.arange(rows_per_col)).astype(np.int32).ravel()
-    terms = [f"t{i}" for i in range(v)]
-    return SparseScoreIndex(
+    terms = [f"t{i:0{len(str(v))}d}" for i in range(v)]  # zero-padded, so they ascend
+    index = SparseScoreIndex(
         col_ptr=np.arange(v + 1, dtype=np.int64) * rows_per_col,
         row_idx=row_idx,
         scores=rng.uniform(0.1, 5.0, size=v * rows_per_col).astype(np.float32),
@@ -71,6 +71,8 @@ def _synthetic_index(nnz: int, rows_per_col: int = 100,
         header=IndexHeader(mode=TokenizerMode.T1, scorer=SCORER_BM25, k1=1.5, b=0.75,
                            avg_len=float(rows_per_col)),
     )
+    index.check_invariants()
+    return index
 
 
 @pytest.mark.criterion(1, "q=1.0 rescale is a bit-identity no-op on scores and rankings")

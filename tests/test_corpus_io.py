@@ -140,6 +140,9 @@ class TestJsonlFastPath:
     @example([GOOD + " \t\r", GOOD.replace("a", "b") + "\x0c"], "corpus")
     @example(["\ufeff" + GOOD, " " + GOOD + " x"], "queries")
     @example([GOOD.replace('"x"', "7" * 5000), "[" * 100_000], "corpus")
+    @example([GOOD, '{"doc_id": "b", "text": }'], "corpus")  # the C scanner's StopIteration
+    @example([GOOD, GOOD.replace("a", "b")], "queries")  # the last line has no newline
+    @example([GOOD + "\x0c", GOOD.replace("a", "b")], "corpus")
     def test_same_records_or_error_as_loads_per_line(self, tmp_path_factory, lines, kind):
         path = tmp_path_factory.mktemp("jsonl") / "in.jsonl"
         path.write_bytes("\n".join(lines).encode("utf-8"))

@@ -14,10 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from qlex import (Corpus, QlexError, QrelSet, QuerySet, RescaleStateError, cli, batch_retrieve,
                   build_dph_index, build_index, df_bin_occlusion, evaluation, load_corpus,
-                  load_index, eval_mrr, eval_ndcg, eval_recall, paired_bootstrap, q_sweep,
-                  recall_at_token_budget, rescale_index, rescale_index_gamma, save_index,
-                  sweep_to_csv, report_to_tsv, report_to_json, tokenize)
+                  load_index, load_qrels, load_queries, eval_mrr, eval_ndcg, eval_recall,
+                  paired_bootstrap, q_sweep, recall_at_token_budget, rescale_index,
+                  rescale_index_gamma, save_index, sweep_to_csv, report_to_tsv, report_to_json,
+                  tokenize)
 from qlex.evaluation import DEFAULT_DF_BINS, DEFAULT_Q_GRID, SweepTable
+from qlex.index import SparseScoreIndex
 from qlex.query import rank_tokens
 from qlex.tokenizers import TokenizerMode
 
@@ -494,6 +496,54 @@ class TestEvalAgainstTheRankings:
         # At most 10 judged queries: distinct recalls differ in the 4 printed digits.
         assert ([line for line in err.getvalue().splitlines() if "tok\t" in line]
                 == [f"recall@{budget}tok\t{rec:.4f}" for budget, rec in rows])
+
+
+class TestEvalPathReadsNoTermMap:
+    """The sweep, the occlusion and ``qlex eval`` find their judged tokens'
+    columns without reading ``SparseScoreIndex.vocab``, to the same outputs."""
+
+    @staticmethod
+    def _judged(tmp):
+        return load_queries(tmp / "queries.jsonl"), load_qrels(tmp / "qrels.tsv")
+
+    def _sweep(self, tmp):
+        return sweep_to_csv(q_sweep(tmp / "base.qlx", *self._judged(tmp), [0.05, 0.3, 1.0, 2.0]))
+
+    def _occlusion(self, tmp):
+        return df_bin_occlusion(rescale_index(load_index(tmp / "base.qlx"), 0.3),
+                                *self._judged(tmp))
+
+    @staticmethod
+    def _eval(tmp):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main([str(arg) for arg in (
+                "eval", "--index", tmp / "q03.qlx", "--queries", tmp / "queries.jsonl",
+                "--qrels", tmp / "qrels.tsv", "--format", "json", "--compare-index",
+                tmp / "base.qlx", "--resamples", 50, "--budgets", "16,32,64,128",
+                "--corpus", tmp / "corpus.jsonl", "--out", tmp / "report.json")])
+        return rc, err.getvalue(), (tmp / "report.json").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("run", ["_sweep", "_occlusion", "_eval"])
+    def test_same_output_with_vocab_unreadable(self, tmp_path, monkeypatch, run):
+        corpus, queries, qrels = hapax_mechanism_corpus(
+            n_docs=400, group_size=100, mids_per_group=16, n_queries=30)
+        base = build_index(corpus, TokenizerMode.T0)
+        save_index(base, tmp_path / "base.qlx")
+        save_index(rescale_index(base, 0.3), tmp_path / "q03.qlx")
+        write_jsonl_corpus(tmp_path / "corpus.jsonl", corpus)
+        # Every query also holds a word outside the vocabulary.
+        write_jsonl_queries(tmp_path / "queries.jsonl",
+                            [(qid, text + " zzoov") for qid, text in queries])
+        write_qrels(tmp_path / "qrels.tsv", [(qid, doc_id, rel)
+                                             for qid, by in qrels.judgments.items()
+                                             for doc_id, rel in by.items()])
+        want = getattr(self, run)(tmp_path)
+
+        def unreadable(index):
+            raise AssertionError("the eval path read SparseScoreIndex.vocab")
+        monkeypatch.setattr(SparseScoreIndex, "vocab", property(unreadable))
+        assert getattr(self, run)(tmp_path) == want
 
 
 class TestTokenBudgetRecall:

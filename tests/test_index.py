@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qlex import (BuildError, Document, IndexHeader, RescaleStateError,
-                  build_dph_index, build_index, compute_corpus_stats, load_corpus, top_k)
+from qlex import (BuildError, Document, IndexHeader, QrelSet, QuerySet, RescaleStateError,
+                  build_dph_index, build_index, compute_corpus_stats, df_bin_occlusion, evaluation,
+                  load_corpus, q_sweep, top_k)
 from qlex import index as index_module
 from qlex.index import SparseScoreIndex, by_column_runs, count_tokens
 from qlex.storage import dumps_index, load_index, loads_index, save_index
@@ -548,7 +549,8 @@ class TestFixedFacts:
 
 
 class TestTermMap:
-    """``vocab`` is built on an index's first lookup, once, and never before it."""
+    """``vocab`` is built on an index's first query lookup, once, and never
+    before it; the eval path never builds it."""
 
     @pytest.mark.parametrize("make", [
         lambda corpus, path: build_index(corpus, TokenizerMode.T0),
@@ -566,6 +568,22 @@ class TestTermMap:
         with pytest.raises(AttributeError, match="vocab"):
             index.vocab = {}
         assert index._vocab is None
+
+    @pytest.mark.parametrize("run", [
+        lambda path, queries, qrels: q_sweep(path, queries, qrels, [0.3, 1.0]),
+        lambda path, queries, qrels: df_bin_occlusion(evaluation.load_index(path), queries, qrels),
+        lambda path, queries, qrels: list(evaluation._walk(
+            evaluation.load_index(path), qrels, evaluation._judged(queries, qrels), 10)),
+    ], ids=["sweep", "occlusion", "eval_walk"])
+    def test_no_map_after_the_eval_path(self, tmp_path, monkeypatch, run):
+        path = tmp_path / "i.qlx"
+        save_index(build_index(make_corpus(_MEMO_TEXTS), TokenizerMode.T0), path)
+        loaded = []
+        monkeypatch.setattr(evaluation, "load_index",
+                            lambda p: loaded.append(load_index(p)) or loaded[-1])
+        queries = QuerySet([("q0", "config aa0 nope"), ("q1", "parseHTTPServer parseHTTPServer")])
+        run(path, queries, QrelSet(judgments={"q0": {"d2": 1}, "q1": {"d0": 2, "d3": 1}}))
+        assert [index._vocab for index in loaded] == [None]
 
     def test_the_first_lookup_builds_the_map_once(self):
         index = build_index(make_corpus(_MEMO_TEXTS), TokenizerMode.T0)

@@ -11,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 from qlex import (ModeMismatchError, batch_retrieve, build_dph_index, build_index,
                   format_trec_run, rescale_index, rescale_index_gamma, score_query,
                   top_k, QuerySet)
-from qlex.query import RankedList, _position, rank_from_scores
+from qlex.evaluation import _term_columns
+from qlex.query import RankedList, _columns, _position, rank_from_scores
 from qlex.tokenizers import TokenizerMode, tokenize
 
 from conftest import hapax_mechanism_corpus, make_corpus, random_corpus
@@ -55,6 +56,37 @@ class TestScoreQuery:
         for index in (plain, qlog, gamma, dph):
             scores = score_query(index, ["w0", "w1"])
             assert scores.shape == (20,) and np.all(np.isfinite(scores))
+
+
+# Words every mode splits differently: case, separators, digits, non-ASCII.
+_PROBE_WORDS = st.one_of(
+    st.sampled_from(["alpha", "parseHTTPServer", "snake_case_id", "get2Value", "naïveÜber",
+                     "the", "x", "Straße", "a.b-c"]),
+    st.text(alphabet="abzAZ_09 é.ß\u4e2d", max_size=8))
+
+
+class TestTermColumns:
+    """The eval path's binary search over the ascending ``terms`` finds the
+    columns ``vocab`` finds, and none that ``vocab`` does not hold."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(texts=st.lists(st.lists(_PROBE_WORDS, max_size=8).map(" ".join), min_size=1,
+                          max_size=10),
+           extra=st.lists(st.text(max_size=6), max_size=8),
+           mode=st.sampled_from(list(TokenizerMode)))
+    def test_equals_the_vocab_lookup(self, texts, extra, mode):
+        index = build_index(make_corpus(["alpha " + texts[0], *texts[1:]]), mode)
+        terms = index.terms
+        # Every term, its prefixes, extensions and case variants, non-ASCII,
+        # "" and tokens that sort before the first term or after the last.
+        probes = ["", "\x00", terms[0][:-1], terms[-1] + "\x00", "\U0010ffff", *extra]
+        for term in terms:
+            probes += [term, term[:-1], term + "a", term + "\x00", term + "\U0010ffff",
+                       term.upper(), term.capitalize(), "é" + term, term + "中"]
+        found = _term_columns(terms, probes)
+        vocab = index.vocab
+        assert found == {token: vocab[token] for token in probes if token in vocab}
+        assert _columns(index, probes, found) == _columns(index, probes)
 
 
 class TestTopK:
