@@ -19,7 +19,7 @@ from . import __version__
 from .corpus_io import load_corpus, load_queries, load_qrels
 from .errors import QlexError
 from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, NDCG_CUTOFF, _check_bins,
-                         _check_budgets, _check_cutoff, _check_resamples, _judged, _q_text,
+                         _check_budgets, _check_grid, _check_resamples, _judged, _q_text,
                          _walk, df_bin_occlusion, eval_mrr, eval_ndcg, eval_recall,
                          paired_bootstrap, q_sweep, recall_at_token_budget,
                          report_to_json, report_to_tsv, sweep_to_csv)
@@ -108,7 +108,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels)
     grid = _parse_floats(args.grid) if args.grid is not None else list(DEFAULT_Q_GRID)
-    table = q_sweep(args.index, queries, qrels, grid)
+    _check_grid(grid)
+    _judged(queries, qrels)
+    table = q_sweep(load_index(args.index), queries, qrels, grid)
     _write_or_print(sweep_to_csv(table), args.out)
     print(f"q_opt={_q_text(table.q_opt)}", file=sys.stderr)
     return 0
@@ -127,7 +129,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels)
     judged = _judged(queries, qrels)
-    _check_cutoff(args.k)
+    _check_k(args.k)
     budgets = None if args.budgets is None else _check_budgets(_parse_ints(args.budgets))
     if budgets is not None:
         if not args.corpus:

@@ -7,12 +7,10 @@ with no judged query is a ValueError.  README's "Evaluation conventions" states 
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -20,9 +18,9 @@ import numpy as np
 from .corpus_io import Corpus, QuerySet, QrelSet
 from .errors import QlexError
 from .index import SparseScoreIndex, _check_mark
-from .query import RankedList, _columns, _position, _score
+from .query import RankedList, _check_k, _columns, _position, _score
 from .query import batch_retrieve, rank_tokens  # noqa: F401  perfbench traces them here
-from .storage import load_index
+from .storage import load_index  # noqa: F401  perfbench traces it here
 from .tokenizers import tokenize
 from .transforms import _rescaled, rescale_index  # noqa: F401  perfbench traces rescale_index
 
@@ -108,11 +106,6 @@ def _judged(items: Iterable, qrels: QrelSet,
     return judged
 
 
-def _check_cutoff(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"metric cutoff k must be >= 1, got {k}")
-
-
 def _ndcg(placed: Iterable[tuple[int, int]], rels: Mapping[str, int], k: int) -> float:
     """The one NDCG body: the DCG of the pairs of ``placed``, (0-based place,
     gain) in ascending place order, that are placed below ``k``, over the
@@ -139,7 +132,7 @@ def eval_ndcg(placed: Mapping[str, Sequence[tuple[int, int]]], qrels: QrelSet,
               k: int = NDCG_CUTOFF) -> EvalReport:
     """NDCG@k per query of ``placed``: each query id's (place, gain) pairs,
     in place order, walked by :func:`_places` to a depth of at least ``k``."""
-    _check_cutoff(k)
+    _check_k(k)
     return _report(placed, qrels, lambda places, rels: _ndcg(places, rels, k))
 
 
@@ -151,7 +144,7 @@ def eval_mrr(placed: Mapping[str, Sequence[tuple[int, int]]], qrels: QrelSet) ->
 def eval_recall(placed: Mapping[str, Sequence[tuple[int, int]]], qrels: QrelSet,
                 k: int) -> EvalReport:
     """Fraction of the positively judged documents placed below ``k``."""
-    _check_cutoff(k)
+    _check_k(k)
     return _report(placed, qrels,
                    lambda places, rels: sum(1 for place, _ in places if place < k) / len(rels))
 
@@ -205,28 +198,24 @@ def _check_resamples(resamples: int) -> None:
 
 # ------------------------------------------------------------ diagnostics
 
-def q_sweep(base_index_path: str | Path, queries: QuerySet, qrels: QrelSet,
+def q_sweep(base: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
             grid: Sequence[float] = DEFAULT_Q_GRID) -> SweepTable:
     """Mean NDCG@10 across an exponent grid.
 
-    The baseline is loaded once and never written: each grid point scores a
-    view of it that holds that point's rescaled scores and header, and a DPH
-    or already-rescaled baseline is refused as :func:`rescale_index` refuses
-    it.  Ties on the mean prefer the larger exponent (the one closer to plain
-    BM25).  ValueError, before any load, when a grid point is not a finite q
-    or no query has a positively judged document.
+    ``base`` is never written: each grid point scores the index
+    :func:`~qlex.transforms._rescaled` returns for it, which shares the
+    structure of ``base``, and a DPH or already-rescaled baseline is refused
+    as :func:`rescale_index` refuses it.  Ties on the mean prefer the larger
+    exponent (the one closer to plain BM25).  ValueError, before any scoring,
+    when a grid point is not a finite q or no query has a positively judged
+    document.
     """
-    if not grid:
-        raise ValueError("sweep grid must be non-empty")
-    for q in grid:
-        _check_mark("q", q)
+    _check_grid(grid)
     judged = _judged(queries, qrels)
-    base = load_index(base_index_path)
     resolved = _resolve(base, qrels, judged)
     rows: list[tuple[float, float]] = []
-    index = copy.copy(base)  # shares the structure, so the resolved columns hold for it
     for q in grid:
-        index.scores, index.header = _rescaled(base, "q", q) or (base.scores, base.header)
+        index = _rescaled(base, "q", q)
         ndcgs = [_ndcg_of_scores(_score(index, columns), docs) for columns, docs in resolved]
         rows.append((float(q), float(np.mean(ndcgs))))
     q_opt, best = rows[0]
@@ -234,6 +223,14 @@ def q_sweep(base_index_path: str | Path, queries: QuerySet, qrels: QrelSet,
         if mean > best or (mean == best and q > q_opt):
             q_opt, best = q, mean
     return SweepTable(rows=rows, q_opt=q_opt)
+
+
+def _check_grid(grid: Sequence[float]) -> None:
+    """ValueError unless ``grid`` is non-empty and every point is a finite q."""
+    if not grid:
+        raise ValueError("sweep grid must be non-empty")
+    for q in grid:
+        _check_mark("q", q)
 
 
 def df_bin_occlusion(index: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
@@ -392,25 +389,9 @@ def report_to_tsv(reports: Mapping[str, EvalReport]) -> str:
 
 def report_to_json(reports: Mapping[str, EvalReport],
                    bootstrap: BootstrapResult | None = None) -> str:
-    payload: dict = {
-        name: {
-            "mean": rep.mean,
-            "n_queries": rep.n_queries,
-            "n_skipped": rep.n_skipped,
-            "per_query": rep.per_query,
-        }
-        for name, rep in reports.items()
-    }
+    payload: dict = {name: asdict(rep) for name, rep in reports.items()}
     if bootstrap is not None:
-        payload["bootstrap"] = {
-            "mean_delta": bootstrap.mean_delta,
-            "ci_lo": bootstrap.ci_lo,
-            "ci_hi": bootstrap.ci_hi,
-            "sign_reversals": bootstrap.sign_reversals,
-            "resamples": bootstrap.resamples,
-            "seed": bootstrap.seed,
-            "p": bootstrap.p_label(),
-        }
+        payload["bootstrap"] = {**asdict(bootstrap), "p": bootstrap.p_label()}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -85,7 +85,7 @@ def _check_mark(name: str, value: float) -> None:
         raise ValueError(f"a rescale sets a finite q or a finite gamma > 0; got {name}={value}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparseScoreIndex:
     """CSC score matrix over (vocabulary columns, document rows).
 
@@ -99,12 +99,12 @@ class SparseScoreIndex:
     Only queries read ``vocab``: eval lookups search ``terms``, relying on their
     strict ascent, which every build guarantees and ``check_invariants`` enforces.
 
-    Every index, built, loaded or constructed, keeps one rule: its structure
-    and derived facts never change.  None of those six can be reassigned
-    (AttributeError); ``terms`` and ``doc_ids`` are tuples, and ``col_ptr``,
-    ``row_idx`` and ``df`` read-only arrays.  ``vocab`` is a plain dict, as a
-    read-only mapping would slow every query's lookup.  Only ``scores`` and
-    ``header`` change, through a rescale.
+    Every index, built, loaded or constructed, is frozen: no field can be
+    reassigned (AttributeError); ``terms`` and ``doc_ids`` are tuples, and
+    ``col_ptr``, ``row_idx`` and ``df`` read-only arrays.  ``vocab`` is a plain
+    dict, as a read-only mapping would slow every query's lookup.  The pure
+    rescale step returns a new index that shares this one's structure; only the
+    public rescales write its scores and header into the index they are given.
     """
 
     col_ptr: np.ndarray
@@ -120,18 +120,10 @@ class SparseScoreIndex:
         object.__setattr__(self, "terms", tuple(self.terms))  # a tuple is kept, not copied
         object.__setattr__(self, "doc_ids", tuple(self.doc_ids))
         object.__setattr__(self, "_vocab", None)  # vocab's map, built on the first lookup
-        self.df = np.diff(self.col_ptr)
-        self.num_docs = len(self.doc_ids)
+        object.__setattr__(self, "df", np.diff(self.col_ptr))
+        object.__setattr__(self, "num_docs", len(self.doc_ids))
         for array in (self.col_ptr, self.row_idx, self.df):
             array.flags.writeable = False
-
-    def __setattr__(self, name, value):
-        # hasattr, not self.__dict__: reading __dict__ would make every later
-        # attribute load on this index slower.  hasattr on vocab would build its map.
-        if name not in ("scores", "header") and (name == "vocab" or hasattr(self, name)):
-            raise AttributeError(f"SparseScoreIndex.{name} is fixed at construction; "
-                                 "build a new index instead")
-        object.__setattr__(self, name, value)
 
     @property
     def vocab(self) -> dict[str, int]:

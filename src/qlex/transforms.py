@@ -16,11 +16,11 @@ column t is multiplied by ``idf_qlog(n_t, N, q) / idf_lucene(n_t, N)``.
 Each side of that ratio has one numpy body (:func:`ln_q`, :func:`qlex.index.rsj_idf`), so
 for a float n_t the ratio equals the factor the rescale applies, bit for bit.
 The gamma sharpening ``idf ** gamma`` is the same rescale with column factor
-``idf ** (gamma - 1)``.  One step, :func:`_rescaled`, computes either
-rescale's new scores and marked header and writes nothing; the public
-rescales write that result into the index they are given, all or nothing,
-and return it, and callers use the returned index.  A rescale is
-single-shot; the index header records it.
+``idf ** (gamma - 1)``.  One step, :func:`_rescaled`, returns either
+rescale as a new frozen index that shares the input's structure, and writes
+nothing; the public rescales write its scores and header into the index they
+are given, all or nothing, and return it, and callers use the returned
+index.  A rescale is single-shot; the index header records it.
 """
 
 from __future__ import annotations
@@ -85,18 +85,18 @@ def idf_lucene(n_t: int, num_docs: int) -> float:
     return float(rsj_idf(n_t, num_docs)[1])
 
 
-def _rescaled(index: SparseScoreIndex, name: str,
-              value: float) -> tuple[np.ndarray, IndexHeader] | None:
-    """The scores and header of ``index`` rescaled to ``name`` = ``value``; writes nothing.
+def _rescaled(index: SparseScoreIndex, name: str, value: float) -> SparseScoreIndex:
+    """``index`` rescaled to ``name`` = ``value``, as a new index; writes nothing.
 
     ``name`` is "q" (column factor ``ln_q(odds, q) / idf``) or "gamma"
     (``idf ** (gamma - 1)``), with ``odds`` and ``idf`` the build's
     (:func:`qlex.index.rsj_idf`).  Refuses a DPH or rescaled index
     (RescaleStateError), then a value the marked
     :class:`~qlex.index.IndexHeader` refuses (ValueError); ``value == 1.0``
-    is the identity, None.  Otherwise returns the float64 products narrowed
-    run by run (:func:`qlex.index.by_column_runs`) into a new float32 array
-    and the marked header, or raises ValueError if a narrowed score is not finite.
+    is the identity and returns ``index`` itself.  Otherwise returns an index
+    that shares the structure of ``index`` and holds the marked header and the
+    float64 products narrowed run by run (:func:`qlex.index.by_column_runs`)
+    into a new float32 array, or raises ValueError if a narrowed score is not finite.
     """
     header = index.header
     if header.scorer != SCORER_BM25:
@@ -108,7 +108,7 @@ def _rescaled(index: SparseScoreIndex, name: str,
                                     f"at {done}={applied}")
     marked = dataclasses.replace(header, **{f"applied_{name}": value})
     if value == 1.0:
-        return None
+        return index
     odds, idf = rsj_idf(index.df, index.num_docs)
     with np.errstate(over="ignore", invalid="ignore"):
         factors = ln_q(odds, value) / idf if name == "q" else np.power(idf, value - 1.0)
@@ -117,13 +117,15 @@ def _rescaled(index: SparseScoreIndex, name: str,
     if not np.isfinite(narrowed).all():
         raise ValueError(f"rescale to {name}={value} gives non-finite float32 scores; "
                          "index left unchanged")
-    return narrowed, marked
+    return dataclasses.replace(index, scores=narrowed, header=marked)
 
 
 def _rescale(index: SparseScoreIndex, name: str, value: float) -> SparseScoreIndex:
     """Write :func:`_rescaled`'s scores and header into ``index``, all or nothing."""
-    if (rescaled := _rescaled(index, name, value)) is not None:
-        index.scores[...], index.header = rescaled  # the one write into a score array
+    if (rescaled := _rescaled(index, name, value)) is not index:
+        # perfbench/bench.py:314 discards the return; ROADMAP item 7 drops this write after item 0.
+        index.scores[...] = rescaled.scores
+        object.__setattr__(index, "header", rescaled.header)
     return index
 
 

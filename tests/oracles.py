@@ -8,7 +8,7 @@ float64 accumulation, mirroring the documented storage contract.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import json
 import math
 import re
@@ -21,7 +21,6 @@ from qlex.errors import DuplicateIdError, ParseError
 from qlex.index import rsj_idf
 from qlex.query import batch_retrieve, rank_tokens
 from qlex.stats import CorpusStats
-from qlex.storage import load_index
 from qlex.tokenizers import (_CAMEL_RE, _SEP_RE, TokenizerMode, default_stopwords,
                              surface_tokens, tokenize)
 from qlex.transforms import ln_q, rescale_index
@@ -281,17 +280,14 @@ def ndcg_by_hand(ranked_doc_ids: list[str], rels: dict[str, int], k: int) -> flo
     return dcg / idcg
 
 
-def sweep_by_batch_retrieve(base_index_path, queries, qrels, grid):
+def sweep_by_batch_retrieve(base, queries, qrels, grid):
     """Sweep rows and q_opt by re-ranking every query through ``batch_retrieve``
-    at depth 10 on a rescaled copy of the loaded baseline at each grid point;
+    at depth 10 on a rescaled copy of the baseline index at each grid point;
     ties on the mean prefer the larger q.  ``qlex.evaluation.q_sweep`` must
     give the same rows and q_opt exactly."""
-    base = load_index(base_index_path)
     rows = []
     for q in grid:
-        index = copy.copy(base)
-        index.scores = base.scores.copy()
-        index = rescale_index(index, q)
+        index = rescale_index(dataclasses.replace(base, scores=base.scores.copy()), q)
         ndcgs = [ndcg_by_hand(ranked.doc_ids(), qrels.relevant_docs(ranked.query_id), 10)
                  for ranked in batch_retrieve(index, queries, 10)
                  if qrels.has_relevant(ranked.query_id)]

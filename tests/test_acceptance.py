@@ -8,6 +8,7 @@ assertions, not configurable.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import time
@@ -18,7 +19,7 @@ import pytest
 
 from qlex import (IndexHeader, QrelSet, QuerySet, SparseScoreIndex, build_dph_index,
                   build_index, df_bin_occlusion, dumps_index, eval_ndcg, idf_qlog,
-                  ln_q, paired_bootstrap, predict_q, q_sweep, recovery,
+                  ln_q, load_index, paired_bootstrap, predict_q, q_sweep, recovery,
                   rescale_index, rescale_index_gamma, save_index, score_query)
 from qlex.evaluation import DEFAULT_Q_GRID
 from qlex.index import SCORER_BM25
@@ -178,7 +179,7 @@ def test_criterion_08_synthetic_mechanism(tmp_path):
     path = tmp_path / "mech.qlx"
     save_index(base, path)
 
-    table = q_sweep(path, queries, qrels, grid=DEFAULT_Q_GRID)
+    table = q_sweep(load_index(path), queries, qrels, grid=DEFAULT_Q_GRID)
     means = dict(table.rows)
     assert table.q_opt <= 0.5
     assert means[table.q_opt] - means[1.00] >= 0.2
@@ -241,12 +242,10 @@ def test_criterion_12_systems_overhead_shape():
     sizes = [100_000, 300_000, 1_000_000, 3_000_000, 10_000_000]
     times = []
     for nnz in sizes:
-        index = _synthetic_index(nnz)
-        pristine, pristine_header = index.scores.copy(), index.header
+        pristine = _synthetic_index(nnz)
         best = math.inf
         for _ in range(3):
-            index.scores[...] = pristine
-            index.header = pristine_header
+            index = dataclasses.replace(pristine, scores=pristine.scores.copy())
             t0 = time.perf_counter()
             index = rescale_index(index, 0.5)
             best = min(best, time.perf_counter() - t0)

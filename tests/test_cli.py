@@ -127,11 +127,13 @@ class TestAnalysisCommands:
         capsys.readouterr()  # drain setup output so tests parse clean streams
         return tmp_path
 
-    def test_sweep_csv(self, mech, capsys):
+    def test_sweep_csv(self, mech, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr(cli, "load_index", lambda path: loads.append(path) or load_index(path))
         rc = run("sweep", "--index", mech / "base.qlx",
                  "--queries", mech / "queries.jsonl", "--qrels", mech / "qrels.tsv",
                  "--grid", "0.1,0.3,1.0")
-        assert rc == 0
+        assert rc == 0 and loads == [str(mech / "base.qlx")]
         out = capsys.readouterr()
         lines = out.out.strip().splitlines()
         assert lines[0] == "q,mean_ndcg"
@@ -487,9 +489,7 @@ class TestErrorsAndParsing:
         write_qrels(workdir / "other.tsv", [("absent", "d0", 1)])
         capsys.readouterr()
         loads = []
-        for module in (cli, evaluation):  # the sweep loads through evaluation
-            monkeypatch.setattr(module, "load_index",
-                                lambda path: loads.append(path) or load_index(path))
+        monkeypatch.setattr(cli, "load_index", lambda path: loads.append(path) or load_index(path))
         extra = [workdir / arg if arg.endswith((".jsonl", ".qlx")) else arg for arg in extra]
         judgements = [] if qrels is None else ["--queries", workdir / "queries.jsonl",
                                                "--qrels", workdir / qrels]
@@ -497,6 +497,20 @@ class TestErrorsAndParsing:
         captured = capsys.readouterr()
         assert rc == 1 and message in captured.err and captured.out == ""
         assert loads == []
+
+    @pytest.mark.parametrize("qrels, extra, message", [
+        ("qrels.tsv", ["--grid", ""], "sweep grid must be non-empty"),
+        ("qrels.tsv", ["--grid", "nan"], "finite q"),
+        ("other.tsv", [], "no query has a positively judged document"),
+    ], ids=["empty_grid", "nan_grid", "no_judged_query"])
+    def test_sweep_refuses_its_arguments_before_opening_the_index(self, workdir, capsys, qrels,
+                                                                  extra, message):
+        write_qrels(workdir / "other.tsv", [("absent", "d0", 1)])
+        rc = run("sweep", "--index", workdir / "absent.qlx", "--queries",
+                 workdir / "queries.jsonl", "--qrels", workdir / qrels, *extra)
+        err = capsys.readouterr().err
+        assert rc == 1 and "error: " in err and message in err
+        assert "No such file" not in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

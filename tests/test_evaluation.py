@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlex import (Corpus, QlexError, QrelSet, QuerySet, RescaleStateError, cli, batch_retrieve,
-                  build_dph_index, build_index, df_bin_occlusion, evaluation, load_corpus,
+                  build_dph_index, build_index, df_bin_occlusion, dumps_index, load_corpus,
                   load_index, load_qrels, load_queries, eval_mrr, eval_ndcg, eval_recall,
                   paired_bootstrap, q_sweep, recall_at_token_budget, rescale_index,
                   rescale_index_gamma, save_index, sweep_to_csv, report_to_tsv, report_to_json,
@@ -228,33 +228,30 @@ class TestSweep:
         index = build_index(corpus, TokenizerMode.T0)
         path = tmp_path / "base.qlx"
         save_index(index, path)
-        return path, queries, qrels
+        return load_index(path), queries, qrels
 
     def test_grid_of_one(self, tmp_path):
-        path, queries, qrels = self.build_base(tmp_path)
-        table = q_sweep(path, queries, qrels, grid=[1.0])
+        base, queries, qrels = self.build_base(tmp_path)
+        table = q_sweep(base, queries, qrels, grid=[1.0])
         assert table.q_opt == 1.0
         assert len(table.rows) == 1
 
     def test_ties_prefer_larger_q(self, tmp_path):
-        path, queries, qrels = self.build_base(tmp_path)
-        table = q_sweep(path, queries, qrels, grid=[0.05, 0.10, 0.20])
+        base, queries, qrels = self.build_base(tmp_path)
+        table = q_sweep(base, queries, qrels, grid=[0.05, 0.10, 0.20])
         means = [m for _, m in table.rows]
         assert means[0] == means[1] == means[2] == 1.0
         assert table.q_opt == 0.20
 
     def test_empty_grid_rejected(self, tmp_path):
-        path, queries, qrels = self.build_base(tmp_path)
+        base, queries, qrels = self.build_base(tmp_path)
         with pytest.raises(ValueError):
-            q_sweep(path, queries, qrels, grid=[])
+            q_sweep(base, queries, qrels, grid=[])
 
-    def test_no_judged_query_rejected_before_loading(self, tmp_path):
-        path, queries, _ = self.build_base(tmp_path)
-        unjudged = qrels_of(absent={"d0": 1})
+    def test_no_judged_query_rejected(self, tmp_path):
+        base, queries, _ = self.build_base(tmp_path)
         with pytest.raises(ValueError, match="no query has a positively judged document"):
-            q_sweep(path, queries, unjudged)
-        with pytest.raises(ValueError, match="no query has a positively judged document"):
-            q_sweep(tmp_path / "missing.qlx", queries, unjudged)
+            q_sweep(base, queries, qrels_of(absent={"d0": 1}))
 
     @pytest.mark.parametrize("make_baseline", [
         lambda corpus: rescale_index(build_index(corpus, TokenizerMode.T0), 0.5),
@@ -266,10 +263,11 @@ class TestSweep:
         path = tmp_path / "base.qlx"
         save_index(make_baseline(corpus), path)
         with pytest.raises(RescaleStateError):
-            q_sweep(path, queries, qrels, grid=[0.3, 1.0])
+            q_sweep(load_index(path), queries, qrels, grid=[0.3, 1.0])
 
-    def test_loads_once_and_matches_reload_per_point(self, tmp_path, monkeypatch):
-        path, queries, qrels = self.build_base(tmp_path)
+    def test_matches_reload_per_point_and_leaves_the_base_unwritten(self, tmp_path):
+        base, queries, qrels = self.build_base(tmp_path)
+        path = tmp_path / "base.qlx"
         grid = [0.05, 0.5, 0.7, 1.0, 1.5]
         reference = []
         for q in grid:
@@ -278,15 +276,14 @@ class TestSweep:
             reference.append((q, float(np.mean(list(per_query.values())))))
         assert len({mean for _, mean in reference}) > 1
 
-        loads = []
-        monkeypatch.setattr(evaluation, "load_index", lambda p: loads.append(p) or load_index(p))
-        table = q_sweep(path, queries, qrels, grid=grid)
-        assert loads == [path]
+        header = base.header
+        table = q_sweep(base, queries, qrels, grid=grid)
         assert table.rows == reference
+        assert base.header is header and dumps_index(base) == path.read_bytes()
 
     def test_csv_output_shape(self, tmp_path):
-        path, queries, qrels = self.build_base(tmp_path)
-        table = q_sweep(path, queries, qrels, grid=[0.3, 1.0])
+        base, queries, qrels = self.build_base(tmp_path)
+        table = q_sweep(base, queries, qrels, grid=[0.3, 1.0])
         csv = sweep_to_csv(table)
         lines = csv.strip().split("\n")
         assert lines[0] == "q,mean_ndcg"
@@ -427,8 +424,9 @@ class TestAgainstTheTokenBodies:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "base.qlx"
             save_index(build_index(corpus, mode), path)
-            table = q_sweep(path, queries, qrels, grid)
-            rows, q_opt = sweep_by_batch_retrieve(path, queries, qrels, grid)
+            base = load_index(path)
+            table = q_sweep(base, queries, qrels, grid)
+            rows, q_opt = sweep_by_batch_retrieve(base, queries, qrels, grid)
         assert table.rows == rows
         assert table.q_opt == q_opt
 
@@ -507,7 +505,8 @@ class TestEvalPathReadsNoTermMap:
         return load_queries(tmp / "queries.jsonl"), load_qrels(tmp / "qrels.tsv")
 
     def _sweep(self, tmp):
-        return sweep_to_csv(q_sweep(tmp / "base.qlx", *self._judged(tmp), [0.05, 0.3, 1.0, 2.0]))
+        return sweep_to_csv(q_sweep(load_index(tmp / "base.qlx"), *self._judged(tmp),
+                                    [0.05, 0.3, 1.0, 2.0]))
 
     def _occlusion(self, tmp):
         return df_bin_occlusion(rescale_index(load_index(tmp / "base.qlx"), 0.3),

@@ -1,6 +1,5 @@
 """Index construction against hand arithmetic and a dense oracle."""
 
-import copy
 import dataclasses
 import gc
 import math
@@ -484,7 +483,7 @@ class TestFixedFacts:
     """An index's arrays and the facts derived from them cannot drift apart."""
 
     @pytest.mark.parametrize("name", ["col_ptr", "row_idx", "terms", "doc_ids",
-                                      "vocab", "df", "num_docs"])
+                                      "vocab", "df", "num_docs", "scores", "header"])
     def test_reassignment_is_refused(self, name):
         index = build_index(make_corpus(_MEMO_TEXTS), TokenizerMode.T0)
         blob = dumps_index(index)
@@ -536,17 +535,6 @@ class TestFixedFacts:
         assert index.scores.flags.writeable  # a rescale writes its result into them
         index.scores[0] += 1.0
 
-    def test_a_copy_takes_new_scores_and_header(self):
-        index = build_index(make_corpus(_MEMO_TEXTS), TokenizerMode.T0)
-        blob = dumps_index(index)
-        index.vocab  # a copy shares the map it finds, as the sweep's copy does after _resolve
-        twin = copy.copy(index)
-        twin.scores = index.scores * np.float32(2.0)
-        twin.header = dataclasses.replace(index.header, applied_q=0.5)
-        assert twin.vocab is index.vocab and twin.col_ptr is index.col_ptr
-        assert dumps_index(index) == blob
-        assert loads_index(dumps_index(twin)).header.applied_q == 0.5
-
 
 class TestTermMap:
     """``vocab`` is built on an index's first query lookup, once, and never
@@ -570,7 +558,8 @@ class TestTermMap:
         assert index._vocab is None
 
     @pytest.mark.parametrize("run", [
-        lambda path, queries, qrels: q_sweep(path, queries, qrels, [0.3, 1.0]),
+        lambda path, queries, qrels: q_sweep(evaluation.load_index(path), queries, qrels,
+                                             [0.3, 1.0]),
         lambda path, queries, qrels: df_bin_occlusion(evaluation.load_index(path), queries, qrels),
         lambda path, queries, qrels: list(evaluation._walk(
             evaluation.load_index(path), qrels, evaluation._judged(queries, qrels), 10)),

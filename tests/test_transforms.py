@@ -256,6 +256,26 @@ def test_callers_use_the_returned_index_and_one_statement_writes_scores():
     assert [w.split(":")[0] for w in writes] == ["transforms.py"], writes
 
 
+def test_only_the_rescale_sets_an_index_field_from_outside():
+    """Outside index.py the one ``object.__setattr__`` on a frozen index is
+    ``_rescale``'s header write, and no module copies an index with ``copy``."""
+    sets, copies = [], []
+    for path in sorted(Path(qlex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "__setattr__" and path.name != "index.py"):
+                    sets.append((path.name, func.name, ast.literal_eval(node.args[1])))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names] + [getattr(node, "module", None)]
+                if "copy" in names:
+                    copies.append(f"{path.name}:{node.lineno}")
+    assert sets == [("transforms.py", "_rescale", "header")]
+    assert copies == []
+
+
 @given(texts=RUN_TEXTS, length=st.integers(min_value=1, max_value=5),
        name_value=st.sampled_from([("q", 0.05), ("q", 0.3), ("q", 1.5), ("q", 0.0), ("q", -1.0),
                                    ("q", -200.0), ("gamma", 2.0)]))
@@ -274,7 +294,21 @@ def test_rescale_by_runs_equals_the_whole_array_expression(texts, length, name_v
             with pytest.raises(ValueError, match="non-finite"):
                 _rescaled(index, name, value)
         else:
-            assert _rescaled(index, name, value)[0].tobytes() == expected.tobytes()
+            assert _rescaled(index, name, value).scores.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name, value", [("q", 0.3), ("q", 1.5), ("gamma", 2.0)])
+def test_rescaled_is_a_new_index_sharing_the_structure(name, value):
+    index = build_index(make_corpus(["alpha beta", "beta gamma", "gamma delta alpha"]),
+                        TokenizerMode.T0)
+    before, header = index.scores.tobytes(), index.header
+    rescaled = _rescaled(index, name, value)
+    assert rescaled is not index and rescaled.scores is not index.scores
+    for field in ("col_ptr", "row_idx", "terms", "doc_ids"):
+        assert getattr(rescaled, field) is getattr(index, field), field
+    assert getattr(rescaled.header, f"applied_{name}") == value
+    assert index.scores.tobytes() == before and index.header is header
+    assert _rescaled(index, name, 1.0) is index
 
 
 class TestGammaRescale:
