@@ -19,7 +19,7 @@ from . import __version__
 from .corpus_io import load_corpus, load_queries, load_qrels
 from .errors import QlexError
 from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, NDCG_CUTOFF, _check_bins,
-                         _check_budgets, _check_grid, _check_resamples, _judged, _q_text,
+                         _check_budgets, _check_grid, _judged, _q_text,
                          _walk, df_bin_occlusion, eval_mrr, eval_ndcg, eval_recall,
                          paired_bootstrap, q_sweep, recall_at_token_budget,
                          report_to_json, report_to_tsv, sweep_to_csv)
@@ -62,6 +62,19 @@ def _parse_bins(text: str) -> list[tuple[int, int | None]]:
     return list(zip([1] + [edge + 1 for edge in edges], edges + [None]))
 
 
+def _checked(parse, check, *names):
+    """An argparse ``type=`` that runs the library's rule, ``check(parse(text), *names)``,
+    at parse time; a ValueError is re-raised as ArgumentTypeError, whose message argparse keeps."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            check(value, *names)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return convert
+
+
 # ------------------------------------------------------------ subcommands
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -83,7 +96,6 @@ def _cmd_rescale(args: argparse.Namespace) -> int:
         name, value, transform = "q", args.q, rescale_index
     else:
         name, value, transform = "gamma", args.gamma, rescale_index_gamma
-    _check_mark(name, value)
     index = transform(load_index(args.index), value)
     if index.header.applied_q is None and index.header.applied_gamma is None:  # the identity gate
         print(f"rescale skipped (bit-identity gate at {name}={value})")
@@ -96,7 +108,6 @@ def _cmd_rescale(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    _check_k(args.k)
     index = load_index(args.index)
     queries = load_queries(args.queries)
     rankings = batch_retrieve(index, queries, args.k)
@@ -107,9 +118,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels)
-    grid = _parse_floats(args.grid) if args.grid is not None else list(DEFAULT_Q_GRID)
-    _check_grid(grid)
     _judged(queries, qrels)
+    grid = DEFAULT_Q_GRID if args.grid is None else args.grid
     table = q_sweep(load_index(args.index), queries, qrels, grid)
     _write_or_print(sweep_to_csv(table), args.out)
     print(f"q_opt={_q_text(table.q_opt)}", file=sys.stderr)
@@ -126,25 +136,20 @@ def _cmd_predict_q(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if args.budgets is not None and not args.corpus:
+        raise QlexError("--budgets needs --corpus for the token counter")
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels)
     judged = _judged(queries, qrels)
-    _check_k(args.k)
-    budgets = None if args.budgets is None else _check_budgets(_parse_ints(args.budgets))
-    if budgets is not None:
-        if not args.corpus:
-            raise QlexError("--budgets needs --corpus for the token counter")
-        with open(args.corpus, "rb"):  # fail now, without holding the corpus while scoring
-            pass
-    if args.compare_index:
-        _check_resamples(args.resamples)
+    if args.budgets is not None:
+        open(args.corpus, "rb").close()  # fail now, without holding the corpus while scoring
     index = load_index(args.index)
     depth = max(args.k, 100)
     placed = {qid: [] for qid, _ in queries}  # an unjudged query places no judged document
     rankings = []
     for qid, scores, places in _walk(index, qrels, judged, depth):
         placed[qid] = places
-        if budgets is not None:  # the budget walk reads the hits down to the first relevant one
+        if args.budgets is not None:  # the budget walk reads hits down to the first relevant one
             rankings.append(rank_from_scores(index, scores, places[0][0] + 1 if places else depth,
                                              qid))
     ndcg = eval_ndcg(placed, qrels)
@@ -159,8 +164,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         other_placed = {qid: places for qid, _, places in _walk(other, qrels, judged, NDCG_CUTOFF)}
         boot = paired_bootstrap(ndcg.per_query, eval_ndcg(other_placed, qrels).per_query,
                                 resamples=args.resamples, seed=args.seed)
-    if budgets is not None:
-        budget_rows = recall_at_token_budget(rankings, qrels, budgets, load_corpus(args.corpus))
+    if args.budgets is not None:
+        budget_rows = recall_at_token_budget(rankings, qrels, args.budgets,
+                                             load_corpus(args.corpus))
         for budget, rec in budget_rows:
             print(f"recall@{budget}tok\t{rec:.4f}", file=sys.stderr)
 
@@ -183,10 +189,7 @@ def _cmd_occlusion(args: argparse.Namespace) -> int:
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels)
     _judged(queries, qrels)
-    bins = _parse_bins(args.bins) if args.bins is not None else list(DEFAULT_DF_BINS)
-    _check_bins(bins)
-    if args.q is not None:
-        _check_mark("q", args.q)
+    bins = DEFAULT_DF_BINS if args.bins is None else args.bins
     index = load_index(args.index)
     if args.q is not None and index.header.applied_q != args.q:
         index = rescale_index(index, args.q)  # an index already at q is used as it is
@@ -205,9 +208,6 @@ def _median_mad(values: list[float]) -> tuple[float, float]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    _check_k(args.k)
     queries = load_queries(args.queries)
     if not queries:
         raise QlexError(f"no query to time in {args.queries}")
@@ -283,20 +283,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--out", help="write to a new path instead of overwriting")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--q", type=float)
-    group.add_argument("--gamma", type=float)
+    group.add_argument("--q", type=_checked(float, _check_mark, "q"))
+    group.add_argument("--gamma", type=_checked(float, _check_mark, "gamma"))
 
     p = add("search", _cmd_search, "run queries and emit a TREC-style run file")
     p.add_argument("--index", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--k", type=int, default=100)
+    p.add_argument("--k", type=_checked(int, _check_k), default=100)
     p.add_argument("--out")
 
     p = add("sweep", _cmd_sweep, "mean NDCG@10 across an exponent grid")
     p.add_argument("--index", required=True, help="untransformed baseline index")
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--grid", help="comma-separated q values")
+    p.add_argument("--grid", type=_checked(_parse_floats, _check_grid),
+                   help="comma-separated q values")
     p.add_argument("--out", help="CSV output path (default stdout)")
 
     p = add("predict-q", _cmd_predict_q, "predict the exponent from corpus statistics")
@@ -307,32 +308,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--k", type=int, default=10, help="recall cutoff (>= 1)")
+    p.add_argument("--k", type=_checked(int, _check_k), default=10, help="recall cutoff (>= 1)")
     p.add_argument("--format", default="tsv", choices=["tsv", "json"])
     p.add_argument("--out")
     p.add_argument("--compare-index", help="second index for a paired bootstrap on NDCG@10")
-    p.add_argument("--resamples", type=int, default=10_000)
+    p.add_argument("--resamples", type=_checked(int, _check_k, "resamples"), default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budgets", help="comma-separated token budgets (needs --corpus)")
+    p.add_argument("--budgets", type=_checked(_parse_ints, _check_budgets),
+                   help="comma-separated token budgets (needs --corpus)")
     p.add_argument("--corpus", help="corpus path for the budget token counter")
 
     p = add("occlusion", _cmd_occlusion, "NDCG loss per document-frequency bin")
     p.add_argument("--index", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--q", type=float, help="operating exponent (rescales a pristine index)")
-    p.add_argument("--bins", help="comma-separated inclusive upper df edges")
+    p.add_argument("--q", type=_checked(float, _check_mark, "q"),
+                   help="operating exponent (rescales a pristine index)")
+    p.add_argument("--bins", type=_checked(_parse_bins, _check_bins),
+                   help="comma-separated inclusive upper df edges")
     p.add_argument("--out")
 
     p = add("bench", _cmd_bench, "steady-state build/rescale/query timings")
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--mode", default="t0", choices=[m.value for m in TokenizerMode])
-    p.add_argument("--q", type=float)
+    p.add_argument("--q", type=_checked(float, _check_mark, "q"))
     p.add_argument("--k1", type=float, default=1.5)
     p.add_argument("--b", type=float, default=0.75)
-    p.add_argument("--k", type=int, default=100, help="retrieval depth")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--k", type=_checked(int, _check_k), default=100, help="retrieval depth")
+    p.add_argument("--trials", type=_checked(int, _check_k, "trials"), default=5)
 
     return parser
 

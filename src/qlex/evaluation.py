@@ -160,7 +160,7 @@ def paired_bootstrap(metric_a: Mapping[str, float], metric_b: Mapping[str, float
     results are reproducible bit for bit regardless of chunking or thread
     count.  The CI is the 2.5/97.5 percentile pair of resample means.
     """
-    _check_resamples(resamples)
+    _check_k(resamples, "resamples")
     keys = sorted(metric_a)
     if set(keys) != set(metric_b):
         raise ValueError("paired bootstrap requires identical query keysets")
@@ -189,11 +189,6 @@ def paired_bootstrap(metric_a: Mapping[str, float], metric_b: Mapping[str, float
         reversals = resamples
     return BootstrapResult(mean_delta=observed, ci_lo=float(ci_lo), ci_hi=float(ci_hi),
                            sign_reversals=reversals, resamples=resamples, seed=seed)
-
-
-def _check_resamples(resamples: int) -> None:
-    if resamples < 1:
-        raise ValueError("resamples must be >= 1")
 
 
 # ------------------------------------------------------------ diagnostics
@@ -230,7 +225,7 @@ def _check_grid(grid: Sequence[float]) -> None:
     if not grid:
         raise ValueError("sweep grid must be non-empty")
     for q in grid:
-        _check_mark("q", q)
+        _check_mark(q, "q")
 
 
 def df_bin_occlusion(index: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,

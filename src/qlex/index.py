@@ -75,12 +75,12 @@ class IndexHeader:
             raise ValueError("a rescale sets one mark, on a BM25 index only; "
                              f"got q={self.applied_q}, gamma={self.applied_gamma}")
         for name, value in marks.items():
-            _check_mark(name, value)
+            _check_mark(value, name)
 
 
-def _check_mark(name: str, value: float) -> None:
+def _check_mark(value: float, name: str) -> None:
     """ValueError unless ``value`` is a legal ``name`` mark: a finite q or a finite gamma > 0.
-    :class:`IndexHeader` reads it, and the CLI and the sweep before any load."""
+    :class:`IndexHeader` reads it, the sweep before any scoring and the CLI at parse time."""
     if not (math.isfinite(value) and (name == "q" or value > 0)):
         raise ValueError(f"a rescale sets a finite q or a finite gamma > 0; got {name}={value}")
 

@@ -159,10 +159,10 @@ def rank_from_scores(index: SparseScoreIndex, scores: np.ndarray, k: int,
     return RankedList(query_id, list(hits))
 
 
-def _check_k(k: int) -> None:
-    """ValueError unless the ranking depth ``k`` is >= 1; the CLI runs it before any load."""
+def _check_k(k: int, name: str = "k") -> None:
+    """ValueError unless the count ``k`` is >= 1; each CLI count runs it at parse time."""
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValueError(f"{name} must be >= 1, got {k}")
 
 
 def _position(scores: np.ndarray, i: int) -> int:

@@ -31,6 +31,35 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+JUDGED = ["--index", "base.qlx", "--queries", "queries.jsonl", "--qrels", "qrels.tsv"]
+
+
+@pytest.fixture
+def refused(tmp_path, monkeypatch, capsys):
+    """The one check of a refusal before any load.  A bad argument exits 2 from
+    argparse with every loader and the build raising; bad input exits 1 with
+    only the query and qrels loaders live, the inputs such a rule reads.  Either
+    way the rule's message is on stderr, stdout is empty and no file is written."""
+    def check(*argv, message, code=2):
+        def loader(*args):
+            raise AssertionError(f"loaded {args} before refusing {argv}")
+        live = () if code == 2 else ("load_queries", "load_qrels")
+        for name in {"load_index", "load_queries", "load_qrels", "load_corpus",
+                     "build_index"} - set(live):
+            monkeypatch.setattr(cli, name, loader)
+        files = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        try:
+            rc = run(*argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        rule = "error: argument --" if code == 2 else "error: "
+        assert rc == code and rule in captured.err and message in captured.err
+        assert captured.out == "" and sorted(tmp_path.rglob("*")) == files
+    return check
+
+
 class TestBuildRescaleSearch:
     def test_build_writes_index(self, workdir, capsys):
         rc = run("build", "--corpus", workdir / "corpus.jsonl",
@@ -249,13 +278,10 @@ class TestAnalysisCommands:
         assert Counter(scored) == once_per_index
 
     @pytest.mark.parametrize("k", ["0", "-95"])
-    def test_eval_rejects_a_cutoff_below_one(self, mech, capsys, k):
-        rc = run("eval", "--index", mech / "base.qlx",
-                 "--queries", mech / "queries.jsonl", "--qrels", mech / "qrels.tsv", "--k", k)
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "error:" in err and "k must be >= 1" in err
-        assert f"recall@{k}:" not in err
+    def test_eval_rejects_a_cutoff_below_one(self, mech, refused, k):
+        refused("eval", "--index", mech / "base.qlx", "--queries", mech / "queries.jsonl",
+                "--qrels", mech / "qrels.tsv", "--k", k, "--out", mech / "report.tsv",
+                message=f"k must be >= 1, got {k}")
 
     def test_eval_budgets_need_corpus(self, mech, capsys):
         rc = run("eval", "--index", mech / "base.qlx",
@@ -309,44 +335,27 @@ class TestAnalysisCommands:
 
 class TestErrorsAndParsing:
     @pytest.mark.parametrize("trials", ["0", "-3"])
-    def test_bench_needs_a_trial(self, workdir, capsys, trials):
-        rc = run("bench", "--corpus", workdir / "corpus.jsonl",
-                 "--queries", workdir / "queries.jsonl", "--trials", trials)
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert "error:" in captured.err and "--trials" in captured.err
-        assert "nan" not in captured.out
+    def test_bench_needs_a_trial(self, workdir, refused, trials):
+        refused("bench", "--corpus", workdir / "corpus.jsonl",
+                "--queries", workdir / "queries.jsonl", "--trials", trials,
+                message=f"argument --trials: trials must be >= 1, got {trials}")
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     @pytest.mark.parametrize("queries", ["empty.jsonl", "queries.jsonl"])
-    def test_search_refuses_a_depth_below_one_before_any_load(self, workdir, capsys, monkeypatch,
-                                                               queries, k):
-        run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "base.qlx")
-        (workdir / "empty.jsonl").write_text("")
-        loads = []
-        monkeypatch.setattr(cli, "load_index", lambda path: loads.append(path) or load_index(path))
-        capsys.readouterr()
-        rc = run("search", "--index", workdir / "base.qlx", "--queries", workdir / queries,
-                 "--k", k, "--out", workdir / "run.tsv")
-        captured = capsys.readouterr()
-        assert rc == 1 and "error: k must be >= 1" in captured.err and captured.out == ""
-        assert loads == [] and not (workdir / "run.tsv").exists()
+    def test_search_refuses_a_depth_below_one_before_any_load(self, workdir, refused, queries,
+                                                               k):
+        refused("search", "--index", workdir / "base.qlx", "--queries", workdir / queries,
+                "--k", k, "--out", workdir / "run.tsv", message=f"k must be >= 1, got {k}")
 
-    @pytest.mark.parametrize("queries, k, message", [
-        ("queries.jsonl", "0", "k must be >= 1"),
-        ("queries.jsonl", "-1", "k must be >= 1"),
-        ("empty.jsonl", "10", "no query to time"),
+    @pytest.mark.parametrize("queries, k, code, message", [
+        ("queries.jsonl", "0", 2, "k must be >= 1"),
+        ("queries.jsonl", "-1", 2, "k must be >= 1"),
+        ("empty.jsonl", "10", 1, "no query to time"),
     ], ids=["k_zero", "k_negative", "no_query"])
-    def test_bench_refuses_before_the_build(self, workdir, capsys, monkeypatch, queries, k,
-                                            message):
+    def test_bench_refuses_before_the_build(self, workdir, refused, queries, k, code, message):
         (workdir / "empty.jsonl").write_text("")
-        builds = []
-        monkeypatch.setattr(cli, "build_index", lambda *args: builds.append(args))
-        rc = run("bench", "--corpus", workdir / "corpus.jsonl", "--queries", workdir / queries,
-                 "--k", k)
-        captured = capsys.readouterr()
-        assert rc == 1 and f"error: {message}" in captured.err and captured.out == ""
-        assert builds == []
+        refused("bench", "--corpus", workdir / "corpus.jsonl", "--queries", workdir / queries,
+                "--k", k, code=code, message=message)
 
     def test_missing_corpus_is_exit_one(self, tmp_path, capsys):
         rc = run("build", "--corpus", tmp_path / "nope.jsonl",
@@ -406,16 +415,11 @@ class TestErrorsAndParsing:
         ("sweep", "--grid", "sweep grid must be non-empty"),
         ("eval", "--budgets", "budgets must be positive"),
     ])
-    def test_an_explicit_empty_list_is_not_the_default(self, workdir, capsys, command, flag,
+    def test_an_explicit_empty_list_is_not_the_default(self, workdir, refused, command, flag,
                                                        message):
-        run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "base.qlx")
-        capsys.readouterr()
         corpus = ["--corpus", workdir / "corpus.jsonl"] if command == "eval" else []
-        rc = run(command, "--index", workdir / "base.qlx", "--queries",
-                 workdir / "queries.jsonl", "--qrels", workdir / "qrels.tsv", flag, "", *corpus)
-        out = capsys.readouterr()
-        assert rc == 1 and out.out == ""
-        assert message in out.err and "recall@" not in out.err
+        refused(command, "--index", workdir / "base.qlx", "--queries", workdir / "queries.jsonl",
+                "--qrels", workdir / "qrels.tsv", flag, "", *corpus, message=message)
 
     def test_empty_bins_are_one_open_bin(self, workdir, capsys):
         run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "base.qlx")
@@ -435,13 +439,10 @@ class TestErrorsAndParsing:
         assert not (workdir / "bad.qlx").exists()
 
     @pytest.mark.parametrize("edges", ["5,5", "0,5", "9,3"])
-    def test_occlusion_rejects_bad_bin_edges(self, workdir, capsys, edges):
-        run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "base.qlx")
-        capsys.readouterr()
-        rc = run("occlusion", "--index", workdir / "base.qlx", "--queries",
-                 workdir / "queries.jsonl", "--qrels", workdir / "qrels.tsv", "--bins", edges)
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+    def test_occlusion_rejects_bad_bin_edges(self, workdir, refused, edges):
+        refused("occlusion", "--index", workdir / "base.qlx", "--queries",
+                workdir / "queries.jsonl", "--qrels", workdir / "qrels.tsv", "--bins", edges,
+                "--out", workdir / "occ.tsv", message="argument --bins: df bins must be")
 
     @pytest.mark.parametrize("command", ["sweep", "occlusion", "eval"])
     def test_no_judged_query_is_exit_one(self, workdir, capsys, command):
@@ -455,62 +456,58 @@ class TestErrorsAndParsing:
         assert "error: no query has a positively judged document" in captured.err
         assert "q_opt" not in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("command, qrels, extra, message", [
-        ("eval", "qrels.tsv", ["--budgets", "16"], "--budgets needs --corpus"),
-        ("occlusion", "other.tsv", ["--q", "0.3"], "no query has a positively judged document"),
-        ("eval", "qrels.tsv", ["--budgets", "32,16", "--corpus", "corpus.jsonl"],
+    @pytest.mark.parametrize("argv, code, message", [
+        (["eval", *JUDGED, "--budgets", "16"], 1, "--budgets needs --corpus"),
+        (["occlusion", "--index", "base.qlx", "--queries", "queries.jsonl", "--qrels", "other.tsv",
+          "--q", "0.3"], 1, "no query has a positively judged document"),
+        (["eval", *JUDGED, "--budgets", "32,16", "--corpus", "corpus.jsonl"], 2,
          "budgets must be strictly ascending"),
-        ("eval", "qrels.tsv", ["--budgets", "0", "--corpus", "corpus.jsonl"],
+        (["eval", *JUDGED, "--budgets", "0", "--corpus", "corpus.jsonl"], 2,
          "budgets must be positive"),
-        ("eval", "qrels.tsv", ["--budgets", "", "--corpus", "corpus.jsonl"],
+        (["eval", *JUDGED, "--budgets", "", "--corpus", "corpus.jsonl"], 2,
          "budgets must be positive"),
-        ("eval", "qrels.tsv", ["--k", "0"], "k must be >= 1"),
-        ("eval", "qrels.tsv", ["--compare-index", "base.qlx", "--resamples", "0"],
-         "resamples must be >= 1"),
-        ("occlusion", "qrels.tsv", ["--bins", "5,3"], "df bins"),
-        ("occlusion", "qrels.tsv", ["--bins", "0"], "df bins"),
-        ("occlusion", "qrels.tsv", ["--bins", "5,3", "--q", "0.3"], "df bins"),
-        ("sweep", "qrels.tsv", ["--grid", "0.5,nan"], "finite q"),
-        ("sweep", "qrels.tsv", ["--grid", "0.5,inf"], "finite q"),
-        ("occlusion", "qrels.tsv", ["--q", "nan"], "finite q"),
-        ("occlusion", "qrels.tsv", ["--q", "inf"], "finite q"),
-        ("rescale", None, ["--q", "nan"], "finite q"),
-        ("rescale", None, ["--gamma", "0"], "finite gamma > 0"),
-        ("eval", "qrels.tsv", ["--budgets", "16", "--corpus", "missing.jsonl"],
+        (["eval", *JUDGED, "--k", "0"], 2, "argument --k: k must be >= 1"),
+        (["eval", *JUDGED, "--compare-index", "base.qlx", "--resamples", "0"], 2,
+         "argument --resamples: resamples must be >= 1"),
+        (["eval", *JUDGED, "--resamples", "0"], 2, "resamples must be >= 1"),
+        (["occlusion", *JUDGED, "--bins", "5,3"], 2, "df bins"),
+        (["occlusion", *JUDGED, "--bins", "0"], 2, "df bins"),
+        (["occlusion", *JUDGED, "--bins", "5,3", "--q", "0.3"], 2, "df bins"),
+        (["sweep", *JUDGED, "--grid", "0.5,nan"], 2, "argument --grid: a rescale sets a finite q"),
+        (["sweep", *JUDGED, "--grid", "0.5,inf"], 2, "finite q"),
+        (["sweep", *JUDGED, "--grid", "0.5,abc"], 2, "could not convert string to float: 'abc'"),
+        (["occlusion", *JUDGED, "--q", "nan"], 2, "argument --q: a rescale sets a finite q"),
+        (["occlusion", *JUDGED, "--q", "inf"], 2, "finite q"),
+        (["rescale", "--index", "base.qlx", "--q", "nan"], 2, "finite q"),
+        (["rescale", "--index", "base.qlx", "--gamma", "0"], 2,
+         "argument --gamma: a rescale sets a finite q or a finite gamma > 0; got gamma=0.0"),
+        (["bench", "--corpus", "corpus.jsonl", "--queries", "queries.jsonl", "--q", "nan"], 2,
+         "argument --q: a rescale sets a finite q"),
+        (["eval", *JUDGED, "--budgets", "16", "--corpus", "missing.jsonl"], 1,
          "No such file or directory"),
     ], ids=["eval_budgets_without_corpus", "occlusion_no_judged_query", "eval_budgets_descending",
             "eval_budget_zero", "eval_budgets_empty", "eval_k_zero", "eval_resamples_zero",
-            "occlusion_bins_descending", "occlusion_bin_zero", "occlusion_bins_descending_at_q",
-            "sweep_grid_nan", "sweep_grid_inf", "occlusion_q_nan", "occlusion_q_inf",
-            "rescale_q_nan", "rescale_gamma_zero", "eval_budget_corpus_missing"])
-    def test_refused_before_any_index_load(self, workdir, capsys, monkeypatch, command, qrels,
-                                           extra, message):
-        run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "base.qlx")
+            "eval_resamples_zero_without_compare_index", "occlusion_bins_descending",
+            "occlusion_bin_zero", "occlusion_bins_descending_at_q", "sweep_grid_nan",
+            "sweep_grid_inf", "sweep_grid_malformed", "occlusion_q_nan", "occlusion_q_inf",
+            "rescale_q_nan", "rescale_gamma_zero", "bench_q_nan", "eval_budget_corpus_missing"])
+    def test_refused_before_any_index_load(self, workdir, refused, argv, code, message):
         write_qrels(workdir / "other.tsv", [("absent", "d0", 1)])
-        capsys.readouterr()
-        loads = []
-        monkeypatch.setattr(cli, "load_index", lambda path: loads.append(path) or load_index(path))
-        extra = [workdir / arg if arg.endswith((".jsonl", ".qlx")) else arg for arg in extra]
-        judgements = [] if qrels is None else ["--queries", workdir / "queries.jsonl",
-                                               "--qrels", workdir / qrels]
-        rc = run(command, "--index", workdir / "base.qlx", *judgements, *extra)
-        captured = capsys.readouterr()
-        assert rc == 1 and message in captured.err and captured.out == ""
-        assert loads == []
+        out = [] if argv[0] == "bench" else ["--out", "out.tsv"]
+        refused(*[workdir / arg if arg.endswith((".jsonl", ".qlx", ".tsv")) else arg
+                  for arg in argv + out], code=code, message=message)
 
-    @pytest.mark.parametrize("qrels, extra, message", [
-        ("qrels.tsv", ["--grid", ""], "sweep grid must be non-empty"),
-        ("qrels.tsv", ["--grid", "nan"], "finite q"),
-        ("other.tsv", [], "no query has a positively judged document"),
+    @pytest.mark.parametrize("qrels, extra, code, message", [
+        ("qrels.tsv", ["--grid", ""], 2, "sweep grid must be non-empty"),
+        ("qrels.tsv", ["--grid", "nan"], 2, "finite q"),
+        ("other.tsv", [], 1, "no query has a positively judged document"),
     ], ids=["empty_grid", "nan_grid", "no_judged_query"])
-    def test_sweep_refuses_its_arguments_before_opening_the_index(self, workdir, capsys, qrels,
-                                                                  extra, message):
+    def test_sweep_refuses_its_arguments_before_opening_the_index(self, workdir, refused, qrels,
+                                                                  extra, code, message):
         write_qrels(workdir / "other.tsv", [("absent", "d0", 1)])
-        rc = run("sweep", "--index", workdir / "absent.qlx", "--queries",
-                 workdir / "queries.jsonl", "--qrels", workdir / qrels, *extra)
-        err = capsys.readouterr().err
-        assert rc == 1 and "error: " in err and message in err
-        assert "No such file" not in err
+        refused("sweep", "--index", workdir / "absent.qlx", "--queries",
+                workdir / "queries.jsonl", "--qrels", workdir / qrels, *extra, code=code,
+                message=message)
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
