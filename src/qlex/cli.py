@@ -23,7 +23,7 @@ from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, NDCG_CUTOFF, _check_bi
                          _walk, df_bin_occlusion, eval_mrr, eval_ndcg, eval_recall,
                          paired_bootstrap, q_sweep, recall_at_token_budget,
                          report_to_json, report_to_tsv, sweep_to_csv)
-from .index import _check_mark, build_index
+from .index import _check_mark, _check_param, build_index
 from .query import _check_k, batch_retrieve, format_trec_run, rank_from_scores, top_k
 from .stats import compute_corpus_stats, predict_q
 from .storage import dumps_index, load_index, save_index, write_atomic
@@ -275,8 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--index", required=True, help="output index path")
     p.add_argument("--mode", default="t0", choices=[m.value for m in TokenizerMode])
-    p.add_argument("--k1", type=float, default=1.5)
-    p.add_argument("--b", type=float, default=0.75)
+    p.add_argument("--k1", type=_checked(float, _check_param, "k1"), default=1.5)
+    p.add_argument("--b", type=_checked(float, _check_param, "b"), default=0.75)
     p.add_argument("--dph", action="store_true", help="bake parameter-free DPH scores instead")
 
     p = add("rescale", _cmd_rescale, "apply a q-log or gamma IDF transform in place")
@@ -333,8 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True)
     p.add_argument("--mode", default="t0", choices=[m.value for m in TokenizerMode])
     p.add_argument("--q", type=_checked(float, _check_mark, "q"))
-    p.add_argument("--k1", type=float, default=1.5)
-    p.add_argument("--b", type=float, default=0.75)
+    p.add_argument("--k1", type=_checked(float, _check_param, "k1"), default=1.5)
+    p.add_argument("--b", type=_checked(float, _check_param, "b"), default=0.75)
     p.add_argument("--k", type=_checked(int, _check_k), default=100, help="retrieval depth")
     p.add_argument("--trials", type=_checked(int, _check_k, "trials"), default=5)
 

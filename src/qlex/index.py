@@ -60,10 +60,8 @@ class IndexHeader:
 
     def __post_init__(self):
         if self.scorer == SCORER_BM25 and None not in (self.k1, self.b):
-            if not (self.k1 > 0 and math.isfinite(self.k1)):
-                raise ValueError(f"k1 must be finite and > 0, got {self.k1}")
-            if not (0.0 <= self.b <= 1.0):
-                raise ValueError(f"b must lie in [0, 1], got {self.b}")
+            _check_param(self.k1, "k1")
+            _check_param(self.b, "b")
         elif not (self.scorer == SCORER_DPH and self.k1 is None and self.b is None):
             raise ValueError(f"scorer {self.scorer!r} needs k1 and b set (bm25) or neither (dph)")
         if not (math.isfinite(self.avg_len) and self.avg_len > 0):
@@ -76,6 +74,15 @@ class IndexHeader:
                              f"got q={self.applied_q}, gamma={self.applied_gamma}")
         for name, value in marks.items():
             _check_mark(value, name)
+
+
+def _check_param(value: float, name: str) -> None:
+    """ValueError unless ``value`` is a legal BM25 ``name``: a finite k1 > 0 or a b in [0, 1].
+    :class:`IndexHeader` reads it and the CLI at parse time."""
+    if name == "k1" and not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"k1 must be finite and > 0, got {value}")
+    if name == "b" and not (0.0 <= value <= 1.0):
+        raise ValueError(f"b must lie in [0, 1], got {value}")
 
 
 def _check_mark(value: float, name: str) -> None:

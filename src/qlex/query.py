@@ -99,12 +99,14 @@ _SCORE_CLASSES = (
 def _top_of(idx: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
     """The first ``m`` of ``idx`` by descending ``vals``, ties by ascending index.
 
-    ``idx`` must be ascending and ``vals`` free of NaN.  Everything strictly
-    above the m-th largest value is kept, then that value's ties in
-    ascending index order, and only the kept entries are sorted.
+    ``idx`` must be ascending and ``vals`` free of NaN.  The m-th largest
+    value is picked from the top (negation is exact): a large tie block
+    below the first ``m`` does not slow numpy's selection, one reaching
+    into them does.  Everything strictly above that value is kept, then
+    its ties in ascending index order, and only the kept entries are sorted.
     """
     if idx.size > m:
-        kth = np.partition(vals, idx.size - m)[idx.size - m]
+        kth = -np.partition(-vals, m - 1)[m - 1]
         keep = vals > kth
         keep[np.flatnonzero(vals == kth)[:m - np.count_nonzero(keep)]] = True
         idx, vals = idx[keep], vals[keep]

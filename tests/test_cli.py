@@ -431,12 +431,10 @@ class TestErrorsAndParsing:
         assert len(lines) == 2 and lines[1].startswith("1\tinf\t")
 
     @pytest.mark.parametrize("flag, value", [("--k1", "-1"), ("--b", "1.5")])
-    def test_build_rejects_illegal_bm25_parameters(self, workdir, capsys, flag, value):
-        rc = run("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "bad.qlx",
-                 flag, value)
-        assert rc == 1
-        assert f"{flag[2:]} must" in capsys.readouterr().err
-        assert not (workdir / "bad.qlx").exists()
+    def test_build_rejects_illegal_bm25_parameters(self, workdir, refused, flag, value):
+        # Refused at parse time even under --dph, which bakes neither.
+        refused("build", "--corpus", workdir / "corpus.jsonl", "--index", workdir / "bad.qlx",
+                "--dph", flag, value, message=f"argument {flag}: {flag[2:]} must")
 
     @pytest.mark.parametrize("edges", ["5,5", "0,5", "9,3"])
     def test_occlusion_rejects_bad_bin_edges(self, workdir, refused, edges):
@@ -485,15 +483,24 @@ class TestErrorsAndParsing:
          "argument --q: a rescale sets a finite q"),
         (["eval", *JUDGED, "--budgets", "16", "--corpus", "missing.jsonl"], 1,
          "No such file or directory"),
+        (["build", "--corpus", "corpus.jsonl", "--index", "out.qlx", "--k1", "-1"], 2,
+         "argument --k1: k1 must be finite and > 0, got -1.0"),
+        (["build", "--corpus", "corpus.jsonl", "--index", "out.qlx", "--k1", "nan"], 2,
+         "argument --k1: k1 must be finite and > 0, got nan"),
+        (["build", "--corpus", "corpus.jsonl", "--index", "out.qlx", "--b", "1.5"], 2,
+         "argument --b: b must lie in [0, 1], got 1.5"),
+        (["bench", "--corpus", "corpus.jsonl", "--queries", "queries.jsonl", "--b", "-0.1"], 2,
+         "argument --b: b must lie in [0, 1], got -0.1"),
     ], ids=["eval_budgets_without_corpus", "occlusion_no_judged_query", "eval_budgets_descending",
             "eval_budget_zero", "eval_budgets_empty", "eval_k_zero", "eval_resamples_zero",
             "eval_resamples_zero_without_compare_index", "occlusion_bins_descending",
             "occlusion_bin_zero", "occlusion_bins_descending_at_q", "sweep_grid_nan",
             "sweep_grid_inf", "sweep_grid_malformed", "occlusion_q_nan", "occlusion_q_inf",
-            "rescale_q_nan", "rescale_gamma_zero", "bench_q_nan", "eval_budget_corpus_missing"])
+            "rescale_q_nan", "rescale_gamma_zero", "bench_q_nan", "eval_budget_corpus_missing",
+            "build_k1_negative", "build_k1_nan", "build_b_above_one", "bench_b_negative"])
     def test_refused_before_any_index_load(self, workdir, refused, argv, code, message):
         write_qrels(workdir / "other.tsv", [("absent", "d0", 1)])
-        out = [] if argv[0] == "bench" else ["--out", "out.tsv"]
+        out = [] if argv[0] in ("bench", "build") else ["--out", "out.tsv"]
         refused(*[workdir / arg if arg.endswith((".jsonl", ".qlx", ".tsv")) else arg
                   for arg in argv + out], code=code, message=message)
 

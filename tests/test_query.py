@@ -267,6 +267,24 @@ class TestRankFromScores:
     def test_edge_vectors(self, scores, k):
         _assert_matches_full_sort(_docs(scores.size), scores, k)
 
+    # One class of n documents, ¾ n of them tied at one value, with ``above``
+    # distinct values ranked above that block: the shapes of the benchmark's
+    # queries (a common word's block far below the k-th place) and the two
+    # others, at sizes past ``_mass_ties``, where numpy selects differently.
+    @pytest.mark.parametrize("k", [1, 3, 100])
+    @pytest.mark.parametrize("sign", ["positive", "negative"])
+    @pytest.mark.parametrize("place", ["below", "straddling", "top"])
+    @pytest.mark.parametrize("n", [1438, 8000, 20000])
+    def test_a_tie_block_at_benchmark_scale(self, n, place, sign, k):
+        distinct = n - 3 * n // 4
+        above = {"below": distinct, "straddling": k // 2, "top": 0}[place]
+        values = np.concatenate([np.arange(1.0, distinct + 1),
+                                 np.full(n - distinct, distinct - above + 0.5)])
+        scores = np.random.default_rng(n + k).permutation(values)
+        if sign == "negative":
+            scores -= distinct + 1
+        _assert_matches_full_sort(_docs(n), scores, k)
+
     # Non-zero values packed at the front of a mostly-zero vector: negatives
     # and NaN there leave the first k entries short of zeros, so the prefix
     # the zero class is read from must grow, once or up to the whole vector.
