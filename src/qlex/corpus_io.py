@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -207,13 +208,18 @@ def load_queries(path: str | Path) -> QuerySet:
     return _load(QuerySet, path)
 
 
+# A relevance grade: ASCII digits with an optional sign, not all that int() reads ("1_0", "٣").
+_RELEVANCE = re.compile(r"[+-]?[0-9]+")
+
+
 def load_qrels(path: str | Path) -> QrelSet:
     """Load qrels from whitespace-separated query_id/doc_id/relevance rows.
 
     Duplicate (query, doc) pairs keep the last value read; the number of
-    replacements is recorded on the result and logged as a warning.
-    Negative relevance and a leading UTF-8 BOM are parse errors, the BOM
-    as in the JSONL loaders.
+    replacements is recorded on the result and logged as a warning.  A
+    relevance that is not ASCII digits with an optional sign, a negative
+    relevance and a leading UTF-8 BOM are parse errors, the BOM as in the
+    JSONL loaders.
     """
     path = Path(path)
     judgments: dict[str, dict[str, int]] = {}
@@ -230,11 +236,10 @@ def load_qrels(path: str | Path) -> QrelSet:
                     raise ParseError(f"expected 3 columns, got {len(cols)}",
                                      path=str(path), line=lineno)
                 qid, doc_id, rel_text = cols
-                try:
-                    rel = int(rel_text)
-                except ValueError:
-                    raise ParseError(f"relevance {rel_text!r} is not an integer",
-                                     path=str(path), line=lineno) from None
+                if not _RELEVANCE.fullmatch(rel_text):
+                    raise ParseError(f"relevance {rel_text!r} is not an integer in ASCII "
+                                     "digits", path=str(path), line=lineno)
+                rel = int(rel_text)
                 if rel < 0:
                     raise ParseError(f"negative relevance {rel} for ({qid}, {doc_id})",
                                      path=str(path), line=lineno)

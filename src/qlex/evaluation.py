@@ -22,7 +22,8 @@ from .query import RankedList, _check_k, _columns, _position, _score
 from .query import batch_retrieve, rank_tokens  # noqa: F401  perfbench traces them here
 from .storage import load_index  # noqa: F401  perfbench traces it here
 from .tokenizers import tokenize
-from .transforms import _rescaled, rescale_index  # noqa: F401  perfbench traces rescale_index
+from .transforms import _column_factors, _rescaled
+from .transforms import rescale_index  # noqa: F401  perfbench traces it here
 
 __all__ = [
     "EvalReport", "BootstrapResult", "SweepTable",
@@ -197,27 +198,56 @@ def q_sweep(base: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
             grid: Sequence[float] = DEFAULT_Q_GRID) -> SweepTable:
     """Mean NDCG@10 across an exponent grid.
 
-    ``base`` is never written: each grid point scores the index
-    :func:`~qlex.transforms._rescaled` returns for it, which shares the
-    structure of ``base``, and a DPH or already-rescaled baseline is refused
-    as :func:`rescale_index` refuses it.  Ties on the mean prefer the larger
-    exponent (the one closer to plain BM25).  ValueError, before any scoring,
-    when a grid point is not a finite q or no query has a positively judged
-    document.
+    ``base`` is never written.  The judged queries are resolved once against
+    :func:`_judged_index`, the whole columns of ``base`` they read, and each
+    grid point scores them on that index rescaled by
+    :func:`~qlex.transforms._rescaled`, so a point costs the judged entries.
+    The overflow rule is the whole index's: a point raises the rescale's
+    ValueError if any column of ``base``, read or not, narrows to a
+    non-finite score.  Narrowing is monotone, so ``base`` is rescaled to
+    decide only when its peak |score| times the largest |factor| does.  A
+    DPH or already-rescaled baseline is refused as :func:`rescale_index`
+    refuses it.  Ties on the mean prefer the larger exponent (the one closer
+    to plain BM25).  ValueError, before any scoring, when a grid point is not
+    a finite q or no query has a positively judged document.
     """
     _check_grid(grid)
     judged = _judged(queries, qrels)
-    resolved = _resolve(base, qrels, judged)
+    index = _judged_index(base, judged)
+    resolved = _resolve(index, qrels, judged)
+    peak = max(float(base.scores.max()), -float(base.scores.min()))
+    dfs = np.flatnonzero(np.bincount(base.df))  # a column's factor depends on its df alone
     rows: list[tuple[float, float]] = []
     for q in grid:
-        index = _rescaled(base, "q", q)
-        ndcgs = [_ndcg_of_scores(_score(index, columns), docs) for columns, docs in resolved]
+        rescaled = _rescaled(index, "q", q)
+        if rescaled is not index:  # not the identity, so every column of base is rescaled
+            widest = peak * float(np.abs(_column_factors(dfs, base.num_docs, "q", q)).max())
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.float32(widest)):
+                    _rescaled(base, "q", q)  # raises if any score of base is not finite
+        ndcgs = [_ndcg_of_scores(_score(rescaled, columns), docs) for columns, docs in resolved]
         rows.append((float(q), float(np.mean(ndcgs))))
     q_opt, best = rows[0]
     for q, mean in rows[1:]:
         if mean > best or (mean == best and q > q_opt):
             q_opt, best = q, mean
     return SweepTable(rows=rows, q_opt=q_opt)
+
+
+def _judged_index(base: SparseScoreIndex, judged: Sequence[tuple[str, str]]) -> SparseScoreIndex:
+    """The index of the whole columns of ``base`` whose terms the judged
+    (query_id, text) pairs hold, concatenated in ascending column order, with
+    their terms and the doc ids and header of ``base``: a judged query resolves
+    against it to the columns it reads in ``base``."""
+    tokens = set().union(*(tokenize(text, base.header.mode) for _, text in judged))
+    cols = sorted(_term_columns(base.terms, tokens).values())
+    spans = [slice(base.col_ptr[c], base.col_ptr[c + 1]) for c in cols]
+    # Each concatenation starts from an empty slice, as a judged index may have no column.
+    return SparseScoreIndex(
+        col_ptr=np.cumsum([0] + [span.stop - span.start for span in spans], dtype=np.int64),
+        row_idx=np.concatenate([base.row_idx[:0]] + [base.row_idx[span] for span in spans]),
+        scores=np.concatenate([base.scores[:0]] + [base.scores[span] for span in spans]),
+        terms=tuple(base.terms[c] for c in cols), doc_ids=base.doc_ids, header=base.header)
 
 
 def _check_grid(grid: Sequence[float]) -> None:

@@ -109,15 +109,22 @@ def _rescaled(index: SparseScoreIndex, name: str, value: float) -> SparseScoreIn
     marked = dataclasses.replace(header, **{f"applied_{name}": value})
     if value == 1.0:
         return index
-    odds, idf = rsj_idf(index.df, index.num_docs)
+    factors = _column_factors(index.df, index.num_docs, name, value)
     with np.errstate(over="ignore", invalid="ignore"):
-        factors = ln_q(odds, value) / idf if name == "q" else np.power(idf, value - 1.0)
         narrowed = by_column_runs(index.col_ptr, lambda at, cols: (
             index.scores[at].astype(np.float64) * np.repeat(factors[cols], index.df[cols])))
     if not np.isfinite(narrowed).all():
         raise ValueError(f"rescale to {name}={value} gives non-finite float32 scores; "
                          "index left unchanged")
     return dataclasses.replace(index, scores=narrowed, header=marked)
+
+
+def _column_factors(df: np.ndarray, num_docs: int, name: str, value: float) -> np.ndarray:
+    """The float64 factor of a ``name`` = ``value`` rescale (see :func:`_rescaled`) for a
+    column of each document frequency of ``df`` in ``num_docs`` documents."""
+    odds, idf = rsj_idf(df, num_docs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ln_q(odds, value) / idf if name == "q" else np.power(idf, value - 1.0)
 
 
 def _rescale(index: SparseScoreIndex, name: str, value: float) -> SparseScoreIndex:

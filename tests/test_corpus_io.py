@@ -409,6 +409,20 @@ class TestQrelsLoading:
         with pytest.raises(ParseError):
             load_qrels(path)
 
+    @pytest.mark.parametrize("rel", ["1_0", "\u0663", "1.0", "1e1", "0x1", "+-1", "\uff11"])
+    def test_relevance_beyond_ascii_digits_is_parse_error(self, tmp_path, rel):
+        # int() reads "1_0" as 10 and the Arabic-Indic "\u0663" as 3.
+        path = tmp_path / "qrels.tsv"
+        path.write_text(f"q1 d1 1\nq1 d2 {rel}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="not an integer in ASCII digits") as exc:
+            load_qrels(path)
+        assert (exc.value.path, exc.value.line) == (str(path), 2)
+
+    def test_signed_ascii_relevance_loads(self, tmp_path):
+        path = tmp_path / "qrels.tsv"
+        path.write_text("q1 d1 +2\nq1 d2 -0\nq1 d3 007\n")
+        assert load_qrels(path).for_query("q1") == {"d1": 2, "d2": 0, "d3": 7}
+
     def test_bad_column_count(self, tmp_path):
         path = tmp_path / "qrels.tsv"
         path.write_text("q1\td1\n")

@@ -265,6 +265,28 @@ class TestSweep:
         with pytest.raises(RescaleStateError):
             q_sweep(load_index(path), queries, qrels, grid=[0.3, 1.0])
 
+    @staticmethod
+    def common_and_hapaxes():
+        """2,000 documents "common wordNNNNN", and a query judged on "common" alone."""
+        base = build_index(make_corpus([f"common word{i:05d}" for i in range(2000)]),
+                           TokenizerMode.T0)
+        return base, QuerySet([("q0", "common")]), qrels_of(q0={"d0": 1})
+
+    @pytest.mark.parametrize("grid", [(-12.0,), (0.5, -12.0)], ids=["alone", "after_a_point"])
+    def test_overflow_outside_the_judged_columns_raises(self, grid):
+        # At q = -12 each hapax column (df 1) narrows past float32's range, while
+        # "common", the only column the judged query reads, stays finite.
+        with pytest.raises(ValueError,
+                           match=r"rescale to q=-12\.0 gives non-finite float32 scores"):
+            q_sweep(*self.common_and_hapaxes(), grid)
+
+    def test_a_loose_overflow_bound_is_no_error(self):
+        # At q = 11 the peak |score| (a hapax's) times the largest |factor| ("common"'s)
+        # passes float32's range, but no column's own scores do.
+        base, queries, qrels = self.common_and_hapaxes()
+        assert (q_sweep(base, queries, qrels, [11.0]).rows
+                == sweep_by_batch_retrieve(base, queries, qrels, [11.0])[0])
+
     def test_matches_reload_per_point_and_leaves_the_base_unwritten(self, tmp_path):
         base, queries, qrels = self.build_base(tmp_path)
         path = tmp_path / "base.qlx"
@@ -417,10 +439,18 @@ class TestAgainstTheTokenBodies:
 
     @settings(deadline=None, max_examples=200)  # the deep profile's 2,000 take 2 minutes
     @given(data=_judged_collection(), mode=st.sampled_from([TokenizerMode.T0, TokenizerMode.T1]),
-           grid=st.lists(st.sampled_from([0.05, 0.3, 0.7, 1.0, 2.0]), min_size=1, max_size=4))
-    def test_sweep_equals_batch_retrieve_per_point(self, data, mode, grid):
+           grid=st.lists(st.sampled_from([0.05, 0.3, 0.7, 1.0, 2.0]), min_size=1, max_size=4),
+           only_oov=st.booleans())
+    def test_sweep_equals_batch_retrieve_per_point(self, data, mode, grid, only_oov):
         corpus, queries, qrels = data
         grid = grid + [1.5]  # every grid has a q > 1
+        # A judged query "qs" repeats q0's tokens and adds a document's, so judged
+        # queries share columns; the OOV-only query is judged too, and with only_oov
+        # it is the only judged one, so the sweep's judged columns are none.
+        oov = queries.ids[-1]
+        queries = QuerySet([*queries, ("qs", f"{queries.texts[0]} " * 2 + corpus.texts[0])])
+        qrels = QrelSet(judgments={oov: {"d0": 1}} if only_oov else
+                        {**qrels.judgments, oov: {"d0": 1}, "qs": {"d1": 2, "d0": 0}})
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "base.qlx"
             save_index(build_index(corpus, mode), path)
