@@ -19,7 +19,7 @@ from . import __version__
 from .corpus_io import load_corpus, load_queries, load_qrels
 from .errors import QlexError
 from .evaluation import (DEFAULT_DF_BINS, DEFAULT_Q_GRID, NDCG_CUTOFF, _check_bins,
-                         _check_budgets, _check_grid, _judged, _q_text,
+                         _check_budgets, _check_grid, _check_seed, _judged, _q_text,
                          _walk, df_bin_occlusion, eval_mrr, eval_ndcg, eval_recall,
                          paired_bootstrap, q_sweep, recall_at_token_budget,
                          report_to_json, report_to_tsv, sweep_to_csv)
@@ -313,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--compare-index", help="second index for a paired bootstrap on NDCG@10")
     p.add_argument("--resamples", type=_checked(int, _check_k, "resamples"), default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_checked(int, _check_seed), default=0)
     p.add_argument("--budgets", type=_checked(_parse_ints, _check_budgets),
                    help="comma-separated token budgets (needs --corpus)")
     p.add_argument("--corpus", help="corpus path for the budget token counter")

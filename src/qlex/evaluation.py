@@ -162,6 +162,7 @@ def paired_bootstrap(metric_a: Mapping[str, float], metric_b: Mapping[str, float
     count.  The CI is the 2.5/97.5 percentile pair of resample means.
     """
     _check_k(resamples, "resamples")
+    _check_seed(seed)
     keys = sorted(metric_a)
     if set(keys) != set(metric_b):
         raise ValueError("paired bootstrap requires identical query keysets")
@@ -190,6 +191,13 @@ def paired_bootstrap(metric_a: Mapping[str, float], metric_b: Mapping[str, float
         reversals = resamples
     return BootstrapResult(mean_delta=observed, ci_lo=float(ci_lo), ci_hi=float(ci_hi),
                            sign_reversals=reversals, resamples=resamples, seed=seed)
+
+
+def _check_seed(seed: int) -> None:
+    """ValueError unless ``seed`` is >= 0, as numpy's generator needs; ``--seed``
+    runs it at parse time."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 # ------------------------------------------------------------ diagnostics
@@ -227,10 +235,7 @@ def q_sweep(base: SparseScoreIndex, queries: QuerySet, qrels: QrelSet,
                     _rescaled(base, "q", q)  # raises if any score of base is not finite
         ndcgs = [_ndcg_of_scores(_score(rescaled, columns), docs) for columns, docs in resolved]
         rows.append((float(q), float(np.mean(ndcgs))))
-    q_opt, best = rows[0]
-    for q, mean in rows[1:]:
-        if mean > best or (mean == best and q > q_opt):
-            q_opt, best = q, mean
+    q_opt, _ = max(rows, key=lambda row: (row[1], row[0]))  # an equal key keeps the first row
     return SweepTable(rows=rows, q_opt=q_opt)
 
 

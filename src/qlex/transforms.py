@@ -144,6 +144,12 @@ def rescale_index(index: SparseScoreIndex, q: float) -> SparseScoreIndex:
     q = 1.0 exactly returns the index untouched, bit for bit, and unmarked.
     A second rescale is a state error; a non-finite q, or one whose scores
     overflow float32, is a ValueError that leaves the index untouched.
+
+    q = 1.0 is not the limit of its neighbours.  It keeps the baked IDF
+    ``log(1 + odds)``, while every other q, even one within ``LNQ_GUARD_EPS``
+    of 1 (where :func:`ln_q` is ``np.log``), gives ``ln_q(odds, q)``, whose
+    limit as q -> 1 is the RSJ ``ln(odds)``: negative for df > N/2 (at
+    N = 1,000, df 600 gives -0.405 against 0.511).
     """
     return _rescale(index, "q", q)
 

@@ -270,9 +270,12 @@ class TestAnalysisCommands:
         assert Counter(scored) == once_per_index
 
         scored.clear()
+        capsys.readouterr()
         assert run("eval", "--index", mech / "base.qlx", *common, "--k", "150",
-                   "--budgets", "128,1024", "--corpus", mech / "corpus.jsonl") == 0
-        assert "recall@1024tok" in capsys.readouterr().err
+                   "--budgets", "128,1024", "--corpus", mech / "corpus.jsonl",
+                   "--format", "json") == 0
+        captured = capsys.readouterr()
+        assert "recall@1024tok" in captured.err and "recall@150" in json.loads(captured.out)
         assert [(q, qid) for q, qid, _ in ranked] == [(None, qid) for qid, _ in judged]
         assert all(1 <= k <= 150 for _, _, k in ranked)
         assert Counter(scored) == once_per_index
@@ -403,8 +406,8 @@ class TestErrorsAndParsing:
         capsys.readouterr()
         rc = run("eval", "--index", tmp_path / "idx.qlx", "--queries", tmp_path / "queries.jsonl",
                  "--qrels", tmp_path / "qrels.tsv", "--budgets", "10",
-                 "--corpus", tmp_path / "other.jsonl")
-        assert rc == 1
+                 "--corpus", tmp_path / "other.jsonl", "--out", tmp_path / "report.tsv")
+        assert rc == 1 and not (tmp_path / "report.tsv").exists()
         err = capsys.readouterr().err
         assert "error:" in err and "'d0'" in err and str(tmp_path / "other.jsonl") in err
 
@@ -491,13 +494,17 @@ class TestErrorsAndParsing:
          "argument --b: b must lie in [0, 1], got 1.5"),
         (["bench", "--corpus", "corpus.jsonl", "--queries", "queries.jsonl", "--b", "-0.1"], 2,
          "argument --b: b must lie in [0, 1], got -0.1"),
+        (["eval", *JUDGED, "--compare-index", "base.qlx", "--seed", "-1"], 2,
+         "argument --seed: seed must be >= 0, got -1"),
+        (["eval", *JUDGED, "--seed", "-1"], 2, "argument --seed: seed must be >= 0, got -1"),
     ], ids=["eval_budgets_without_corpus", "occlusion_no_judged_query", "eval_budgets_descending",
             "eval_budget_zero", "eval_budgets_empty", "eval_k_zero", "eval_resamples_zero",
             "eval_resamples_zero_without_compare_index", "occlusion_bins_descending",
             "occlusion_bin_zero", "occlusion_bins_descending_at_q", "sweep_grid_nan",
             "sweep_grid_inf", "sweep_grid_malformed", "occlusion_q_nan", "occlusion_q_inf",
             "rescale_q_nan", "rescale_gamma_zero", "bench_q_nan", "eval_budget_corpus_missing",
-            "build_k1_negative", "build_k1_nan", "build_b_above_one", "bench_b_negative"])
+            "build_k1_negative", "build_k1_nan", "build_b_above_one", "bench_b_negative",
+            "eval_seed_negative", "eval_seed_negative_without_compare_index"])
     def test_refused_before_any_index_load(self, workdir, refused, argv, code, message):
         write_qrels(workdir / "other.tsv", [("absent", "d0", 1)])
         out = [] if argv[0] in ("bench", "build") else ["--out", "out.tsv"]

@@ -18,13 +18,25 @@ from qlex import (BuildError, Corpus, Document, DuplicateIdError, IndexFormatErr
                   load_corpus, load_qrels, load_queries, load_index, save_index, dumps_index,
                   loads_index, rescale_index, rescale_index_gamma, top_k)
 from qlex import storage
-from qlex.cli import _write_or_print
+from qlex.cli import _write_or_print, main
 from qlex.storage import INDEX_FORMAT_VERSION, _MAGIC, write_atomic
 from qlex.tokenizers import TokenizerMode
 
 from conftest import (IMPOSSIBLE_HEADER_IDS, IMPOSSIBLE_HEADERS, make_corpus,
-                      write_jsonl_corpus)
+                      write_jsonl_corpus, write_jsonl_queries)
 from oracles import check_ids_by_loop, jsonl_entries_by_loads
+
+
+def search_refused(tmp_path, index_path, capsys):
+    """``qlex search`` on the corrupt index file ``index_path`` exits 1 and
+    writes no run; returns its stderr."""
+    queries, run = tmp_path / "queries.jsonl", tmp_path / "run.tsv"
+    write_jsonl_queries(queries, [("q0", "alpha")])
+    capsys.readouterr()
+    assert main(["search", "--index", str(index_path), "--queries", str(queries),
+                 "--out", str(run)]) == 1
+    assert not run.exists()
+    return capsys.readouterr().err
 
 
 class TestCorpusLoading:
@@ -488,11 +500,15 @@ class TestTermOrder:
             terms = index.terms
             assert all(a < b for a, b in zip(terms, terms[1:])), terms
 
-    def test_the_refusal_names_the_rule(self):
+    def test_the_refusal_names_the_rule(self, tmp_path, capsys):
         index = build_index(make_corpus(["alpha beta", "gamma"]), TokenizerMode.T0)
+        # Reversing alpha, beta, gamma swaps two terms of equal length.
         blob = dumps_index(dataclasses.replace(index, terms=index.terms[::-1]))
         with pytest.raises(IndexFormatError, match="terms not strictly ascending"):
             loads_index(blob)
+        path = tmp_path / "i.qlx"
+        path.write_bytes(blob)
+        assert "terms not strictly ascending" in search_refused(tmp_path, path, capsys)
 
 
 class TestIndexSerialization:
@@ -733,7 +749,7 @@ class TestIndexFile:
         assert from_file.scores.flags.writeable
         assert not (from_file.col_ptr.flags.writeable or from_file.row_idx.flags.writeable)
 
-    def test_truncated_or_extended_file_is_corrupt_error(self, tmp_path, index):
+    def test_truncated_or_extended_file_is_corrupt_error(self, tmp_path, index, capsys):
         blob = dumps_index(index)
         path = tmp_path / "i.qlx"
         cuts = [blob[:cut] for cut in [3, len(_MAGIC) + 10, len(blob) // 2, len(blob) - 1]]
@@ -745,6 +761,7 @@ class TestIndexFile:
             with pytest.raises(IndexFormatError) as from_bytes:
                 loads_index(data)
             assert str(from_file.value) == str(from_bytes.value)
+            assert str(from_file.value) in search_refused(tmp_path, path, capsys)
 
     @pytest.mark.parametrize("edit", [
         lambda blob: _with_fixed(blob, nnz=1 << 40),

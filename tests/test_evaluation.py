@@ -202,6 +202,10 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="at least one query"):
             paired_bootstrap({}, {})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            paired_bootstrap({"a": 0.0}, {"a": 1.0}, seed=-1)
+
     def test_p_never_printed_below_resolution(self):
         a = {f"q{i}": 0.0 for i in range(5)}
         b = {f"q{i}": 1.0 for i in range(5)}
@@ -273,12 +277,24 @@ class TestSweep:
         return base, QuerySet([("q0", "common")]), qrels_of(q0={"d0": 1})
 
     @pytest.mark.parametrize("grid", [(-12.0,), (0.5, -12.0)], ids=["alone", "after_a_point"])
-    def test_overflow_outside_the_judged_columns_raises(self, grid):
+    def test_overflow_outside_the_judged_columns_raises(self, tmp_path, capsys, grid):
         # At q = -12 each hapax column (df 1) narrows past float32's range, while
         # "common", the only column the judged query reads, stays finite.
+        base, queries, qrels = self.common_and_hapaxes()
         with pytest.raises(ValueError,
                            match=r"rescale to q=-12\.0 gives non-finite float32 scores"):
-            q_sweep(*self.common_and_hapaxes(), grid)
+            q_sweep(base, queries, qrels, grid)
+        # qlex sweep exits 1 with that message and writes no CSV.
+        save_index(base, tmp_path / "base.qlx")
+        write_jsonl_queries(tmp_path / "queries.jsonl", list(queries))
+        write_qrels(tmp_path / "qrels.tsv", [("q0", "d0", 1)])
+        capsys.readouterr()
+        assert cli.main([str(arg) for arg in (
+            "sweep", "--index", tmp_path / "base.qlx", "--queries", tmp_path / "queries.jsonl",
+            "--qrels", tmp_path / "qrels.tsv", "--grid", ",".join(map(str, grid)),
+            "--out", tmp_path / "sweep.csv")]) == 1
+        assert "rescale to q=-12.0 gives non-finite float32 scores" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_a_loose_overflow_bound_is_no_error(self):
         # At q = 11 the peak |score| (a hapax's) times the largest |factor| ("common"'s)
