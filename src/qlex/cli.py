@@ -36,10 +36,6 @@ def _echo_config(args: argparse.Namespace) -> None:
     print("config: " + " ".join(f"{k}={v}" for k, v in pairs.items()), file=sys.stderr)
 
 
-def _mode(args: argparse.Namespace) -> TokenizerMode:
-    return TokenizerMode(args.mode)
-
-
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         write_atomic(out, text.encode("utf-8"))
@@ -47,18 +43,15 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _parse_list(cast):
+    """A parser of comma-separated ``cast`` values; blank items are skipped."""
+    return lambda text: [cast(x) for x in text.split(",") if x.strip()]
 
 
 def _parse_bins(text: str) -> list[tuple[int, int | None]]:
     """Comma-separated inclusive upper edges; an open final bin is appended.
     Edges not ascending from 1 give bins that ``_check_bins`` rejects."""
-    edges = _parse_ints(text)
+    edges = _parse_list(int)(text)
     return list(zip([1] + [edge + 1 for edge in edges], edges + [None]))
 
 
@@ -75,11 +68,18 @@ def _checked(parse, check, *names):
     return convert
 
 
+def _judged_inputs(args: argparse.Namespace):
+    """An analysis command's queries, qrels and judged (query id, text) pairs,
+    read before any index is: no judged query is an error without a load."""
+    queries, qrels = load_queries(args.queries), load_qrels(args.qrels)
+    return queries, qrels, _judged(queries, qrels)
+
+
 # ------------------------------------------------------------ subcommands
 
 def _cmd_build(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
-    mode = _mode(args)
+    mode = TokenizerMode(args.mode)
     if args.dph:
         index = build_dph_index(corpus, mode)
     else:
@@ -116,9 +116,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    queries = load_queries(args.queries)
-    qrels = load_qrels(args.qrels)
-    _judged(queries, qrels)
+    queries, qrels, _ = _judged_inputs(args)
     grid = DEFAULT_Q_GRID if args.grid is None else args.grid
     table = q_sweep(load_index(args.index), queries, qrels, grid)
     _write_or_print(sweep_to_csv(table), args.out)
@@ -128,7 +126,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_predict_q(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
-    stats = compute_corpus_stats(corpus, _mode(args))
+    stats = compute_corpus_stats(corpus, TokenizerMode(args.mode))
     q = predict_q(stats)
     print(f"htok\t{stats.htok:.6f}")
     print(f"q_pred\t{q:.4f}")
@@ -138,9 +136,7 @@ def _cmd_predict_q(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.budgets is not None and not args.corpus:
         raise QlexError("--budgets needs --corpus for the token counter")
-    queries = load_queries(args.queries)
-    qrels = load_qrels(args.qrels)
-    judged = _judged(queries, qrels)
+    queries, qrels, judged = _judged_inputs(args)
     if args.budgets is not None:
         open(args.corpus, "rb").close()  # fail now, without holding the corpus while scoring
     index = load_index(args.index)
@@ -186,9 +182,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_occlusion(args: argparse.Namespace) -> int:
-    queries = load_queries(args.queries)
-    qrels = load_qrels(args.qrels)
-    _judged(queries, qrels)
+    queries, qrels, _ = _judged_inputs(args)
     bins = DEFAULT_DF_BINS if args.bins is None else args.bins
     index = load_index(args.index)
     if args.q is not None and index.header.applied_q != args.q:
@@ -212,7 +206,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not queries:
         raise QlexError(f"no query to time in {args.queries}")
     corpus = load_corpus(args.corpus)
-    mode = _mode(args)
+    mode = TokenizerMode(args.mode)
 
     t0 = time.perf_counter()
     index = build_index(corpus, mode, args.k1, args.b)
@@ -266,76 +260,72 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    def add(name: str, func, help_text: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text, parents=parents)
         p.set_defaults(func=func)
         return p
 
-    p = add("build", _cmd_build, "build a score index from a corpus")
+    # Each argument that several subcommands share is defined once, with its rule.
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--mode", default="t0", choices=[m.value for m in TokenizerMode])
+    bm25 = argparse.ArgumentParser(add_help=False)
+    bm25.add_argument("--k1", type=_checked(float, _check_param, "k1"), default=1.5)
+    bm25.add_argument("--b", type=_checked(float, _check_param, "b"), default=0.75)
+    judged = argparse.ArgumentParser(add_help=False)
+    for flag in ("--index", "--queries", "--qrels"):
+        judged.add_argument(flag, required=True)
+    q_rule = _checked(float, _check_mark, "q")
+    k_rule = _checked(int, _check_k)
+
+    p = add("build", _cmd_build, "build a score index from a corpus", mode, bm25)
     p.add_argument("--corpus", required=True)
     p.add_argument("--index", required=True, help="output index path")
-    p.add_argument("--mode", default="t0", choices=[m.value for m in TokenizerMode])
-    p.add_argument("--k1", type=_checked(float, _check_param, "k1"), default=1.5)
-    p.add_argument("--b", type=_checked(float, _check_param, "b"), default=0.75)
     p.add_argument("--dph", action="store_true", help="bake parameter-free DPH scores instead")
 
     p = add("rescale", _cmd_rescale, "apply a q-log or gamma IDF transform in place")
     p.add_argument("--index", required=True)
     p.add_argument("--out", help="write to a new path instead of overwriting")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--q", type=_checked(float, _check_mark, "q"))
+    group.add_argument("--q", type=q_rule)
     group.add_argument("--gamma", type=_checked(float, _check_mark, "gamma"))
 
     p = add("search", _cmd_search, "run queries and emit a TREC-style run file")
     p.add_argument("--index", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--k", type=_checked(int, _check_k), default=100)
+    p.add_argument("--k", type=k_rule, default=100)
     p.add_argument("--out")
 
-    p = add("sweep", _cmd_sweep, "mean NDCG@10 across an exponent grid")
-    p.add_argument("--index", required=True, help="untransformed baseline index")
-    p.add_argument("--queries", required=True)
-    p.add_argument("--qrels", required=True)
-    p.add_argument("--grid", type=_checked(_parse_floats, _check_grid),
+    p = add("sweep", _cmd_sweep,
+            "mean NDCG@10 across an exponent grid, from an untransformed baseline index", judged)
+    p.add_argument("--grid", type=_checked(_parse_list(float), _check_grid),
                    help="comma-separated q values")
     p.add_argument("--out", help="CSV output path (default stdout)")
 
-    p = add("predict-q", _cmd_predict_q, "predict the exponent from corpus statistics")
+    p = add("predict-q", _cmd_predict_q, "predict the exponent from corpus statistics", mode)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--mode", default="t0", choices=[m.value for m in TokenizerMode])
 
-    p = add("eval", _cmd_eval, "NDCG/MRR/recall report, optional paired bootstrap")
-    p.add_argument("--index", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--qrels", required=True)
-    p.add_argument("--k", type=_checked(int, _check_k), default=10, help="recall cutoff (>= 1)")
+    p = add("eval", _cmd_eval, "NDCG/MRR/recall report, optional paired bootstrap", judged)
+    p.add_argument("--k", type=k_rule, default=10, help="recall cutoff (>= 1)")
     p.add_argument("--format", default="tsv", choices=["tsv", "json"])
     p.add_argument("--out")
     p.add_argument("--compare-index", help="second index for a paired bootstrap on NDCG@10")
     p.add_argument("--resamples", type=_checked(int, _check_k, "resamples"), default=10_000)
     p.add_argument("--seed", type=_checked(int, _check_seed), default=0)
-    p.add_argument("--budgets", type=_checked(_parse_ints, _check_budgets),
+    p.add_argument("--budgets", type=_checked(_parse_list(int), _check_budgets),
                    help="comma-separated token budgets (needs --corpus)")
     p.add_argument("--corpus", help="corpus path for the budget token counter")
 
-    p = add("occlusion", _cmd_occlusion, "NDCG loss per document-frequency bin")
-    p.add_argument("--index", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--qrels", required=True)
-    p.add_argument("--q", type=_checked(float, _check_mark, "q"),
-                   help="operating exponent (rescales a pristine index)")
+    p = add("occlusion", _cmd_occlusion, "NDCG loss per document-frequency bin", judged)
+    p.add_argument("--q", type=q_rule, help="operating exponent (rescales a pristine index)")
     p.add_argument("--bins", type=_checked(_parse_bins, _check_bins),
                    help="comma-separated inclusive upper df edges")
     p.add_argument("--out")
 
-    p = add("bench", _cmd_bench, "steady-state build/rescale/query timings")
+    p = add("bench", _cmd_bench, "steady-state build/rescale/query timings", mode, bm25)
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--mode", default="t0", choices=[m.value for m in TokenizerMode])
-    p.add_argument("--q", type=_checked(float, _check_mark, "q"))
-    p.add_argument("--k1", type=_checked(float, _check_param, "k1"), default=1.5)
-    p.add_argument("--b", type=_checked(float, _check_param, "b"), default=0.75)
-    p.add_argument("--k", type=_checked(int, _check_k), default=100, help="retrieval depth")
+    p.add_argument("--q", type=q_rule)
+    p.add_argument("--k", type=k_rule, default=100, help="retrieval depth")
     p.add_argument("--trials", type=_checked(int, _check_k, "trials"), default=5)
 
     return parser

@@ -125,6 +125,9 @@ def _t1_words(text: str) -> list[str]:
     return text.lower().split()
 
 
+_WORD_SPLITS = {TokenizerMode.T0: _t0_words, TokenizerMode.T1: _t1_words}
+
+
 def word_split(mode: TokenizerMode) -> Callable[[str], list[str]]:
     """The function splitting a text into ``mode``'s words, before the mode's rule per word.
 
@@ -133,7 +136,7 @@ def word_split(mode: TokenizerMode) -> Callable[[str], list[str]]:
     """
     if not isinstance(mode, TokenizerMode):
         raise TypeError(f"mode must be a TokenizerMode, got {type(mode).__name__}")
-    return {TokenizerMode.T0: _t0_words, TokenizerMode.T1: _t1_words}.get(mode, word_surfaces)
+    return _WORD_SPLITS.get(mode, word_surfaces)
 
 
 def surface_tokens(raw: str, mode: TokenizerMode) -> list[str]:
@@ -170,11 +173,10 @@ def tokenize(text: str, mode: TokenizerMode) -> list[str]:
     T0/T2/T3 whole tokens only; T1 never filters.  The returned tokens are
     lowercase and contain no whitespace.
     """
-    if not isinstance(mode, TokenizerMode):
-        raise TypeError(f"mode must be a TokenizerMode, got {type(mode).__name__}")
+    words = word_split(mode)(text)
     if mode is TokenizerMode.T1:
-        return _t1_words(text)
+        return words
     if mode is TokenizerMode.T0:
         drop = _t0_drop()
-        return [w for w in _t0_words(text) if w not in drop]
-    return [tok for raw in word_surfaces(text) for tok in surface_tokens(raw, mode)]
+        return [w for w in words if w not in drop]
+    return [tok for raw in words for tok in surface_tokens(raw, mode)]

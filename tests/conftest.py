@@ -16,10 +16,8 @@ from qlex import index as index_module
 from qlex.tokenizers import TokenizerMode
 
 
-# A deep run of the property tests, for CI:
-#   python -m pytest tests/test_tokenizers.py tests/test_query.py tests/test_corpus_io.py \
-#       tests/test_evaluation.py tests/test_index.py tests/test_transforms.py \
-#       --hypothesis-profile=deep
+# A deep run of every property test (hypothesis marks each @given test), for CI:
+#   python -m pytest tests -m hypothesis --hypothesis-profile=deep
 settings.register_profile("deep", max_examples=2000, deadline=None)
 
 

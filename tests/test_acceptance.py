@@ -240,16 +240,16 @@ def test_criterion_11_dph_cross_validation():
 @pytest.mark.criterion(12, "rescale cost linear in nnz (R^2 >= 0.98); query p50 within 5%")
 def test_criterion_12_systems_overhead_shape():
     sizes = [100_000, 300_000, 1_000_000, 3_000_000, 10_000_000]
-    times = []
-    for nnz in sizes:
-        pristine = _synthetic_index(nnz)
-        best = math.inf
-        for _ in range(3):
+    pristines = [_synthetic_index(nnz) for nnz in sizes]
+    times = [math.inf] * len(sizes)
+    # Each round times every size once, so a slow stretch of the host reaches
+    # all sizes alike instead of the one that happens to run in it.
+    for _ in range(3):
+        for at, pristine in enumerate(pristines):
             index = dataclasses.replace(pristine, scores=pristine.scores.copy())
             t0 = time.perf_counter()
             index = rescale_index(index, 0.5)
-            best = min(best, time.perf_counter() - t0)
-        times.append(best)
+            times[at] = min(times[at], time.perf_counter() - t0)
     x = np.array(sizes, dtype=np.float64)
     y = np.array(times)
     slope, intercept = np.polyfit(x, y, 1)

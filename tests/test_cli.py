@@ -411,6 +411,38 @@ class TestErrorsAndParsing:
         err = capsys.readouterr().err
         assert "error:" in err and "'d0'" in err and str(tmp_path / "other.jsonl") in err
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["build", "--corpus", "c", "--index", "i"],
+         {"corpus": "c", "index": "i", "mode": "t0", "k1": 1.5, "b": 0.75, "dph": False}),
+        (["rescale", "--index", "i", "--q", "0.5"],
+         {"index": "i", "out": None, "q": 0.5, "gamma": None}),
+        (["search", "--index", "i", "--queries", "qs"],
+         {"index": "i", "queries": "qs", "k": 100, "out": None}),
+        (["sweep", "--index", "i", "--queries", "qs", "--qrels", "qr"],
+         {"index": "i", "queries": "qs", "qrels": "qr", "grid": None, "out": None}),
+        (["predict-q", "--corpus", "c"], {"corpus": "c", "mode": "t0"}),
+        (["eval", "--index", "i", "--queries", "qs", "--qrels", "qr"],
+         {"index": "i", "queries": "qs", "qrels": "qr", "k": 10, "format": "tsv", "out": None,
+          "compare_index": None, "resamples": 10_000, "seed": 0, "budgets": None,
+          "corpus": None}),
+        (["occlusion", "--index", "i", "--queries", "qs", "--qrels", "qr"],
+         {"index": "i", "queries": "qs", "qrels": "qr", "q": None, "bins": None, "out": None}),
+        (["bench", "--corpus", "c", "--queries", "qs"],
+         {"corpus": "c", "queries": "qs", "mode": "t0", "q": None, "k1": 1.5, "b": 0.75,
+          "k": 100, "trials": 5}),
+    ], ids=["build", "rescale", "search", "sweep", "predict-q", "eval", "occlusion", "bench"])
+    def test_parser_table(self, argv, expected):
+        """Each subcommand's every dest with its type and default, and the flags it requires."""
+        def parsed(args):
+            return {key: (type(value), value) for key, value in
+                    vars(cli._build_parser().parse_args(args)).items() if key != "func"}
+        expected = {"command": argv[0], **expected}
+        assert parsed(argv) == {key: (type(value), value) for key, value in expected.items()}
+        for at in range(1, len(argv), 2):  # each flag of the minimal argv is required
+            with pytest.raises(SystemExit) as exc:
+                parsed(argv[:at] + argv[at + 2:])
+            assert exc.value.code == 2
+
     def test_parse_bins(self):
         assert _parse_bins("1,5,20") == [(1, 1), (2, 5), (6, 20), (21, None)]
 
@@ -497,6 +529,14 @@ class TestErrorsAndParsing:
         (["eval", *JUDGED, "--compare-index", "base.qlx", "--seed", "-1"], 2,
          "argument --seed: seed must be >= 0, got -1"),
         (["eval", *JUDGED, "--seed", "-1"], 2, "argument --seed: seed must be >= 0, got -1"),
+        (["build", "--corpus", "corpus.jsonl", "--index", "out.qlx", "--mode", "t9"], 2,
+         "argument --mode: invalid choice"),
+        (["predict-q", "--corpus", "corpus.jsonl", "--mode", "t9"], 2,
+         "argument --mode: invalid choice"),
+        (["bench", "--corpus", "corpus.jsonl", "--queries", "queries.jsonl", "--mode", "t9"], 2,
+         "argument --mode: invalid choice"),
+        (["bench", "--corpus", "corpus.jsonl", "--queries", "queries.jsonl", "--k1", "-1"], 2,
+         "argument --k1: k1 must be finite and > 0, got -1.0"),
     ], ids=["eval_budgets_without_corpus", "occlusion_no_judged_query", "eval_budgets_descending",
             "eval_budget_zero", "eval_budgets_empty", "eval_k_zero", "eval_resamples_zero",
             "eval_resamples_zero_without_compare_index", "occlusion_bins_descending",
@@ -504,10 +544,11 @@ class TestErrorsAndParsing:
             "sweep_grid_inf", "sweep_grid_malformed", "occlusion_q_nan", "occlusion_q_inf",
             "rescale_q_nan", "rescale_gamma_zero", "bench_q_nan", "eval_budget_corpus_missing",
             "build_k1_negative", "build_k1_nan", "build_b_above_one", "bench_b_negative",
-            "eval_seed_negative", "eval_seed_negative_without_compare_index"])
+            "eval_seed_negative", "eval_seed_negative_without_compare_index", "build_mode_unknown",
+            "predict_q_mode_unknown", "bench_mode_unknown", "bench_k1_negative"])
     def test_refused_before_any_index_load(self, workdir, refused, argv, code, message):
         write_qrels(workdir / "other.tsv", [("absent", "d0", 1)])
-        out = [] if argv[0] in ("bench", "build") else ["--out", "out.tsv"]
+        out = [] if argv[0] in ("bench", "build", "predict-q") else ["--out", "out.tsv"]
         refused(*[workdir / arg if arg.endswith((".jsonl", ".qlx", ".tsv")) else arg
                   for arg in argv + out], code=code, message=message)
 
